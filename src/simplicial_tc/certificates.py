@@ -16,7 +16,7 @@ import json
 from typing import Any
 
 from .collapse import CollapseSequence, core
-from .complexes import Complex, _assemble_complex, embedding_ids, subcomplex
+from .complexes import Complex, _assemble_complex, embedding_ids, ids_from_mask, subcomplex
 from .errors import SimplicialTCError
 from .invariants import (
     AdmissibleSet,
@@ -71,23 +71,12 @@ def _result_payload(result: InvariantResult, ambient: Complex) -> dict[str, Any]
             [_admissible_payload(a) for a in result.cover] if result.cover is not None else None
         ),
         "maximal_admissible": [
-            sorted(sorted(ambient.labels[v] for v in _mask_ids(ambient.facets[i])) for i in S)
+            sorted(sorted(ambient.labels[v] for v in ids_from_mask(ambient.facets[i])) for i in S)
             for S in result.maximal
         ],
         "unknown_subsets": len(result.unknown_sets),
         "checks": result.checks,
     }
-
-
-def _mask_ids(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
 
 
 def emit_tc(K: Complex, result: InvariantResult, budget: int) -> dict[str, Any]:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 for a decisive outcome (exact value, yes/no verdict, verified
 certificate, not-coverable), 2 when a state budget left the answer open
-(bounded / unknown), 1 for errors.
+(budget exhausted / unknown), 1 for errors.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .product import categorical_square
 _STATUS_EXIT = {
     Status.EXACT: 0,
     Status.NOT_COVERABLE: 0,
-    Status.BOUNDED: 2,
     Status.BUDGET_EXHAUSTED: 2,
 }
 _VERDICT_EXIT = {Verdict.YES: 0, Verdict.NO: 0, Verdict.UNKNOWN: 2}
@@ -67,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=DEFAULT_BUDGET,
                 help="max distinct maps per class search (default %(default)s)",
             )
-            sp.add_argument("--threads", type=int, default=1, help="worker threads for subset checks")
 
     sp = sub.add_parser("tc", help="discrete topological complexity of a complex")
     sp.add_argument("file")
@@ -157,14 +155,14 @@ def _describe_result(name: str, res: InvariantResult) -> list[str]:
 
 def _cmd_tc(args) -> int:
     K = _load(args.file)
-    res = tc(K, budget=args.budget, threads=args.threads)
+    res = tc(K, budget=args.budget)
     _deliver(args, emit_tc(K, res, args.budget), _describe_result("TC", res))
     return _STATUS_EXIT[res.status]
 
 
 def _cmd_scat(args) -> int:
     K = _load(args.file)
-    res = scat(K, budget=args.budget, threads=args.threads)
+    res = scat(K, budget=args.budget)
     _deliver(args, emit_scat(K, res, args.budget), _describe_result("scat", res))
     return _STATUS_EXIT[res.status]
 
@@ -234,7 +232,7 @@ def _cmd_is_categorical(args) -> int:
 def _cmd_plan(args) -> int:
     K = _load(args.file)
     x, y = K.id(args.src), K.id(args.dst)
-    res = tc(K, budget=args.budget, threads=args.threads)
+    res = tc(K, budget=args.budget)
     if res.cover is None:
         if res.status is Status.NOT_COVERABLE:
             print("error: no Farber cover exists (complex is not edge-path connected?)", file=sys.stderr)

@@ -11,22 +11,28 @@ and the cover restriction sound.
 A Farber subcomplex of K^2 is one whose two projection restrictions lie in
 a single contiguity class; the class witness is converted into the defining
 certificate (a chain from diagonal-after-section to the inclusion) so every
-"yes" is machine-checkable.  Cheap certified shortcuts run before the BFS:
-strongly collapsible subcomplexes are admissible with a constructive witness,
-and two sound "no" detectors (a vertex pair split across components of K, or
-a full row/column slice when K itself is not strongly collapsible) prune the
-search without exploring map space.
+"yes" is machine-checkable.  Two sound "no" detectors run first (a vertex
+pair split across components of K, or a full row/column slice when K itself
+is not strongly collapsible) and prune the search without exploring map
+space.
+
+The search asks for verdicts only, and those are decided on facet masks: a
+greedy strong collapse of the subcomplex's facet bitmasks answers "yes" when
+one vertex survives, and otherwise the class query runs on the core it
+leaves (collapses preserve contiguity classes; Barmak & Minian 2012).
+Witnesses -- the contraction chain of a strongly collapsible subcomplex or
+the lifted BFS path -- are built only for the maximal sets that are kept,
+for certificates, and for the membership and plan commands.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import ceil
 from typing import Callable, Sequence
 
-from .collapse import contraction_witness, is_strongly_collapsible
+from .collapse import contraction_witness, core_complex, is_strongly_collapsible
 from .complexes import (
     Complex,
     embedding_ids,
@@ -51,7 +57,6 @@ from .product import ProductComplex, categorical_square
 
 class Status(Enum):
     EXACT = "exact"
-    BOUNDED = "bounded"
     BUDGET_EXHAUSTED = "budget-exhausted"
     NOT_COVERABLE = "not-coverable"
 
@@ -150,8 +155,8 @@ def is_farber(
 
     Decision route: projection contiguity (the two restricted projections lie
     in one contiguity class), which also yields the section for free.  With
-    want_witness=False only the verdict is computed (search layers use this
-    and re-certify the sets they keep).
+    want_witness=False only the verdict is computed, on the greedy core of
+    omega (search layers use this and re-certify the sets they keep).
     """
     if not is_subcomplex(omega, P.product):
         raise InvalidInput("omega is not a subcomplex of the product")
@@ -177,33 +182,39 @@ def is_farber(
                 # categorical in itself only when K is strongly collapsible.
                 return Verdict.NO, None
 
+    if not want_witness:
+        # The core is a strong deformation retract of omega, so restricting
+        # both projections to it keeps their contiguity class; the class
+        # query reduces omega to this same core, so it walks the same states.
+        c = core_complex(omega)
+        if c.n_vertices == 1:
+            return Verdict.YES, None
+        p1 = _projection_restriction(c, P, 1)
+        p2 = _projection_restriction(c, P, 2)
+        return same_contiguity_class(p1, p2, budget).verdict, None
+
     contraction = contraction_witness(omega)
     if contraction is not None:
-        point = contraction.last.assignment[0]
-        pu, pv = pairs[point]
-        if K.vertex_components[pu] == K.vertex_components[pv]:
-            if not want_witness:
-                return Verdict.YES, None
-            join = witness_between_constants(omega, K, pu, pv)
-            chain_a = [
-                SimplicialMap(omega, K, tuple(pairs[r.assignment[w]][0] for w in range(omega.n_vertices)))
-                for r in contraction.steps
-            ]
-            chain_b = [
-                SimplicialMap(omega, K, tuple(pairs[r.assignment[w]][1] for w in range(omega.n_vertices)))
-                for r in contraction.steps
-            ]
-            proj_w = ContiguityWitness(tuple(chain_a))
-            proj_w = proj_w.concat(join)
-            proj_w = proj_w.concat(ContiguityWitness(tuple(reversed(chain_b))))
-            return Verdict.YES, _diagonal_witness(omega, P, proj_w)
+        # The component rule has put the core point's pair in one component.
+        pu, pv = pairs[contraction.last.assignment[0]]
+        join = witness_between_constants(omega, K, pu, pv)
+        chain_a = [
+            SimplicialMap(omega, K, tuple(pairs[r.assignment[w]][0] for w in range(omega.n_vertices)))
+            for r in contraction.steps
+        ]
+        chain_b = [
+            SimplicialMap(omega, K, tuple(pairs[r.assignment[w]][1] for w in range(omega.n_vertices)))
+            for r in contraction.steps
+        ]
+        proj_w = ContiguityWitness(tuple(chain_a))
+        proj_w = proj_w.concat(join)
+        proj_w = proj_w.concat(ContiguityWitness(tuple(reversed(chain_b))))
+        return Verdict.YES, _diagonal_witness(omega, P, proj_w)
 
     p1 = _projection_restriction(omega, P, 1)
     p2 = _projection_restriction(omega, P, 2)
     result = same_contiguity_class(p1, p2, budget)
     if result.verdict is Verdict.YES:
-        if not want_witness:
-            return Verdict.YES, None
         return Verdict.YES, _diagonal_witness(omega, P, result.witness)
     return result.verdict, None
 
@@ -214,7 +225,11 @@ def is_farber(
 def is_categorical(
     sub: Complex, K: Complex, budget: int = DEFAULT_BUDGET, want_witness: bool = True
 ) -> tuple[Verdict, AdmissibleSet | None]:
-    """Decide whether the inclusion of sub into K is in a constant's class."""
+    """Decide whether the inclusion of sub into K is in a constant's class.
+
+    With want_witness=False only the verdict is computed, on the greedy core
+    of sub.
+    """
     if not is_subcomplex(sub, K):
         raise InvalidInput("not a subcomplex of the ambient complex")
     emb = embedding_ids(sub, K)
@@ -225,10 +240,14 @@ def is_categorical(
         # vertices to one constant vertex.
         return Verdict.NO, None
 
+    if not want_witness:
+        c = core_complex(sub)
+        if c.n_vertices == 1:
+            return Verdict.YES, None
+        return class_constant_witness(inclusion_map(c, K), budget).verdict, None
+
     contraction = contraction_witness(sub)
     if contraction is not None:
-        if not want_witness:
-            return Verdict.YES, None
         steps = tuple(
             SimplicialMap(sub, K, tuple(emb[r.assignment[w]] for w in range(sub.n_vertices)))
             for r in contraction.steps
@@ -237,8 +256,6 @@ def is_categorical(
 
     result = class_constant_witness(inclusion_map(sub, K), budget)
     if result.verdict is Verdict.YES:
-        if not want_witness:
-            return Verdict.YES, None
         return Verdict.YES, AdmissibleSet("categorical", sub, result.witness)
     return result.verdict, None
 
@@ -249,7 +266,6 @@ def is_categorical(
 def maximal_admissible_sets(
     n_facets: int,
     check: Callable[[frozenset[int]], tuple[Verdict, AdmissibleSet | None]],
-    threads: int = 1,
     known_failing: Sequence[frozenset[int]] = (),
     certify: Callable[[frozenset[int]], AdmissibleSet] | None = None,
 ) -> tuple[list[AdmissibleSet], list[frozenset[int]], int]:
@@ -314,51 +330,25 @@ def maximal_admissible_sets(
         else:
             unknown.append(m)
 
-    def run_check(m: int) -> tuple[Verdict, AdmissibleSet | None]:
-        return check(to_set(m))
-
     stack: list[int] = [full]
     seen: set[int] = {full}
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while stack:
-            if pool is not None:
-                wave, stack = stack, []
-                decided = {}
-                to_run = []
-                for m in wave:
-                    verdict = dominance(m)
-                    if verdict is None:
-                        to_run.append(m)
-                    else:
-                        decided[m] = verdict
-                for m, (verdict, payload) in zip(to_run, pool.map(run_check, to_run)):
-                    checks += 1
-                    record(m, verdict, payload)
-                    decided[m] = verdict
-                batch = [(m, decided[m]) for m in wave]
-            else:
-                m = stack.pop()
-                verdict = dominance(m)
-                if verdict is None:
-                    verdict, payload = run_check(m)
-                    checks += 1
-                    record(m, verdict, payload)
-                batch = [(m, verdict)]
-            for m, verdict in batch:
-                if verdict is Verdict.YES or m.bit_count() <= 1:
-                    continue
-                rest = m
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    child = m ^ bit
-                    if child not in seen:
-                        seen.add(child)
-                        stack.append(child)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while stack:
+        m = stack.pop()
+        verdict = dominance(m)
+        if verdict is None:
+            verdict, payload = check(to_set(m))
+            checks += 1
+            record(m, verdict, payload)
+        if verdict is Verdict.YES or m.bit_count() <= 1:
+            continue
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            child = m ^ bit
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
 
     max_passing.sort(key=lambda m: tuple(sorted(to_set(m))))
     out = []
@@ -431,12 +421,11 @@ def _inclusion_maximal(families: list[frozenset[int]]) -> list[frozenset[int]]:
 def _cover_invariant(
     n_facets: int,
     check: Callable[[frozenset[int]], tuple[Verdict, AdmissibleSet | None]],
-    threads: int,
     known_failing: Sequence[frozenset[int]] = (),
     certify: Callable[[frozenset[int]], AdmissibleSet] | None = None,
 ) -> InvariantResult:
     maximal, unknown, checks = maximal_admissible_sets(
-        n_facets, check, threads=threads, known_failing=known_failing, certify=certify
+        n_facets, check, known_failing=known_failing, certify=certify
     )
     yes_families = [a.facet_indices for a in maximal]
     cover_idx = min_cover(n_facets, yes_families)
@@ -464,7 +453,7 @@ def _cover_invariant(
     return InvariantResult(value, value, value, Status.EXACT, cover, maximal_sets, (), checks)
 
 
-def scat(K: Complex, budget: int = DEFAULT_BUDGET, threads: int = 1) -> InvariantResult:
+def scat(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
     """Simplicial LS-category: minimum categorical cover size minus one."""
 
     def check(S: frozenset[int]) -> tuple[Verdict, AdmissibleSet | None]:
@@ -478,7 +467,7 @@ def scat(K: Complex, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Invarian
             raise InvalidInput("certification pass disagrees with the search verdict")
         return adm
 
-    return _cover_invariant(len(K.facets), check, threads, certify=certify)
+    return _cover_invariant(len(K.facets), check, certify=certify)
 
 
 def _slice_failure_patterns(K: Complex) -> list[frozenset[int]]:
@@ -505,7 +494,7 @@ def _slice_failure_patterns(K: Complex) -> list[frozenset[int]]:
     return sorted(patterns, key=lambda S: tuple(sorted(S)))
 
 
-def tc(K: Complex, budget: int = DEFAULT_BUDGET, threads: int = 1) -> InvariantResult:
+def tc(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
     """Discrete topological complexity: minimum Farber cover of K^2, minus one."""
     P = categorical_square(K)
 
@@ -521,7 +510,7 @@ def tc(K: Complex, budget: int = DEFAULT_BUDGET, threads: int = 1) -> InvariantR
         return adm
 
     known_failing = () if is_strongly_collapsible(K) else _slice_failure_patterns(K)
-    return _cover_invariant(len(P.product.facets), check, threads, known_failing, certify)
+    return _cover_invariant(len(P.product.facets), check, known_failing, certify)
 
 
 # -- motion planning -----------------------------------------------------------

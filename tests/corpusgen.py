@@ -7,9 +7,18 @@ import string
 
 from simplicial_tc import Complex, build_complex
 from simplicial_tc.collapse import add_cone_facet
-from simplicial_tc.complexes import is_edge_path_connected
+from simplicial_tc.complexes import is_edge_path_connected, subcomplex
 
 LABELS = string.ascii_lowercase
+ACCEPTANCE_SEED = 20240817
+
+CYCLE3 = [("a", "b"), ("b", "c"), ("a", "c")]
+CYCLE4 = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+BOUNDARY_TETRAHEDRON = [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d")]
+# The 7-vertex (Moebius) torus.
+TORUS7 = [
+    (str(i), str((i + 1) % 7), str((i + 3) % 7)) for i in range(7)
+] + [(str(i), str((i + 2) % 7), str((i + 3) % 7)) for i in range(7)]
 
 
 def random_complex(
@@ -27,6 +36,37 @@ def random_complex(
         facets.append(rng.sample(verts, size))
     # unused labels are simply absent, so |V| <= max_vertices holds
     return build_complex(facets)
+
+
+def acceptance_corpus(seed: int) -> list[Complex]:
+    """The 50-complex acceptance corpus: curated hard/degenerate cases, then seeded randoms."""
+    bd = build_complex([{"a", "b"}, {"b", "c"}, {"a", "c"}])
+    instances = [
+        bd,
+        build_complex([{"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "d"}]),  # 4-cycle
+        add_cone_facet(bd, bd.simplex_mask({"a", "b"}), "w"),  # expansion of the boundary
+        add_cone_facet(bd, bd.simplex_mask({"b"}), "w"),  # boundary with a whisker
+        build_complex([{"a", "b", "x"}, {"b", "c", "x"}, {"a", "c", "x"}]),  # cone
+        build_complex([{"a"}, {"b"}]),  # disconnected
+        build_complex([{"a", "b"}, {"c", "d"}]),  # two disjoint edges
+        build_complex([{"a", "b", "c"}, {"c", "d"}]),  # simplex with a tail
+    ]
+    rng = random.Random(seed)
+    while len(instances) < 50:
+        instances.append(random_complex(rng, max_vertices=6, max_facets=4))
+    return instances
+
+
+def random_facet_subcomplexes(ambient: Complex, count: int, seed: int) -> list[Complex]:
+    """Seeded subcomplexes of ambient, each generated by a random nonempty facet subset."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        density = rng.uniform(0.1, 0.9)
+        chosen = [m for m in ambient.facets if rng.random() < density]
+        if chosen:
+            out.append(subcomplex(ambient, chosen))
+    return out
 
 
 def random_connected_complex(rng: random.Random, **kw) -> Complex:

@@ -85,3 +85,45 @@ def complexes_isomorphic(A: Complex, B: Complex) -> bool:
         if {frozenset(perm[v] for v in f) for f in fa} == fb:
             return True
     return False
+
+
+# -- the object-level strong-collapse loop -------------------------------------
+#
+# The reference for the library's bitmask collapse loop: list every dominated
+# pair, delete the lowest pair's vertex, rebuild the whole complex, repeat.
+
+
+def oracle_dominated_vertices(K: Complex) -> list[tuple[int, int]]:
+    """All (v, u), v != u, with u in every facet that contains v."""
+    facets = facet_sets(K)
+    out = []
+    for v in range(K.n_vertices):
+        star = [f for f in facets if v in f]
+        for u in sorted(frozenset.intersection(*star) - {v}):
+            out.append((v, u))
+    return out
+
+
+def delete_vertex(K: Complex, v: int) -> Complex:
+    """K without v: truncate its facets, keep the maximal ones, re-densify ids."""
+    truncated = {f - {v} for f in facet_sets(K)} - {frozenset()}
+    maximal = [f for f in truncated if not any(f < g for g in truncated)]
+    used = sorted(frozenset().union(*maximal))
+    labels = tuple(K.labels[old] for old in used)
+    new_id = {old: new for new, old in enumerate(used)}
+    masks = [sum(1 << new_id[w] for w in f) for f in maximal]
+    masks.sort(key=lambda m: tuple(sorted(labels[w] for w in range(len(labels)) if m >> w & 1)))
+    return Complex(labels, tuple(masks))
+
+
+def oracle_core(K: Complex) -> tuple[tuple[tuple[int, int], ...], Complex]:
+    """Lowest dominated pair first; steps in ids of K, and the final complex."""
+    current = K
+    steps = []
+    while True:
+        doms = oracle_dominated_vertices(current)
+        if not doms:
+            return tuple(steps), current
+        v, u = min(doms)
+        steps.append((K.id(current.labels[v]), K.id(current.labels[u])))
+        current = delete_vertex(current, v)

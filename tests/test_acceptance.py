@@ -45,34 +45,16 @@ from simplicial_tc.maps import DEFAULT_BUDGET
 import corpusgen
 import oracles
 
-SEED = 20240817
+SEED = corpusgen.ACCEPTANCE_SEED
 
 
 def boundary():
     return build_complex([{"a", "b"}, {"b", "c"}, {"a", "c"}])
 
 
-def curated_instances():
-    """Non-random corpus members: the known hard/degenerate small cases."""
-    bd = boundary()
-    return [
-        bd,
-        build_complex([{"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "d"}]),  # 4-cycle
-        add_cone_facet(bd, bd.simplex_mask({"a", "b"}), "w"),  # expansion of the boundary
-        add_cone_facet(bd, bd.simplex_mask({"b"}), "w"),  # boundary with a whisker
-        build_complex([{"a", "b", "x"}, {"b", "c", "x"}, {"a", "c", "x"}]),  # cone
-        build_complex([{"a"}, {"b"}]),  # disconnected
-        build_complex([{"a", "b"}, {"c", "d"}]),  # two disjoint edges
-        build_complex([{"a", "b", "c"}, {"c", "d"}]),  # simplex with a tail
-    ]
-
-
 @pytest.fixture(scope="module")
 def corpus_results():
-    rng = random.Random(SEED)
-    instances = curated_instances()
-    while len(instances) < 50:
-        instances.append(corpusgen.random_complex(rng, max_vertices=6, max_facets=4))
+    instances = corpusgen.acceptance_corpus(SEED)
     t0 = time.monotonic()
     results = [(K, tc(K), scat(K)) for K in instances]
     return results, time.monotonic() - t0

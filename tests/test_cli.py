@@ -53,10 +53,6 @@ class TestTcCommand:
         assert main(["tc", str(p)]) == 0
         assert "TC = 0 (exact)" in capsys.readouterr().out
 
-    def test_threads_flag(self, boundary_file, capsys):
-        assert main(["tc", boundary_file, "--threads", "2"]) == 0
-        assert "TC = 2" in capsys.readouterr().out
-
 
 class TestScatCommand:
     def test_boundary(self, boundary_file, capsys):

@@ -8,12 +8,14 @@ from simplicial_tc import (
     InvalidInput,
     add_cone_facet,
     build_complex,
+    categorical_square,
     contraction_witness,
     core,
     dominated_vertices,
     is_strongly_collapsible,
     replay,
 )
+from simplicial_tc.collapse import core_complex
 
 import corpusgen
 import oracles
@@ -104,14 +106,68 @@ class TestCore:
                 if not doms:
                     return current
                 v, u = pick(doms)
-                from simplicial_tc.collapse import _delete_vertex
-
-                current = _delete_vertex(current, v)
+                current = oracles.delete_vertex(current, v)
 
         highest = core_with(lambda doms: max(doms))
         seeded = core_with(lambda doms: sorted(doms)[len(doms) // 2])
         assert oracles.complexes_isomorphic(lowest, highest)
         assert oracles.complexes_isomorphic(lowest, seeded)
+
+
+class TestBitmaskCoreMatchesReference:
+    """core() against the object-level loop kept in oracles.oracle_core."""
+
+    @staticmethod
+    def assert_same_core(K):
+        steps, expected = oracles.oracle_core(K)
+        c, seq = core(K)
+        assert seq.steps == steps
+        assert c == expected
+        assert core_complex(K) == expected
+        assert replay(seq) == expected
+
+    def test_acceptance_corpus(self):
+        for K in corpusgen.acceptance_corpus(corpusgen.ACCEPTANCE_SEED):
+            self.assert_same_core(K)
+
+    @pytest.mark.parametrize(
+        "facets", [corpusgen.CYCLE4, corpusgen.BOUNDARY_TETRAHEDRON], ids=["C4", "boundary-tetrahedron"]
+    )
+    def test_seeded_subcomplexes_of_the_square(self, facets):
+        square = categorical_square(build_complex(facets)).product
+        subs = corpusgen.random_facet_subcomplexes(square, 500, seed=11)
+        collapsed = 0
+        for omega in subs:
+            self.assert_same_core(omega)
+            collapsed += core(omega)[0].n_vertices == 1
+        # both outcomes occur, so neither branch of the loop goes untested
+        assert 0 < collapsed < len(subs)
+
+
+class TestReplayChecks:
+    def test_non_dominated_step(self, boundary_triangle):
+        K = boundary_triangle
+        with pytest.raises(InvalidInput, match="not dominated"):
+            CollapseSequence(K, K, ((K.id("a"), K.id("b")),))
+
+    def test_vertex_dominating_itself(self, boundary_triangle):
+        K = boundary_triangle
+        with pytest.raises(InvalidInput, match="not dominated"):
+            CollapseSequence(K, K, ((K.id("a"), K.id("a")),))
+
+    @pytest.mark.parametrize("second", [("a", "x"), ("b", "a")], ids=["deleted", "deleted-dominator"])
+    def test_step_on_deleted_vertex(self, second):
+        K = cone_over_boundary()
+        a, x = K.id("a"), K.id("x")
+        steps = ((a, x), (K.id(second[0]), K.id(second[1])))
+        with pytest.raises(InvalidInput, match="deleted vertex"):
+            CollapseSequence(K, K, steps)
+
+    @pytest.mark.parametrize("step", [(7, 0), (0, -1)], ids=["past-end", "negative"])
+    def test_unknown_vertex(self, step):
+        K = cone_over_boundary()
+        with pytest.raises(InvalidInput, match="unknown vertex"):
+            CollapseSequence(K, K, (step,))
 
 
 class TestStronglyCollapsible:
@@ -155,13 +211,10 @@ class TestExpansion:
 
     def test_expansion_of_a_product_complex(self, boundary_triangle):
         # pair labels carry '|', which only the *input* paths reserve
-        from simplicial_tc import categorical_square
-        from simplicial_tc.collapse import _delete_vertex
-
         P = categorical_square(boundary_triangle)
         K2 = add_cone_facet(P.product, P.product.facets[0], "w")
         assert K2.n_vertices == 10
-        undone = _delete_vertex(K2, K2.id("w"))
+        undone = oracles.delete_vertex(K2, K2.id("w"))
         assert sorted(undone.facet_label_sets()) == sorted(P.product.facet_label_sets())
 
 

@@ -24,8 +24,10 @@ from simplicial_tc import (
     validate_motion_plan,
     compose,
 )
+from simplicial_tc.collapse import core_complex
 
 import corpusgen
+import oracles
 
 
 def boundary():
@@ -433,7 +435,6 @@ class TestNotCoverableWithUnknowns:
 class TestCollapseInvariance:
     def test_deleting_dominated_vertex_preserves_invariants(self):
         from simplicial_tc import dominated_vertices
-        from simplicial_tc.collapse import _delete_vertex
 
         rng = random.Random(5)
         checked = 0
@@ -442,7 +443,7 @@ class TestCollapseInvariance:
             doms = dominated_vertices(K)
             if not doms or K.n_vertices < 2:
                 continue
-            smaller = _delete_vertex(K, doms[0][0])
+            smaller = oracles.delete_vertex(K, doms[0][0])
             r1, r2 = tc(K), tc(smaller)
             s1, s2 = scat(K), scat(smaller)
             if r1.status is r2.status is Status.EXACT:
@@ -452,20 +453,48 @@ class TestCollapseInvariance:
             checked += 1
 
 
-class TestThreadedSearch:
-    def test_threaded_results_match_serial(self, boundary_triangle):
-        serial = tc(boundary_triangle)
-        threaded = tc(boundary_triangle, threads=4)
-        assert threaded.value == serial.value
-        assert threaded.status is serial.status
-        assert threaded.maximal == serial.maximal
-        assert [a.facet_indices for a in threaded.cover] == [
-            a.facet_indices for a in serial.cover
-        ]
+class TestVerdictOnlyPath:
+    """want_witness=False decides on the greedy core; witness mode must agree."""
 
-    def test_threaded_scat_matches(self, boundary_triangle):
-        P = categorical_square(boundary_triangle)
-        assert scat(P.product, threads=3).value == scat(P.product).value
+    @staticmethod
+    def tally(runs):
+        counts = {Verdict.YES: 0, Verdict.NO: 0, Verdict.UNKNOWN: 0}
+        yes_on_proper_core = 0
+        for sub, (quick, nothing), (full, adm) in runs:
+            assert nothing is None
+            assert quick is full
+            assert (adm is not None) == (full is Verdict.YES)
+            counts[full] += 1
+            yes_on_proper_core += full is Verdict.YES and core_complex(sub).n_vertices > 1
+        # both verdicts occur, and some "yes" needed the class query on a
+        # core of several vertices, so no branch goes untested
+        assert counts[Verdict.YES] and counts[Verdict.NO] and yes_on_proper_core
+
+    @staticmethod
+    def farber_modes(P, omega):
+        return omega, is_farber(omega, P, want_witness=False), is_farber(omega, P)
+
+    def test_farber_all_subsets_of_c3_square(self):
+        P = categorical_square(build_complex(corpusgen.CYCLE3))
+        F = P.product.facets
+        subs = [
+            subcomplex(P.product, [F[i] for i in range(len(F)) if r >> i & 1])
+            for r in range(1, 1 << len(F))
+        ]
+        assert len(subs) == 511
+        self.tally(self.farber_modes(P, omega) for omega in subs)
+
+    def test_farber_seeded_subsets_of_c4_square(self):
+        P = categorical_square(build_complex(corpusgen.CYCLE4))
+        subs = corpusgen.random_facet_subcomplexes(P.product, 300, seed=12)
+        self.tally(self.farber_modes(P, omega) for omega in subs)
+
+    def test_categorical_seeded_subsets_of_torus(self):
+        T = build_complex(corpusgen.TORUS7)
+        subs = corpusgen.random_facet_subcomplexes(T, 300, seed=13)
+        self.tally(
+            (sub, is_categorical(sub, T, want_witness=False), is_categorical(sub, T)) for sub in subs
+        )
 
 
 class TestSandwichOnRandoms:
