@@ -16,7 +16,7 @@ import json
 from typing import Any
 
 from .collapse import CollapseSequence, core
-from .complexes import Complex, _assemble_complex, embedding_ids, ids_from_mask, subcomplex
+from .complexes import Complex, _assemble_complex, embedding_ids, subcomplex
 from .errors import SimplicialTCError
 from .invariants import (
     AdmissibleSet,
@@ -61,7 +61,7 @@ def _admissible_payload(adm: AdmissibleSet) -> dict[str, Any]:
     }
 
 
-def _result_payload(result: InvariantResult, ambient: Complex) -> dict[str, Any]:
+def _result_payload(result: InvariantResult) -> dict[str, Any]:
     return {
         "status": result.status.value,
         "value": result.value,
@@ -70,24 +70,19 @@ def _result_payload(result: InvariantResult, ambient: Complex) -> dict[str, Any]
         "cover": (
             [_admissible_payload(a) for a in result.cover] if result.cover is not None else None
         ),
-        "maximal_admissible": [
-            sorted(sorted(ambient.labels[v] for v in ids_from_mask(ambient.facets[i])) for i in S)
-            for S in result.maximal
-        ],
         "unknown_subsets": len(result.unknown_sets),
         "checks": result.checks,
     }
 
 
 def emit_tc(K: Complex, result: InvariantResult, budget: int) -> dict[str, Any]:
-    P = categorical_square(K)
     cert = {
         "format": FORMAT,
         "kind": "tc",
         "complex": {"facets": _facet_lists(K)},
         "budget": budget,
     }
-    cert.update(_result_payload(result, P.product))
+    cert.update(_result_payload(result))
     return cert
 
 
@@ -98,7 +93,7 @@ def emit_scat(K: Complex, result: InvariantResult, budget: int) -> dict[str, Any
         "complex": {"facets": _facet_lists(K)},
         "budget": budget,
     }
-    cert.update(_result_payload(result, K))
+    cert.update(_result_payload(result))
     return cert
 
 
@@ -202,15 +197,39 @@ def _rebuild_admissible(
     raise _Reject(f"unknown admissible kind {kind!r}")
 
 
+def _is_count(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_cover(cert: dict[str, Any], ambient: Complex, base: Complex | None) -> None:
+    """Status, value, bounds and cover size must agree, and the cover must cover."""
     status = cert["status"]
     cover = cert["cover"]
+    value, lower, upper = cert["value"], cert["lower"], cert["upper"]
+    _need(status in {s.value for s in Status}, f"unknown status {status!r}")
+    _need(cover is None or isinstance(cover, list), "cover must be a list or null")
+    for x in (value, lower, upper):
+        _need(x is None or _is_count(x), "value and bounds must be integers or null")
     if status == Status.EXACT.value:
         _need(cover is not None, "exact result must carry a cover")
         _need(
-            cert["value"] == cert["lower"] == cert["upper"] == len(cover) - 1,
+            value == lower == upper == len(cover) - 1,
             "exact result value inconsistent with cover size",
         )
+    elif status == Status.NOT_COVERABLE.value:
+        _need(cover is None, "not-coverable result carries a cover")
+        _need(
+            value is None and lower is None and upper is None,
+            "not-coverable result carries a value or bounds",
+        )
+    else:
+        _need(value is None, "budget-exhausted result carries a value")
+        _need(lower is not None, "budget-exhausted result needs a lower bound")
+        if cover is None:
+            _need(upper is None, "upper bound without a cover")
+        else:
+            _need(upper == len(cover) - 1, "upper bound inconsistent with cover size")
+            _need(lower <= upper, "lower bound exceeds upper bound")
     if cover is None:
         return
     entries = [_rebuild_admissible(e, ambient, base) for e in cover]
@@ -228,7 +247,8 @@ def verify_certificate(cert: dict[str, Any], recompute: bool = False) -> tuple[b
         _need(cert.get("format") == FORMAT, f"unknown certificate format {cert.get('format')!r}")
         kind = cert.get("kind")
         K = _rebuild_complex(cert.get("complex"))
-        budget = int(cert.get("budget", DEFAULT_BUDGET))
+        budget = cert.get("budget", DEFAULT_BUDGET)
+        _need(_is_count(budget) and budget > 0, "budget must be a positive integer")
         if kind == "tc":
             P = categorical_square(K)
             _check_cover(cert, P.product, K)

@@ -1,12 +1,16 @@
 """Farber/categorical subcomplex recognition, minimum covers, TC, scat, plans.
 
-The two invariants share one pipeline: enumerate the inclusion-maximal facet
-subsets of the ambient complex whose generated subcomplex passes the
-admissibility check (Farber for TC over K^2, categorical for scat over K),
-then solve a minimum set cover over those maximal sets.  Admissibility is
-monotone decreasing under facet-subset inclusion (restricting the stored
-witness certifies every subset), which is what makes the maximal-set search
-and the cover restriction sound.
+The two invariants share one search: the smallest k for which the facets of
+the ambient complex (K^2 for TC, K for scat) split into k classes, each
+generating an admissible subcomplex (Farber for TC, categorical for scat).
+Admissibility is hereditary under facet-subset inclusion (restricting the
+stored witness certifies every subset), so such a partition exists exactly
+when k admissible sets cover the facets.  For k = 1, 2, ... a depth-first
+search assigns the facets in index order to an open class or to one new
+class, backing off as soon as a class fails; the first k that succeeds
+gives the value, and the exhausted searches for every smaller k are the
+lower-bound proof.  maximal_admissible_sets and min_cover (enumerate every
+maximal admissible set, then set-cover them) remain as standalone tools.
 
 A Farber subcomplex of K^2 is one whose two projection restrictions lie in
 a single contiguity class; the class witness is converted into the defining
@@ -21,8 +25,8 @@ greedy strong collapse of the subcomplex's facet bitmasks answers "yes" when
 one vertex survives, and otherwise the class query runs on the core it
 leaves (collapses preserve contiguity classes; Barmak & Minian 2012).
 Witnesses -- the contraction chain of a strongly collapsible subcomplex or
-the lifted BFS path -- are built only for the maximal sets that are kept,
-for certificates, and for the membership and plan commands.
+the lifted BFS path -- are built only for the classes of the cover that is
+returned, for certificates, and for the membership and plan commands.
 """
 
 from __future__ import annotations
@@ -80,6 +84,15 @@ class AdmissibleSet:
 
 @dataclass(frozen=True)
 class InvariantResult:
+    """Outcome of tc/scat.
+
+    cover holds the certified classes of the smallest partition found, with
+    facet_indices set.  maximal is always empty from tc/scat, because the
+    partition search never enumerates maximal admissible sets (call
+    maximal_admissible_sets for them); the field stays because the benchmark
+    (e2ebench/sweep.py) still reads it.
+    """
+
     value: int | None
     lower_bound: int | None
     upper_bound: int | None
@@ -266,7 +279,6 @@ def is_categorical(
 def maximal_admissible_sets(
     n_facets: int,
     check: Callable[[frozenset[int]], tuple[Verdict, AdmissibleSet | None]],
-    known_failing: Sequence[frozenset[int]] = (),
     certify: Callable[[frozenset[int]], AdmissibleSet] | None = None,
 ) -> tuple[list[AdmissibleSet], list[frozenset[int]], int]:
     """All inclusion-maximal facet subsets passing a monotone admissibility check.
@@ -274,11 +286,9 @@ def maximal_admissible_sets(
     Top-down lattice walk: the full set is tried first; every failing (or
     undecided) set expands to its one-smaller subsets.  Monotonicity gives two
     memo shortcuts, kept as inclusion antichains of int masks: a subset of a
-    passing set passes, a superset of a failing set fails.  known_failing
-    pre-seeds the failing antichain with sets the caller has already proved
-    inadmissible (e.g. slice patterns), so their entire upset is pruned
-    without running the check.  Unknown verdicts are collected so callers can
-    degrade their result instead of trusting an unproved bound.
+    passing set passes, a superset of a failing set fails.  Unknown verdicts
+    are collected so callers can degrade their result instead of trusting an
+    unproved bound.
 
     check may skip witness construction (returning a None payload); the
     maximal sets are then re-certified through `certify`, so only the kept
@@ -287,12 +297,6 @@ def maximal_admissible_sets(
     Returns (maximal admissible sets with certificates, unknown subsets,
     number of direct checks run).
     """
-
-    def to_mask(S) -> int:
-        m = 0
-        for i in S:
-            m |= 1 << i
-        return m
 
     def to_set(mask: int) -> frozenset[int]:
         return frozenset(i for i in range(n_facets) if mask & (1 << i))
@@ -303,12 +307,6 @@ def maximal_admissible_sets(
     payloads: dict[int, AdmissibleSet] = {}
     unknown: list[int] = []
     checks = 0
-
-    for S in known_failing:
-        m = to_mask(S)
-        if not any(f & ~m == 0 for f in min_failing):
-            min_failing[:] = [f for f in min_failing if m & ~f != 0]
-            min_failing.append(m)
 
     def dominance(m: int) -> Verdict | None:
         for p in max_passing:
@@ -414,43 +412,102 @@ def min_cover(n_elements: int, sets: Sequence[frozenset[int]]) -> list[int] | No
 # -- the two invariants --------------------------------------------------------
 
 
-def _inclusion_maximal(families: list[frozenset[int]]) -> list[frozenset[int]]:
-    return [S for S in families if not any(S < other for other in families)]
-
-
 def _cover_invariant(
     n_facets: int,
     check: Callable[[frozenset[int]], tuple[Verdict, AdmissibleSet | None]],
-    known_failing: Sequence[frozenset[int]] = (),
-    certify: Callable[[frozenset[int]], AdmissibleSet] | None = None,
+    certify: Callable[[frozenset[int]], AdmissibleSet],
 ) -> InvariantResult:
-    maximal, unknown, checks = maximal_admissible_sets(
-        n_facets, check, known_failing=known_failing, certify=certify
-    )
-    yes_families = [a.facet_indices for a in maximal]
-    cover_idx = min_cover(n_facets, yes_families)
-    cover = (
-        tuple(maximal[i] for i in cover_idx) if cover_idx is not None else None
-    )
-    maximal_sets = tuple(yes_families)
-    if unknown:
-        optimistic = _inclusion_maximal(yes_families + unknown)
-        opt_cover = min_cover(n_facets, optimistic)
-        if opt_cover is None:
-            return InvariantResult(
-                None, None, None, Status.NOT_COVERABLE, None, maximal_sets, tuple(unknown), checks
-            )
-        lower = len(opt_cover) - 1
-        upper = len(cover_idx) - 1 if cover_idx is not None else None
-        return InvariantResult(
-            None, lower, upper, Status.BUDGET_EXHAUSTED, cover, maximal_sets, tuple(unknown), checks
-        )
-    if cover_idx is None:
-        return InvariantResult(
-            None, None, None, Status.NOT_COVERABLE, None, maximal_sets, (), checks
-        )
-    value = len(cover_idx) - 1
-    return InvariantResult(value, value, value, Status.EXACT, cover, maximal_sets, (), checks)
+    """Smallest k for which the facets split into k admissible classes, minus one.
+
+    Admissibility is hereditary, so a cover by k admissible sets exists
+    exactly when some partition of the facets into k classes has every class
+    admissible.  For k = 1, 2, ... a depth-first search assigns the facets in
+    index order to one of the open classes, or opens one new class while
+    fewer than k are open (so classes are numbered by their lowest facet and
+    no relabelled copy of a partition is visited twice), and backs off as
+    soon as a class fails.  The first k that succeeds gives the value; every
+    smaller k was searched exhaustively, which is the lower-bound proof.
+    Verdicts are memoised by facet mask for this one call; `checks` counts
+    the masks actually checked.  Only the k returned classes are certified.
+
+    A facet whose singleton class is "no" lies in no admissible set, so the
+    complex is not coverable.  Undecided ("unknown") verdicts never pass in
+    the search that builds the cover: when any occurs, the result is
+    budget-exhausted, its lower bound comes from the smallest k that succeeds
+    when unknown classes are allowed to pass, and its upper bound and cover
+    from the smallest k whose classes are all "yes" (None if there is none).
+    """
+    memo: dict[int, Verdict] = {}
+    unknown: list[int] = []
+    full = (1 << n_facets) - 1
+
+    def to_set(mask: int) -> frozenset[int]:
+        return frozenset(i for i in range(n_facets) if mask >> i & 1)
+
+    def verdict(mask: int) -> Verdict:
+        v = memo.get(mask)
+        if v is None:
+            v, _ = check(to_set(mask))
+            memo[mask] = v
+            if v is Verdict.UNKNOWN:
+                unknown.append(mask)
+        return v
+
+    def partition(k: int, passing: tuple[Verdict, ...]) -> list[int] | None:
+        if k == 1:  # one candidate, the full set: one check decides it
+            return [full] if verdict(full) in passing else None
+        classes: list[int] = []
+
+        def place(i: int) -> bool:
+            if i == n_facets:
+                return True
+            bit = 1 << i
+            for j, m in enumerate(classes):
+                if verdict(m | bit) in passing:
+                    classes[j] = m | bit
+                    if place(i + 1):
+                        return True
+                    classes[j] = m
+            if len(classes) < k:
+                classes.append(bit)
+                if place(i + 1):
+                    return True
+                classes.pop()
+            return False
+
+        return classes if place(0) else None
+
+    def result(status: Status, lower=None, upper=None, classes=None) -> InvariantResult:
+        cover = None
+        if classes is not None:
+            cover = tuple(replace(certify(S), facet_indices=S) for S in map(to_set, classes))
+        value = lower if status is Status.EXACT else None
+        unknown_sets = tuple(map(to_set, unknown))
+        return InvariantResult(value, lower, upper, status, cover, (), unknown_sets, len(memo))
+
+    yes = (Verdict.YES,)
+    if partition(1, yes) is not None:
+        return result(Status.EXACT, 0, 0, [full])
+    if any(verdict(1 << i) is Verdict.NO for i in range(n_facets)):
+        return result(Status.NOT_COVERABLE)
+    k = 2
+    while not unknown:  # exact as long as every verdict met is decided
+        classes = partition(k, yes)
+        if classes is not None and not unknown:
+            return result(Status.EXACT, k - 1, k - 1, classes)
+        k += 1
+
+    # Some verdict is undecided.  Every singleton passes optimistically, so
+    # k = n_facets succeeds; an optimistic k that fails also fails strictly.
+    optimistic = (Verdict.YES, Verdict.UNKNOWN)
+    lower_k = 1
+    while partition(lower_k, optimistic) is None:
+        lower_k += 1
+    for k in range(lower_k, n_facets + 1):
+        classes = partition(k, yes)
+        if classes is not None:
+            return result(Status.BUDGET_EXHAUSTED, lower_k - 1, k - 1, classes)
+    return result(Status.BUDGET_EXHAUSTED, lower_k - 1)
 
 
 def scat(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
@@ -470,30 +527,6 @@ def scat(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
     return _cover_invariant(len(K.facets), check, certify=certify)
 
 
-def _slice_failure_patterns(K: Complex) -> list[frozenset[int]]:
-    """Minimal product-facet subsets forcing some slice of omega to be all of K.
-
-    Product facet F_i x F_j has index i*|facets| + j.  A row slice at vertex a
-    covers K as soon as, for every facet G of K, some product facet F_i x G
-    with a in F_i is present; the minimal such subsets are one choice of i per
-    G.  Columns are symmetric.  Only sound when K is not strongly collapsible
-    (then a full slice contradicts admissibility), so callers guard on that.
-    """
-    from itertools import product as iproduct
-
-    nf = len(K.facets)
-    total = sum(2 * len(K.vertex_facets[a]) ** nf for a in range(K.n_vertices))
-    if total > 4000:  # seeding cost would outweigh the pruning
-        return []
-    patterns: set[frozenset[int]] = set()
-    for a in range(K.n_vertices):
-        rows = K.vertex_facets[a]
-        for choice in iproduct(rows, repeat=nf):
-            patterns.add(frozenset(choice[j] * nf + j for j in range(nf)))
-            patterns.add(frozenset(j * nf + choice[j] for j in range(nf)))
-    return sorted(patterns, key=lambda S: tuple(sorted(S)))
-
-
 def tc(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
     """Discrete topological complexity: minimum Farber cover of K^2, minus one."""
     P = categorical_square(K)
@@ -509,8 +542,7 @@ def tc(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
             raise InvalidInput("certification pass disagrees with the search verdict")
         return adm
 
-    known_failing = () if is_strongly_collapsible(K) else _slice_failure_patterns(K)
-    return _cover_invariant(len(P.product.facets), check, known_failing, certify)
+    return _cover_invariant(len(P.product.facets), check, certify)
 
 
 # -- motion planning -----------------------------------------------------------

@@ -195,3 +195,54 @@ class TestMutationsRejected:
     def test_malformed_payload_rejected(self):
         ok, msgs = verify_certificate({"format": "simplicial-tc/1", "kind": "tc"})
         assert not ok
+
+
+class TestStatusBoundsConsistency:
+    """Status, value, bounds and cover must agree without --recompute."""
+
+    @staticmethod
+    def rejected(cert, **fields):
+        cert = copy.deepcopy(cert)
+        cert.update(fields)
+        ok, _ = verify_certificate(cert)
+        return not ok
+
+    def test_unknown_status(self, boundary_triangle):
+        assert self.rejected(tc_cert(boundary_triangle), status="bogus")
+
+    def test_not_coverable_with_a_cover(self, boundary_triangle):
+        cert = tc_cert(boundary_triangle)
+        assert self.rejected(cert, status="not-coverable", value=None, lower=None, upper=None)
+
+    def test_not_coverable_with_a_value_or_bounds(self):
+        K = build_complex([{"a"}, {"b"}])
+        cert = emit_tc(K, tc(K), DEFAULT_BUDGET)
+        assert verify_certificate(cert)[0]
+        assert self.rejected(cert, value=0)
+        assert self.rejected(cert, lower=0)
+        assert self.rejected(cert, upper=3)
+
+    def test_budget_exhausted_with_a_value(self, boundary_triangle):
+        assert self.rejected(tc_cert(boundary_triangle), status="budget-exhausted")
+
+    def test_budget_exhausted_bounds(self, boundary_triangle):
+        cert = tc_cert(boundary_triangle)  # three cover classes
+        partial = dict(status="budget-exhausted", value=None)
+        assert not self.rejected(cert, lower=1, upper=2, **partial)
+        assert self.rejected(cert, lower=3, upper=2, **partial)
+        assert self.rejected(cert, lower=1, upper=1, **partial)
+        assert self.rejected(cert, lower=1, upper=3, **partial)
+        assert self.rejected(cert, lower=1, upper=2, cover=None, **partial)
+
+    def test_non_integer_bounds(self, boundary_triangle):
+        cert = tc_cert(boundary_triangle)  # three cover classes
+        partial = dict(status="budget-exhausted", value=None)
+        assert self.rejected(cert, lower=True, upper=2, **partial)
+        assert self.rejected(cert, lower="1", upper=2, **partial)
+        assert self.rejected(cert, lower=1, upper=2.0, **partial)
+
+    def test_budget_must_be_a_positive_integer(self, boundary_triangle):
+        cert = tc_cert(boundary_triangle)
+        for budget in (True, -3, 0, 2.5, "1000", None):
+            assert self.rejected(cert, budget=budget), budget
+        assert not self.rejected(cert, budget=7)

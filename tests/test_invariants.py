@@ -25,9 +25,12 @@ from simplicial_tc import (
     compose,
 )
 from simplicial_tc.collapse import core_complex
+from simplicial_tc.invariants import AdmissibleSet, _cover_invariant
+from simplicial_tc.maps import DEFAULT_BUDGET
 
 import corpusgen
 import oracles
+import reference
 
 
 def boundary():
@@ -195,16 +198,20 @@ class TestTheoremEquivalence:
 
 
 class TestMaximalAdmissibleSets:
+    """The explicit enumeration, run on the same checks tc and scat use."""
+
     def test_full_simplex_single_maximal(self, full_triangle):
         P = categorical_square(full_triangle)
-        res = tc(full_triangle)
-        assert res.maximal == (frozenset(range(len(P.product.facets))),)
+        assert reference.maximal_sets("farber", full_triangle) == (
+            frozenset(range(len(P.product.facets))),
+        )
 
     def test_boundary_farber_sets_avoid_full_slices(self, boundary_triangle):
-        res = tc(boundary_triangle)
         K = boundary_triangle
+        maximal = reference.maximal_sets("farber", K)
+        assert maximal
         nf = len(K.facets)
-        for S in res.maximal:
+        for S in maximal:
             for a in range(K.n_vertices):
                 rows = set(K.vertex_facets[a])
                 # no choice of one product facet per base facet, all rows at a
@@ -217,25 +224,12 @@ class TestMaximalAdmissibleSets:
                 assert not full_row and not full_col
 
     def test_boundary_categorical_maximal_sets_are_the_three_paths(self, boundary_triangle):
-        res = scat(boundary_triangle)
-        assert sorted(tuple(sorted(S)) for S in res.maximal) == [
+        maximal = reference.maximal_sets("categorical", boundary_triangle)
+        assert sorted(tuple(sorted(S)) for S in maximal) == [
             (0, 1),
             (0, 2),
             (1, 2),
         ]
-
-    def test_seeded_slice_patterns_really_fail(self, boundary_triangle):
-        """Every pre-seeded failing pattern must agree with the checker."""
-        from simplicial_tc.invariants import _slice_failure_patterns
-
-        K = boundary_triangle
-        P = categorical_square(K)
-        patterns = _slice_failure_patterns(K)
-        assert patterns
-        for S in patterns[:12]:
-            omega = subcomplex(P.product, [P.product.facets[i] for i in sorted(S)])
-            verdict, _ = is_farber(omega, P)
-            assert verdict is Verdict.NO
 
     def test_unknown_propagates_as_incomplete(self, boundary_triangle):
         # scat of the square needs real class searches, so a one-state budget
@@ -510,3 +504,143 @@ class TestSandwichOnRandoms:
         r_sq = scat(P.product)
         if r_sq.status is Status.EXACT:
             assert r_tc.value <= r_sq.value
+
+
+class TestPartitionSearch:
+    """tc/scat search directly for a partition of the facets into admissible classes."""
+
+    @staticmethod
+    def family_check(maximal, undecided=frozenset()):
+        """A hereditary family given by its maximal sets; masks in undecided answer UNKNOWN."""
+
+        def check(S):
+            if S in undecided:
+                return Verdict.UNKNOWN, None
+            return (Verdict.YES if any(S <= M for M in maximal) else Verdict.NO), None
+
+        return check
+
+    @staticmethod
+    def certify(S):
+        return AdmissibleSet("categorical", None, None)
+
+    @staticmethod
+    def random_family(rng, n, most):
+        sizes = [rng.randint(1, n) for _ in range(rng.randint(1, most))]
+        return [frozenset(rng.sample(range(n), size)) for size in sizes]
+
+    def test_matches_min_cover_on_random_families(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            maximal = self.random_family(rng, n, 5)
+            res = _cover_invariant(n, self.family_check(maximal), self.certify)
+            chosen = min_cover(n, maximal)
+            assert res.maximal == () and res.unknown_sets == ()
+            if chosen is None:
+                assert res.status is Status.NOT_COVERABLE and res.cover is None
+                continue
+            assert res.status is Status.EXACT
+            assert res.value == res.lower_bound == res.upper_bound == len(chosen) - 1
+            classes = [adm.facet_indices for adm in res.cover]
+            assert sorted(i for S in classes for i in S) == list(range(n))
+            assert all(any(S <= M for M in maximal) for S in classes)
+
+    def test_unknown_verdicts_give_sound_bounds(self):
+        rng = random.Random(18)
+        seen_open = 0
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            maximal = self.random_family(rng, n, 4) + [frozenset({i}) for i in range(n)]
+            exact = len(min_cover(n, maximal)) - 1
+            subsets = [
+                frozenset(c) for r in range(2, n + 1) for c in itertools.combinations(range(n), r)
+            ]
+            undecided = frozenset(rng.sample(subsets, rng.randint(0, len(subsets) // 2)))
+            res = _cover_invariant(n, self.family_check(maximal, undecided), self.certify)
+            assert (res.status is Status.BUDGET_EXHAUSTED) == bool(res.unknown_sets)
+            assert set(res.unknown_sets) <= undecided
+            if res.status is Status.EXACT:
+                assert res.value == exact
+                continue
+            seen_open += 1
+            assert res.value is None
+            assert res.lower_bound <= exact <= res.upper_bound  # singletons always pass
+            assert len(res.cover) == res.upper_bound + 1
+            assert all(any(adm.facet_indices <= M for M in maximal) for adm in res.cover)
+        assert seen_open >= 50
+
+    def test_singleton_no_is_not_coverable(self):
+        maximal = [frozenset({0, 1}), frozenset({1, 2})]  # facet 3 lies in no set
+        res = _cover_invariant(4, self.family_check(maximal), self.certify)
+        assert res.status is Status.NOT_COVERABLE
+        assert res.value is None and res.lower_bound is None and res.cover is None
+
+    def test_corpus_matches_the_enumerate_then_cover_pipeline(self):
+        from simplicial_tc import emit_scat, emit_tc, verify_certificate
+
+        for K in corpusgen.acceptance_corpus(corpusgen.ACCEPTANCE_SEED):
+            for kind, invariant, emit in (
+                ("farber", tc, emit_tc),
+                ("categorical", scat, emit_scat),
+            ):
+                res = invariant(K)
+                assert (res.status, res.value) == reference.reference_invariant(kind, K)
+                ok, msgs = verify_certificate(emit(K, res, DEFAULT_BUDGET))
+                assert ok, msgs
+
+    def test_repeated_runs_are_identical(self):
+        from simplicial_tc import dumps, emit_tc
+
+        K = build_complex(corpusgen.CYCLE4)
+        a, b = tc(K), tc(K)
+        assert a.checks == b.checks
+        assert dumps(emit_tc(K, a, DEFAULT_BUDGET)) == dumps(emit_tc(K, b, DEFAULT_BUDGET))
+
+
+class TestFiveCycle:
+    def test_tc_and_scat_of_c5_are_one(self):
+        """The discrete value drops under subdivision: C3 and C4 give TC = 2."""
+        import time
+
+        from simplicial_tc import emit_tc, verify_certificate
+
+        K = build_complex([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")])
+        t0 = time.monotonic()
+        res = tc(K)
+        assert res.status is Status.EXACT and res.value == 1
+        assert len(res.cover) == 2
+        ok, msgs = verify_certificate(emit_tc(K, res, DEFAULT_BUDGET))
+        assert ok, msgs
+        assert time.monotonic() - t0 < 60.0
+        r_scat = scat(K)
+        assert r_scat.status is Status.EXACT and r_scat.value == 1
+
+
+class TestBudgetBounds:
+    def test_small_budgets_bracket_the_exact_value(self):
+        """Every budget gives lower <= exact <= upper and a certificate that verifies."""
+        from simplicial_tc import emit_scat, emit_tc, verify_certificate
+
+        corpus = corpusgen.acceptance_corpus(corpusgen.ACCEPTANCE_SEED)
+        runs = [(K, tc, emit_tc) for K in random.Random(19).sample(corpus, 20)]
+        runs += [(K, scat, emit_scat) for K, _, _ in runs]
+        # the square needs real class searches, so small budgets leave some undecided
+        runs.append((categorical_square(boundary()).product, scat, emit_scat))
+        degraded = 0
+        for K, invariant, emit in runs:
+            exact = invariant(K)
+            for budget in (1, 2, 4, 8, 32):
+                res = invariant(K, budget=budget)
+                assert (res.status is Status.BUDGET_EXHAUSTED) == bool(res.unknown_sets)
+                if res.status is Status.BUDGET_EXHAUSTED:
+                    degraded += 1
+                    assert res.value is None
+                    assert res.lower_bound <= exact.value
+                    if res.upper_bound is not None:
+                        assert exact.value <= res.upper_bound
+                else:
+                    assert (res.status, res.value) == (exact.status, exact.value)
+                ok, msgs = verify_certificate(emit(K, res, budget))
+                assert ok, (budget, msgs)
+        assert degraded
