@@ -1,42 +1,21 @@
-"""Contiguity kernels: compiled extension when available, pure Python otherwise.
+"""The contiguity kernel: pure.py is its one implementation.
 
-Both backends expose make_context(...) and neighbors(ctx, assignment) with
-identical semantics and enumeration order; test_kernels.py asserts parity.
-Selection happens here, per map space: the compiled kernel packs codomain
-simplices into 64-bit words, so it only handles codomains with at most 64
-vertices; larger spaces silently use the pure backend (arbitrary-size ints).
-Set SIMPLICIAL_TC_KERNEL=pure|fast to force a backend.
+The names below are stubs.  The benchmark in e2ebench/ still reads them for
+its run metadata and its tracing table; they can go once it stops.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import pure
 
-try:
-    from . import _fast
-except ImportError:
-    _fast = None
-
-_FAST_MAX_CODOMAIN = 64
+_fast = None  # stub: there is no compiled kernel; e2ebench/tracing.py reads this name
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("pure", "fast") if _fast is not None else ("pure",)
+    """Stub for the benchmark's run metadata: the one kernel is pure."""
+    return ("pure",)
 
 
-def select(n_codomain: int, name: str | None = None):
-    """Pick the kernel module for a map space with the given codomain size."""
-    choice = name or os.environ.get("SIMPLICIAL_TC_KERNEL")
-    if choice == "pure":
-        return pure
-    if choice == "fast":
-        if _fast is None:
-            raise RuntimeError("compiled kernel requested but not built")
-        if n_codomain > _FAST_MAX_CODOMAIN:
-            raise RuntimeError("compiled kernel supports at most 64 codomain vertices")
-        return _fast
-    if _fast is not None and n_codomain <= _FAST_MAX_CODOMAIN:
-        return _fast
+def select(n_codomain: int):
+    """Stub for the benchmark's run metadata: pure serves every codomain size."""
     return pure

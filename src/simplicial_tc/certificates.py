@@ -30,7 +30,7 @@ from .invariants import (
     tc,
     validate_motion_plan,
 )
-from .maps import DEFAULT_BUDGET, ContiguityWitness, SimplicialMap, Verdict
+from .maps import DEFAULT_BUDGET, ContiguityWitness, SimplicialMap, Verdict, check_budget
 from .product import categorical_square
 
 FORMAT = "simplicial-tc/1"
@@ -165,13 +165,14 @@ def _rebuild_admissible(
 ) -> AdmissibleSet:
     """Reconstruct and fully re-validate one admissible-set payload.
 
-    ambient is the complex the subcomplex lives in (K^2 for Farber, K for
-    categorical); base is K for Farber entries (the witness codomain is the
-    ambient there, but the section lands in base).
+    With base = K the entry must be a Farber set in ambient = K^2 (the
+    witness codomain is the ambient, the section lands in base); with base
+    None it must be a categorical set in ambient = K.
     """
+    kind = "farber" if base is not None else "categorical"
+    _need(entry["kind"] == kind, f"expected a {kind} admissible set, got {entry['kind']!r}")
     omega = subcomplex(ambient, [ambient.simplex_mask(f) for f in entry["facets"]])
     _need(list(omega.labels) == list(entry["vertices"]), "vertex table mismatch in admissible set")
-    kind = entry["kind"]
     codomain = ambient
     steps = []
     for row in entry["witness"]:
@@ -179,8 +180,7 @@ def _rebuild_admissible(
         steps.append(SimplicialMap(omega, codomain, tuple(codomain.id(lab) for lab in row)))
     witness = ContiguityWitness(tuple(steps))
     emb = embedding_ids(omega, ambient)
-    if kind == "farber":
-        _need(base is not None, "farber entry outside a product context")
+    if base is not None:
         _need(entry["section"] is not None, "farber entry needs a section")
         section = SimplicialMap(
             omega, base, tuple(base.id(lab) for lab in entry["section"])
@@ -190,11 +190,9 @@ def _rebuild_admissible(
         _need(witness.first.assignment == diag, "witness does not start at diagonal∘section")
         _need(witness.last.assignment == emb, "witness does not end at the inclusion")
         return AdmissibleSet("farber", omega, witness, section=section)
-    if kind == "categorical":
-        _need(witness.first.assignment == emb, "witness does not start at the inclusion")
-        _need(witness.last.is_constant, "witness does not end at a constant map")
-        return AdmissibleSet("categorical", omega, witness)
-    raise _Reject(f"unknown admissible kind {kind!r}")
+    _need(witness.first.assignment == emb, "witness does not start at the inclusion")
+    _need(witness.last.is_constant, "witness does not end at a constant map")
+    return AdmissibleSet("categorical", omega, witness)
 
 
 def _is_count(x: Any) -> bool:
@@ -248,7 +246,7 @@ def verify_certificate(cert: dict[str, Any], recompute: bool = False) -> tuple[b
         kind = cert.get("kind")
         K = _rebuild_complex(cert.get("complex"))
         budget = cert.get("budget", DEFAULT_BUDGET)
-        _need(_is_count(budget) and budget > 0, "budget must be a positive integer")
+        check_budget(budget)
         if kind == "tc":
             P = categorical_square(K)
             _check_cover(cert, P.product, K)

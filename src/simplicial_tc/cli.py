@@ -258,7 +258,11 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cert = json.loads(Path(args.cert).read_text())
+    try:
+        cert = json.loads(Path(args.cert).read_text())
+    except json.JSONDecodeError as exc:
+        print(f"certificate REJECTED: malformed JSON: {exc}", file=sys.stderr)
+        return 1
     ok, messages = verify_certificate(cert, recompute=args.recompute)
     for msg in messages:
         print(msg if ok else f"certificate REJECTED: {msg}", file=None if ok else sys.stderr)

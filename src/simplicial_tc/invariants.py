@@ -51,6 +51,7 @@ from .maps import (
     ContiguityWitness,
     SimplicialMap,
     Verdict,
+    check_budget,
     class_constant_witness,
     inclusion_map,
     same_contiguity_class,
@@ -512,6 +513,7 @@ def _cover_invariant(
 
 def scat(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
     """Simplicial LS-category: minimum categorical cover size minus one."""
+    check_budget(budget)
 
     def check(S: frozenset[int]) -> tuple[Verdict, AdmissibleSet | None]:
         sub = subcomplex(K, [K.facets[i] for i in sorted(S)])
@@ -529,6 +531,7 @@ def scat(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
 
 def tc(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
     """Discrete topological complexity: minimum Farber cover of K^2, minus one."""
+    check_budget(budget)
     P = categorical_square(K)
 
     def check(S: frozenset[int]) -> tuple[Verdict, AdmissibleSet | None]:

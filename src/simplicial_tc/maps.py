@@ -5,9 +5,11 @@ f(F) | g(F) a simplex of the codomain (faces follow by monotonicity, so
 facet-level checking is exact).  The contiguity *class* is the transitive
 closure; membership is decided by breadth-first search over the implicit
 graph whose nodes are the simplicial maps domain -> codomain and whose edges
-are contiguity.  The search is exact: "no" is reported only after a full
-connected component has been exhausted, and a state budget turns an oversized
-search into an honest "unknown".
+join contiguous maps that differ at one vertex.  Those edges have the same
+connected components as contiguity itself (see _kernels/pure.py), so witness
+chains can be longer but every class is the same.  The search is exact: "no"
+is reported only after a full connected component has been exhausted, and a
+state budget turns an oversized search into an honest "unknown".
 
 BFS states are bytes (one codomain id per domain vertex), which caps the
 codomain at 255 vertices; orders of magnitude beyond the intended desk scale.
@@ -21,7 +23,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from . import _kernels
+from ._kernels import pure
 from .complexes import Complex, embedding_ids, ids_from_mask, is_subcomplex
 from .errors import DomainMismatch, InvalidInput, NotSimplicial
 
@@ -189,29 +191,37 @@ class ContiguityResult:
 class _MapSpace:
     """Search context for simplicial maps domain -> codomain."""
 
-    __slots__ = ("domain", "codomain", "backend", "ctx", "_kernel")
+    __slots__ = ("domain", "codomain", "ctx")
 
-    def __init__(self, domain: Complex, codomain: Complex, backend: str | None = None):
+    def __init__(self, domain: Complex, codomain: Complex):
         if codomain.n_vertices > 255:
             raise InvalidInput("class search supports codomains with at most 255 vertices")
         self.domain = domain
         self.codomain = codomain
-        kernel = _kernels.select(codomain.n_vertices, backend)
-        self.backend = kernel.__name__.rsplit(".", 1)[-1].lstrip("_")
-        self.ctx = kernel.make_context(
+        self.ctx = pure.make_context(
             domain.facet_vertex_ids,
             domain.vertex_facets,
             codomain.facets,
             domain.n_vertices,
             codomain.n_vertices,
         )
-        self._kernel = kernel
 
     def neighbors(self, a: bytes) -> list[bytes]:
-        return self._kernel.neighbors(self.ctx, a)
+        """Single-vertex moves from a.
+
+        pure.neighbors is looked up at each call, so the benchmark's tracer,
+        which patches that name, sees every step.
+        """
+        return pure.neighbors(self.ctx, a)
 
     def to_map(self, a: bytes) -> SimplicialMap:
         return SimplicialMap(self.domain, self.codomain, tuple(a))
+
+
+def check_budget(budget) -> None:
+    """A budget is a positive int (not a bool): the number of maps a search may visit."""
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise InvalidInput("budget must be a positive integer")
 
 
 def _bfs(
@@ -225,8 +235,7 @@ def _bfs(
     Returns (hit, parents, complete); incomplete means the budget (count of
     distinct visited maps) was reached with frontier left unexplored.
     """
-    if budget < 1:
-        raise InvalidInput("budget must be a positive state count")
+    check_budget(budget)
     parents: dict[bytes, bytes | None] = {start: None}
     if match(start):
         return start, parents, True
@@ -383,7 +392,7 @@ def contiguity_component(
 def neighbors(f: SimplicialMap) -> Iterator[SimplicialMap]:
     """All maps g != f contiguous to f, in deterministic enumeration order."""
     space = _MapSpace(f.domain, f.codomain)
-    for a in space.neighbors(bytes(f.assignment)):
+    for a in pure.contiguous_maps(space.ctx, bytes(f.assignment)):
         yield space.to_map(a)
 
 

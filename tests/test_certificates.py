@@ -2,6 +2,9 @@ import copy
 import json
 
 from simplicial_tc import (
+    InvariantResult,
+    Status,
+    Verdict,
     build_complex,
     categorical_square,
     core,
@@ -195,6 +198,37 @@ class TestMutationsRejected:
     def test_malformed_payload_rejected(self):
         ok, msgs = verify_certificate({"format": "simplicial-tc/1", "kind": "tc"})
         assert not ok
+
+
+class TestAdmissibleKindMustMatch:
+    """A categorical subcomplex of K^2 need not be Farber: tc covers and farber
+    membership certificates must carry Farber entries."""
+
+    def test_tc_cover_of_categorical_sets_rejected(self):
+        K = build_complex([{"a", "b"}, {"c", "d"}])  # TC is not coverable
+        P = categorical_square(K)
+        cover = []
+        for m in P.product.facets:
+            verdict, adm = is_categorical(subcomplex(P.product, [m]), P.product)
+            assert verdict is Verdict.YES
+            cover.append(adm)
+        claim = InvariantResult(3, 3, 3, Status.EXACT, tuple(cover), (), (), 0)
+        ok, msgs = verify_certificate(emit_tc(K, claim, DEFAULT_BUDGET))
+        assert not ok
+        assert "expected a farber admissible set" in msgs[0]
+
+    def test_farber_membership_with_categorical_entry_rejected(self):
+        K = build_complex([{"a", "b"}, {"c", "d"}])
+        P = categorical_square(K)
+        through_ac = P.product.simplex_mask(["a|c"])
+        omega = subcomplex(P.product, [m for m in P.product.facets if m & through_ac])
+        assert is_farber(omega, P)[0] is Verdict.NO
+        verdict, adm = is_categorical(omega, P.product)
+        assert verdict is Verdict.YES
+        cert = emit_membership("farber", K, omega, Verdict.YES, adm, DEFAULT_BUDGET)
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert "expected a farber admissible set" in msgs[0]
 
 
 class TestStatusBoundsConsistency:

@@ -186,6 +186,10 @@ class TestVerifyCommand:
         assert main(["verify", str(cert_path)]) == 1
         assert "REJECTED" in capsys.readouterr().err
 
+    def test_non_json_input_rejected(self, boundary_file, capsys):
+        assert main(["verify", boundary_file]) == 1
+        assert "certificate REJECTED: malformed JSON" in capsys.readouterr().err
+
     def test_recompute_flag(self, boundary_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
         main(["scat", boundary_file, "-o", str(cert_path)])
@@ -202,3 +206,10 @@ class TestErrors:
         p.write_text("a b\nc d|e\n")
         assert main(["tc", str(p)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["tc", "scat"])
+    def test_budget_must_be_positive(self, verb, boundary_file, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        assert main([verb, boundary_file, "--budget", "0", "-o", str(cert_path)]) == 1
+        assert "budget must be a positive integer" in capsys.readouterr().err
+        assert not cert_path.exists()

@@ -127,7 +127,7 @@ class TestDisconnected:
 
 class TestBigPurePath:
     def test_invariants_beyond_kernel_width(self):
-        # 9 vertices squares to 81 > 64, so every class query runs pure
+        # 9 vertices square to 81, so facet masks are wider than a 64-bit word
         path = build_complex([set(p) for p in zip("abcdefgh", "bcdefghi")])
         res = tc(path)
         assert res.value == 0 and res.status is Status.EXACT

@@ -395,26 +395,6 @@ class TestIsomorphismInvariance:
             assert a.value == b.value
 
 
-class TestBackendDeterminism:
-    def test_certificates_identical_across_kernels(self, boundary_triangle, monkeypatch):
-        """Pure and compiled kernels must produce byte-identical certificates."""
-        import simplicial_tc._kernels as kernels
-        from simplicial_tc import dumps, emit_tc
-        from simplicial_tc.maps import DEFAULT_BUDGET, _class_query
-
-        if "fast" not in kernels.available_backends():
-            pytest.skip("compiled kernel not built")
-
-        outputs = {}
-        for backend in ("fast", "pure"):
-            monkeypatch.setenv("SIMPLICIAL_TC_KERNEL", backend)
-            _class_query.cache_clear()  # cached search spaces pin their backend
-            res = tc(boundary_triangle)
-            outputs[backend] = dumps(emit_tc(boundary_triangle, res, DEFAULT_BUDGET))
-        _class_query.cache_clear()
-        assert outputs["fast"] == outputs["pure"]
-
-
 class TestNotCoverableWithUnknowns:
     def test_definite_failures_beat_open_budget(self):
         """A disconnected complex is not coverable even when the budget
@@ -618,6 +598,14 @@ class TestFiveCycle:
 
 
 class TestBudgetBounds:
+    @pytest.mark.parametrize("budget", [0, -1, True, 2.5, "8"])
+    def test_budget_must_be_a_positive_int(self, budget):
+        # a simplex needs no class search, so the check must come first
+        simplex = build_complex([{"a", "b", "c"}])
+        for invariant in (tc, scat):
+            with pytest.raises(InvalidInput, match="budget must be a positive integer"):
+                invariant(simplex, budget=budget)
+
     def test_small_budgets_bracket_the_exact_value(self):
         """Every budget gives lower <= exact <= upper and a certificate that verifies."""
         from simplicial_tc import emit_scat, emit_tc, verify_certificate

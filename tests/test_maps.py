@@ -10,11 +10,13 @@ from simplicial_tc import (
     Verdict,
     are_contiguous,
     build_complex,
+    categorical_square,
     compose,
     constant_map,
     contiguity_component,
     identity_map,
     neighbors,
+    projection,
     restrict,
     restrict_witness,
     same_contiguity_class,
@@ -22,6 +24,7 @@ from simplicial_tc import (
     validate_map,
     witness_between_constants,
 )
+from simplicial_tc._kernels import pure
 
 import corpusgen
 import oracles
@@ -137,6 +140,22 @@ class TestNeighbors:
         f = validate_map(fa, dom, cod)
         got = sorted(n.assignment for n in neighbors(f))
         assert got == sorted(oracles.oracle_neighbors(dom, cod, fa))
+
+    @given(small_complexes, small_complexes, st.randoms(use_true_random=False))
+    def test_bfs_step_is_the_one_vertex_oracle_neighbors(self, dom, cod, rng):
+        ctx = pure.make_context(
+            dom.facet_vertex_ids, dom.vertex_facets, cod.facets, dom.n_vertices, cod.n_vertices
+        )
+        maps = oracles.oracle_valid_maps(dom, cod)
+        for _ in range(5):
+            fa = rng.choice(maps)
+            moves = []
+            for g in oracles.oracle_neighbors(dom, cod, fa):
+                changed = [v for v in range(dom.n_vertices) if g[v] != fa[v]]
+                if len(changed) == 1:
+                    moves.append((changed[0], g[changed[0]], g))
+            got = [tuple(b) for b in pure.neighbors(ctx, bytes(fa))]
+            assert got == [g for _, _, g in sorted(moves)]
 
 
 class TestAlgebra:
@@ -299,3 +318,14 @@ class TestWitnessValidation:
     def test_rejects_mixed_domains(self, boundary_triangle, full_triangle):
         with pytest.raises(DomainMismatch):
             ContiguityWitness((identity_map(boundary_triangle), identity_map(full_triangle)))
+
+
+
+class TestWideCodomain:
+    def test_class_query_over_81_vertex_square(self):
+        # a 9-vertex path squares to an 81-vertex product, wider than a 64-bit word
+        path = build_complex([set(p) for p in zip("abcdefgh", "bcdefghi")])
+        P = categorical_square(path)
+        assert P.product.n_vertices == 81
+        r = same_contiguity_class(projection(P, 1), projection(P, 2))
+        assert r.verdict is Verdict.YES
