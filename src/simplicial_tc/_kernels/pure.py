@@ -16,8 +16,10 @@ simplex f(F) | g(F).
 
 contiguous_maps() enumerates every assignment g != f such that for each
 domain facet F the joint image f(F) | g(F) is a codomain simplex (any such
-g is automatically a simplicial map), by per-vertex candidate pruning plus
-backtracking over the joint facet masks.
+g is automatically a simplicial map) by backtracking over the vertices in
+order: the candidates for g(v) are one AND, over the facets F at v, of the
+extensions of F's joint image so far (f(F) plus g on the earlier vertices).
+Both functions use the one cached extensions table.
 
 Both functions list their results in a fixed order: neighbors() by (vertex,
 new value), contiguous_maps() lexicographically by assignment.
@@ -29,7 +31,7 @@ _BYTE = tuple(bytes((i,)) for i in range(256))
 
 
 class Context:
-    __slots__ = ("n_dom", "n_cod", "facet_vertices", "vertex_facets", "cod_facets", "_cache", "_extend")
+    __slots__ = ("n_dom", "n_cod", "facet_vertices", "vertex_facets", "cod_facets", "_extend")
 
     def __init__(self, facet_vertices, vertex_facets, cod_facets, n_dom, n_cod):
         self.n_dom = n_dom
@@ -37,7 +39,6 @@ class Context:
         self.facet_vertices = tuple(tuple(f) for f in facet_vertices)
         self.vertex_facets = tuple(tuple(v) for v in vertex_facets)
         self.cod_facets = tuple(cod_facets)
-        self._cache: dict[int, bool] = {}
         self._extend: dict[int, int] = {}
 
 
@@ -80,14 +81,6 @@ def neighbors(ctx: Context, a: bytes) -> list[bytes]:
     return out
 
 
-def _is_simplex(ctx: Context, mask: int) -> bool:
-    hit = ctx._cache.get(mask)
-    if hit is None:
-        hit = any(mask & ~f == 0 for f in ctx.cod_facets)
-        ctx._cache[mask] = hit
-    return hit
-
-
 def contiguous_maps(ctx: Context, a: bytes) -> list[bytes]:
     nd = ctx.n_dom
     base = []
@@ -97,13 +90,7 @@ def contiguous_maps(ctx: Context, a: bytes) -> list[bytes]:
             m |= 1 << a[v]
         base.append(m)
 
-    cand: list[list[int]] = []
-    for v in range(nd):
-        facs = ctx.vertex_facets[v]
-        cand.append(
-            [c for c in range(ctx.n_cod) if all(_is_simplex(ctx, base[j] | (1 << c)) for j in facs)]
-        )
-
+    everything = (1 << ctx.n_cod) - 1
     out: list[bytes] = []
     g = bytearray(nd)
 
@@ -114,19 +101,16 @@ def contiguous_maps(ctx: Context, a: bytes) -> list[bytes]:
                 out.append(gb)
             return
         facs = ctx.vertex_facets[v]
-        for c in cand[v]:
-            bit = 1 << c
-            ok = True
-            for j in facs:
-                if not _is_simplex(ctx, masks[j] | bit):
-                    ok = False
-                    break
-            if not ok:
-                continue
+        allowed = everything
+        for j in facs:
+            allowed &= _extensions(ctx, masks[j])
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
             nxt = list(masks)
             for j in facs:
                 nxt[j] |= bit
-            g[v] = c
+            g[v] = bit.bit_length() - 1
             rec(v + 1, nxt)
 
     rec(0, base)

@@ -12,8 +12,8 @@ in favour of its lowest dominator, truncate the facets that held it, and
 build one `Complex` at the end.  Verdict-only callers (the admissibility
 checks of the cover search) take just that complex through `core_complex`.
 `core` adds the replayable `CollapseSequence`, which class queries and
-certificates use; `contraction_witness` builds the validated retraction
-chain, which only witness construction needs.
+certificates use; `contraction_witness` validates the retraction chain that
+the class queries of `maps` lift their witnesses through.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .complexes import Complex, _canonical_facet_order, ids_from_mask, mask_from_ids
 from .errors import InvalidInput
-from .maps import ContiguityWitness, SimplicialMap
+from .maps import ContiguityWitness, SimplicialMap, _retraction_chain
 
 
 def dominated_vertices(K: Complex) -> list[tuple[int, int]]:
@@ -185,16 +185,10 @@ def contraction_witness(K: Complex) -> ContiguityWitness | None:
 
     Each collapse step (delete v, dominated by u) induces the retraction
     sending v to u and fixing everything else; the retraction is contiguous
-    to the identity, and composing the chain contracts the identity to the
-    constant map at the core vertex.
+    to the identity, and composing the chain (maps._retraction_chain)
+    contracts the identity to the constant map at the core vertex.
     """
-    c, seq = core(K)
+    c, chain = _retraction_chain(K)
     if c.n_vertices != 1:
         return None
-    n = K.n_vertices
-    rho = list(range(n))
-    chain = [SimplicialMap(K, K, tuple(rho))]
-    for v, u in seq.steps:
-        rho = [u if x == v else x for x in rho]
-        chain.append(SimplicialMap(K, K, tuple(rho)))
-    return ContiguityWitness(tuple(chain))
+    return ContiguityWitness(tuple(SimplicialMap(K, K, rho) for rho in chain))

@@ -24,9 +24,11 @@ The search asks for verdicts only, and those are decided on facet masks: a
 greedy strong collapse of the subcomplex's facet bitmasks answers "yes" when
 one vertex survives, and otherwise the class query runs on the core it
 leaves (collapses preserve contiguity classes; Barmak & Minian 2012).
-Witnesses -- the contraction chain of a strongly collapsible subcomplex or
-the lifted BFS path -- are built only for the classes of the cover that is
-returned, for certificates, and for the membership and plan commands.
+Witnesses are built only for the classes of the cover that is returned, for
+certificates, and for the membership and plan commands, and all by one
+route: the class query in maps lifts its answer on the cores (for a
+strongly collapsible subcomplex, an edge path or the constant it reduces
+to) back through the strong-collapse retraction chains.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from enum import Enum
 from math import ceil
 from typing import Callable, Sequence
 
+# contraction_witness and witness_between_constants are unused here; e2ebench/tracing.py patches them.
 from .collapse import contraction_witness, core_complex, is_strongly_collapsible
 from .complexes import (
     Complex,
@@ -167,10 +170,15 @@ def is_farber(
 ) -> tuple[Verdict, AdmissibleSet | None]:
     """Decide whether omega is a Farber subcomplex of P.product.
 
-    Decision route: projection contiguity (the two restricted projections lie
-    in one contiguity class), which also yields the section for free.  With
-    want_witness=False only the verdict is computed, on the greedy core of
-    omega (search layers use this and re-certify the sets they keep).
+    Two sound "no" rules run first: a vertex pair of omega split across
+    components of K, and a full row or column slice when K is not strongly
+    collapsible.  Then the decision is projection contiguity: the two
+    restricted projections lie in one contiguity class (the class query,
+    exact without search when omega strongly collapses to a point).  Its
+    witness becomes the defining certificate, with the first projection as
+    the section.  With want_witness=False only the verdict is computed, on
+    the greedy core of omega (search layers use this and re-certify the sets
+    they keep).
     """
     if not is_subcomplex(omega, P.product):
         raise InvalidInput("omega is not a subcomplex of the product")
@@ -207,24 +215,6 @@ def is_farber(
         p2 = _projection_restriction(c, P, 2)
         return same_contiguity_class(p1, p2, budget).verdict, None
 
-    contraction = contraction_witness(omega)
-    if contraction is not None:
-        # The component rule has put the core point's pair in one component.
-        pu, pv = pairs[contraction.last.assignment[0]]
-        join = witness_between_constants(omega, K, pu, pv)
-        chain_a = [
-            SimplicialMap(omega, K, tuple(pairs[r.assignment[w]][0] for w in range(omega.n_vertices)))
-            for r in contraction.steps
-        ]
-        chain_b = [
-            SimplicialMap(omega, K, tuple(pairs[r.assignment[w]][1] for w in range(omega.n_vertices)))
-            for r in contraction.steps
-        ]
-        proj_w = ContiguityWitness(tuple(chain_a))
-        proj_w = proj_w.concat(join)
-        proj_w = proj_w.concat(ContiguityWitness(tuple(reversed(chain_b))))
-        return Verdict.YES, _diagonal_witness(omega, P, proj_w)
-
     p1 = _projection_restriction(omega, P, 1)
     p2 = _projection_restriction(omega, P, 2)
     result = same_contiguity_class(p1, p2, budget)
@@ -241,8 +231,11 @@ def is_categorical(
 ) -> tuple[Verdict, AdmissibleSet | None]:
     """Decide whether the inclusion of sub into K is in a constant's class.
 
-    With want_witness=False only the verdict is computed, on the greedy core
-    of sub.
+    After the component rule, the class query searches the inclusion's class
+    for a constant map; when sub strongly collapses to a point the reduced
+    inclusion is already constant, and the witness is the lifted retraction
+    chain.  With want_witness=False only the verdict is computed, on the
+    greedy core of sub.
     """
     if not is_subcomplex(sub, K):
         raise InvalidInput("not a subcomplex of the ambient complex")
@@ -259,14 +252,6 @@ def is_categorical(
         if c.n_vertices == 1:
             return Verdict.YES, None
         return class_constant_witness(inclusion_map(c, K), budget).verdict, None
-
-    contraction = contraction_witness(sub)
-    if contraction is not None:
-        steps = tuple(
-            SimplicialMap(sub, K, tuple(emb[r.assignment[w]] for w in range(sub.n_vertices)))
-            for r in contraction.steps
-        )
-        return Verdict.YES, AdmissibleSet("categorical", sub, ContiguityWitness(steps))
 
     result = class_constant_witness(inclusion_map(sub, K), budget)
     if result.verdict is Verdict.YES:

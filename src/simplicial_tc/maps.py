@@ -9,7 +9,16 @@ join contiguous maps that differ at one vertex.  Those edges have the same
 connected components as contiguity itself (see _kernels/pure.py), so witness
 chains can be longer but every class is the same.  The search is exact: "no"
 is reported only after a full connected component has been exhausted, and a
-state budget turns an oversized search into an honest "unknown".
+state budget turns an oversized search into an honest "unknown", which
+same_contiguity_class reports only when the searches from both maps ran out.
+A class query whose domain strongly collapses to a point needs no search: it
+is exact and spends no budget (maps from a point are joined exactly when
+their images are joined by an edge path).
+
+Class-query witnesses, and so the witnesses of every admissible set, come
+from one route: a path found among the maps between the strong-collapse
+cores is lifted back through the retraction chains of domain and codomain
+(_ClassQuery.build_witness) and validated once.
 
 BFS states are bytes (one codomain id per domain vertex), which caps the
 codomain at 255 vertices; orders of magnitude beyond the intended desk scale.
@@ -24,7 +33,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from ._kernels import pure
-from .complexes import Complex, embedding_ids, ids_from_mask, is_subcomplex
+from .complexes import Complex, edge_path, embedding_ids, ids_from_mask, is_subcomplex
 from .errors import DomainMismatch, InvalidInput, NotSimplicial
 
 DEFAULT_BUDGET = 10**6
@@ -188,34 +197,20 @@ class ContiguityResult:
 # either way; the reduction only shrinks the graph it walks.
 
 
-class _MapSpace:
-    """Search context for simplicial maps domain -> codomain."""
+def _context(domain: Complex, codomain: Complex) -> pure.Context:
+    """Kernel context for maps domain -> codomain.
 
-    __slots__ = ("domain", "codomain", "ctx")
-
-    def __init__(self, domain: Complex, codomain: Complex):
-        if codomain.n_vertices > 255:
-            raise InvalidInput("class search supports codomains with at most 255 vertices")
-        self.domain = domain
-        self.codomain = codomain
-        self.ctx = pure.make_context(
-            domain.facet_vertex_ids,
-            domain.vertex_facets,
-            codomain.facets,
-            domain.n_vertices,
-            codomain.n_vertices,
-        )
-
-    def neighbors(self, a: bytes) -> list[bytes]:
-        """Single-vertex moves from a.
-
-        pure.neighbors is looked up at each call, so the benchmark's tracer,
-        which patches that name, sees every step.
-        """
-        return pure.neighbors(self.ctx, a)
-
-    def to_map(self, a: bytes) -> SimplicialMap:
-        return SimplicialMap(self.domain, self.codomain, tuple(a))
+    States are bytes, so the codomain may have at most 255 vertices.
+    """
+    if codomain.n_vertices > 255:
+        raise InvalidInput("class search supports codomains with at most 255 vertices")
+    return pure.make_context(
+        domain.facet_vertex_ids,
+        domain.vertex_facets,
+        codomain.facets,
+        domain.n_vertices,
+        codomain.n_vertices,
+    )
 
 
 def check_budget(budget) -> None:
@@ -225,7 +220,7 @@ def check_budget(budget) -> None:
 
 
 def _bfs(
-    space: _MapSpace,
+    ctx: pure.Context,
     start: bytes,
     match: Callable[[bytes], bool],
     budget: int,
@@ -234,6 +229,8 @@ def _bfs(
 
     Returns (hit, parents, complete); incomplete means the budget (count of
     distinct visited maps) was reached with frontier left unexplored.
+    pure.neighbors is looked up at each step, so the benchmark's tracer, which
+    patches that name, sees every step.
     """
     check_budget(budget)
     parents: dict[bytes, bytes | None] = {start: None}
@@ -242,7 +239,7 @@ def _bfs(
     queue = deque([start])
     while queue:
         a = queue.popleft()
-        for b in space.neighbors(a):
+        for b in pure.neighbors(ctx, a):
             if b in parents:
                 continue
             if len(parents) >= budget:
@@ -261,9 +258,13 @@ def _path_from_parents(parents: dict[bytes, bytes | None], hit: bytes) -> list[b
     return chain[::-1]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)
 def _retraction_chain(K: Complex) -> tuple[Complex, tuple[tuple[int, ...], ...]]:
-    """Core of K plus the chain identity -> full retraction (self-maps of K)."""
+    """Core of K plus the chain identity -> full retraction (self-maps of K).
+
+    Looked up when a class query is built, so the cache is as large as the
+    class-query cache; the chains of certified sets are used once.
+    """
     from .collapse import core
 
     c, seq = core(K)
@@ -294,7 +295,7 @@ class _ClassQuery:
         cod_to = {old: new for new, old in enumerate(self.cod_emb)}
         self.dom_r = tuple(dom_to[x] for x in self.dom_chain[-1])
         self.cod_r = tuple(cod_to[x] for x in self.cod_chain[-1])
-        self.space = _MapSpace(self.dom_core, self.cod_core)
+        self.ctx = _context(self.dom_core, self.cod_core)
 
     def reduce(self, assignment: tuple[int, ...]) -> bytes:
         return bytes(self.cod_r[assignment[e]] for e in self.dom_emb)
@@ -331,9 +332,13 @@ def same_contiguity_class(
 ) -> ContiguityResult:
     """Decide whether f and g lie in one contiguity class.
 
-    Yes comes with a validated witness; no is certified by exhausting the
-    connected component of (the reduction of) f, or of g when f's side blows
-    the budget first; unknown means both sides exceeded the state budget.
+    Yes comes with a validated witness.  When the domain's core is one
+    vertex the answer is exact and spends no budget: maps from a point are
+    its images, two of them are contiguous when they span an edge, so the
+    class is an edge-path component of the codomain's core.  Otherwise no is
+    certified by exhausting the connected component of (the reduction of) f,
+    or of g when f's side blows the budget first; unknown means the searches
+    from both sides ran out of budget.
     """
     _require_parallel(f, g)
     if f.assignment == g.assignment:
@@ -344,14 +349,20 @@ def same_contiguity_class(
         return ContiguityResult(
             Verdict.YES, rq.build_witness(f.assignment, [fa], g.assignment), 1
         )
-    hit, parents, complete = _bfs(rq.space, fa, lambda a: a == ga, budget)
+    if rq.dom_core.n_vertices == 1:
+        path = edge_path(rq.cod_core, fa[0], ga[0])
+        if path is None:
+            return ContiguityResult(Verdict.NO, None, 1)
+        w = rq.build_witness(f.assignment, [bytes((c,)) for c in path], g.assignment)
+        return ContiguityResult(Verdict.YES, w, len(path))
+    hit, parents, complete = _bfs(rq.ctx, fa, lambda a: a == ga, budget)
     explored = len(parents)
     if hit is not None:
         w = rq.build_witness(f.assignment, _path_from_parents(parents, hit), g.assignment)
         return ContiguityResult(Verdict.YES, w, explored)
     if complete:
         return ContiguityResult(Verdict.NO, None, explored)
-    hit, parents2, complete = _bfs(rq.space, ga, lambda a: a == fa, budget)
+    hit, parents2, complete = _bfs(rq.ctx, ga, lambda a: a == fa, budget)
     explored += len(parents2)
     if hit is not None:
         path = _path_from_parents(parents2, hit)[::-1]
@@ -371,7 +382,7 @@ def class_constant_witness(f: SimplicialMap, budget: int = DEFAULT_BUDGET) -> Co
     def is_const(a: bytes) -> bool:
         return a.count(a[0]) == n
 
-    hit, parents, complete = _bfs(rq.space, fa, is_const, budget)
+    hit, parents, complete = _bfs(rq.ctx, fa, is_const, budget)
     if hit is not None:
         w = rq.build_witness(f.assignment, _path_from_parents(parents, hit), None)
         if not w.last.is_constant:
@@ -384,16 +395,16 @@ def contiguity_component(
     f: SimplicialMap, budget: int = DEFAULT_BUDGET
 ) -> tuple[frozenset[tuple[int, ...]], bool]:
     """All assignments in the contiguity class of f, and whether it is complete."""
-    space = _MapSpace(f.domain, f.codomain)
-    _, parents, complete = _bfs(space, bytes(f.assignment), lambda a: False, budget)
+    ctx = _context(f.domain, f.codomain)
+    _, parents, complete = _bfs(ctx, bytes(f.assignment), lambda a: False, budget)
     return frozenset(tuple(a) for a in parents), complete
 
 
 def neighbors(f: SimplicialMap) -> Iterator[SimplicialMap]:
     """All maps g != f contiguous to f, in deterministic enumeration order."""
-    space = _MapSpace(f.domain, f.codomain)
-    for a in pure.contiguous_maps(space.ctx, bytes(f.assignment)):
-        yield space.to_map(a)
+    ctx = _context(f.domain, f.codomain)
+    for a in pure.contiguous_maps(ctx, bytes(f.assignment)):
+        yield SimplicialMap(f.domain, f.codomain, tuple(a))
 
 
 def witness_between_constants(
@@ -404,8 +415,6 @@ def witness_between_constants(
     Exists iff u and v lie in one edge-path component; this is the
     constructive side of `constants agree on connected complexes`.
     """
-    from .complexes import edge_path
-
     path = edge_path(codomain, u, v)
     if path is None:
         return None

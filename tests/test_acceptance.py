@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per criterion, plus one on the corpus's cover
+witnesses, each printing a PASS line.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines.  The random corpora are seeded, so every run checks the same
@@ -182,6 +183,19 @@ class TestCriterion5:
             f"\n[criterion 5] PASS: scat(K) <= TC(K) on {checked_lower} exact instances, "
             f"TC(K) <= scat(K^2) on {checked_upper} connected exact instances, zero violations"
         )
+
+
+class TestCoverWitnesses:
+    def test_no_repeated_consecutive_steps(self, corpus_results):
+        results, _ = corpus_results
+        chains = 0
+        for K, r_tc, r_scat in results:
+            for adm in (r_tc.cover or ()) + (r_scat.cover or ()):
+                steps = [s.assignment for s in adm.witness.steps]
+                assert all(a != b for a, b in zip(steps, steps[1:])), K.facet_label_sets()
+                chains += 1
+        assert chains >= 100
+        print(f"\n[witnesses] PASS: no cover witness of the corpus repeats a step ({chains} chains)")
 
 
 class TestCriterion6:

@@ -138,8 +138,9 @@ class TestNeighbors:
         maps = oracles.oracle_valid_maps(dom, cod)
         fa = rng.choice(maps)
         f = validate_map(fa, dom, cod)
-        got = sorted(n.assignment for n in neighbors(f))
-        assert got == sorted(oracles.oracle_neighbors(dom, cod, fa))
+        got = [n.assignment for n in neighbors(f)]
+        assert sorted(got) == sorted(oracles.oracle_neighbors(dom, cod, fa))
+        assert got == sorted(got)  # lexicographic by assignment
 
     @given(small_complexes, small_complexes, st.randoms(use_true_random=False))
     def test_bfs_step_is_the_one_vertex_oracle_neighbors(self, dom, cod, rng):
@@ -232,6 +233,26 @@ class TestSameContiguityClass:
         assert r.verdict is Verdict.YES
         assert r.witness.first == f
         assert r.witness.last == g
+
+    def test_point_domain_is_exact_without_budget(self):
+        # an edge collapses to a point, so constants from it meet along an
+        # edge path of the codomain; no map-space search is run
+        edge = build_complex([{"x", "y"}])
+        c4 = build_complex([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+        f, g = constant_map(edge, c4, c4.id("a")), constant_map(edge, c4, c4.id("c"))
+        r = same_contiguity_class(f, g, budget=1)
+        assert r.verdict is Verdict.YES
+        assert r.witness.first == f
+        assert r.witness.last == g
+
+        two_c4 = build_complex(
+            [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+            + [("e", "f"), ("f", "g"), ("g", "h"), ("e", "h")]
+        )
+        f, g = constant_map(edge, two_c4, two_c4.id("a")), constant_map(edge, two_c4, two_c4.id("e"))
+        r = same_contiguity_class(f, g, budget=1)
+        assert r.verdict is Verdict.NO
+        assert r.witness is None
 
     @given(small_complexes, st.randoms(use_true_random=False))
     @settings(max_examples=15)
@@ -329,3 +350,21 @@ class TestWideCodomain:
         assert P.product.n_vertices == 81
         r = same_contiguity_class(projection(P, 1), projection(P, 2))
         assert r.verdict is Verdict.YES
+
+    def test_codomain_beyond_255_vertices_rejected(self):
+        from simplicial_tc import InvalidInput
+
+        point = build_complex([{"x"}])
+        for n, rejected in ((255, False), (256, True)):
+            L = build_complex([{f"v{i}"} for i in range(n)])
+            f, g = constant_map(point, L, 0), constant_map(point, L, 1)
+            if not rejected:
+                assert same_contiguity_class(f, g).verdict is Verdict.NO
+                continue
+            for query in (
+                lambda: same_contiguity_class(f, g),
+                lambda: contiguity_component(f),
+                lambda: list(neighbors(f)),
+            ):
+                with pytest.raises(InvalidInput):
+                    query()
