@@ -42,10 +42,6 @@ class Context:
         self._extend: dict[int, int] = {}
 
 
-def make_context(facet_vertices, vertex_facets, cod_facets, n_dom, n_cod) -> Context:
-    return Context(facet_vertices, vertex_facets, cod_facets, n_dom, n_cod)
-
-
 def _extensions(ctx: Context, mask: int) -> int:
     """The codomain vertices c with mask | {c} a simplex: 0 if mask is none."""
     ext = ctx._extend.get(mask)

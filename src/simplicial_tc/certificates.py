@@ -19,21 +19,26 @@ from .collapse import CollapseSequence, core
 from .complexes import Complex, _assemble_complex, embedding_ids, subcomplex
 from .errors import SimplicialTCError
 from .invariants import (
+    Admissibility,
     AdmissibleSet,
     InvariantResult,
     MotionPlan,
     Status,
-    is_categorical,
-    is_farber,
+    admissibility,
     motion_plan,
     scat,
     tc,
     validate_motion_plan,
 )
 from .maps import DEFAULT_BUDGET, ContiguityWitness, SimplicialMap, Verdict, check_budget
-from .product import categorical_square
+
+# Unused here since invariants.admissibility builds the square; e2ebench/tracing.py patches it.
+from .product import categorical_square  # noqa: F401
 
 FORMAT = "simplicial-tc/1"
+
+# certificate kind of each invariant -> (admissible kind of its cover, the invariant)
+_COVER_KINDS = {"tc": ("farber", tc), "scat": ("categorical", scat)}
 
 
 def dumps(cert: dict) -> str:
@@ -61,8 +66,12 @@ def _admissible_payload(adm: AdmissibleSet) -> dict[str, Any]:
     }
 
 
-def _result_payload(result: InvariantResult) -> dict[str, Any]:
+def _emit_cover(kind: str, K: Complex, result: InvariantResult, budget: int) -> dict[str, Any]:
     return {
+        "format": FORMAT,
+        "kind": kind,
+        "complex": {"facets": _facet_lists(K)},
+        "budget": budget,
         "status": result.status.value,
         "value": result.value,
         "lower": result.lower_bound,
@@ -76,25 +85,11 @@ def _result_payload(result: InvariantResult) -> dict[str, Any]:
 
 
 def emit_tc(K: Complex, result: InvariantResult, budget: int) -> dict[str, Any]:
-    cert = {
-        "format": FORMAT,
-        "kind": "tc",
-        "complex": {"facets": _facet_lists(K)},
-        "budget": budget,
-    }
-    cert.update(_result_payload(result))
-    return cert
+    return _emit_cover("tc", K, result, budget)
 
 
 def emit_scat(K: Complex, result: InvariantResult, budget: int) -> dict[str, Any]:
-    cert = {
-        "format": FORMAT,
-        "kind": "scat",
-        "complex": {"facets": _facet_lists(K)},
-        "budget": budget,
-    }
-    cert.update(_result_payload(result))
-    return cert
+    return _emit_cover("scat", K, result, budget)
 
 
 def emit_core(K: Complex, core_complex: Complex, seq: CollapseSequence) -> dict[str, Any]:
@@ -160,24 +155,21 @@ def _rebuild_complex(payload: Any) -> Complex:
     return _assemble_complex(payload["facets"], check_labels=False)
 
 
-def _rebuild_admissible(
-    entry: dict[str, Any], ambient: Complex, base: Complex | None
-) -> AdmissibleSet:
-    """Reconstruct and fully re-validate one admissible-set payload.
+def _rebuild_admissible(entry: Any, A: Admissibility) -> AdmissibleSet:
+    """Reconstruct and fully re-validate one admissible-set payload of A's kind.
 
-    With base = K the entry must be a Farber set in ambient = K^2 (the
-    witness codomain is the ambient, the section lands in base); with base
-    None it must be a categorical set in ambient = K.
+    A Farber entry's witness lands in A.ambient = K^2 and its section in
+    A.base = K; a categorical entry's witness lands in A.ambient = K.
     """
-    kind = "farber" if base is not None else "categorical"
-    _need(entry["kind"] == kind, f"expected a {kind} admissible set, got {entry['kind']!r}")
+    _need(isinstance(entry, dict), "admissible set must be a JSON object")
+    _need(entry["kind"] == A.kind, f"expected a {A.kind} admissible set, got {entry['kind']!r}")
+    ambient, base = A.ambient, A.base
     omega = subcomplex(ambient, [ambient.simplex_mask(f) for f in entry["facets"]])
     _need(list(omega.labels) == list(entry["vertices"]), "vertex table mismatch in admissible set")
-    codomain = ambient
     steps = []
     for row in entry["witness"]:
         _need(len(row) == omega.n_vertices, "witness step has wrong length")
-        steps.append(SimplicialMap(omega, codomain, tuple(codomain.id(lab) for lab in row)))
+        steps.append(SimplicialMap(omega, ambient, tuple(ambient.id(lab) for lab in row)))
     witness = ContiguityWitness(tuple(steps))
     emb = embedding_ids(omega, ambient)
     if base is not None:
@@ -199,7 +191,7 @@ def _is_count(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_cover(cert: dict[str, Any], ambient: Complex, base: Complex | None) -> None:
+def _check_cover(cert: dict[str, Any], A: Admissibility) -> None:
     """Status, value, bounds and cover size must agree, and the cover must cover."""
     status = cert["status"]
     cover = cert["cover"]
@@ -230,11 +222,11 @@ def _check_cover(cert: dict[str, Any], ambient: Complex, base: Complex | None) -
             _need(lower <= upper, "lower bound exceeds upper bound")
     if cover is None:
         return
-    entries = [_rebuild_admissible(e, ambient, base) for e in cover]
+    entries = [_rebuild_admissible(e, A) for e in cover]
     covered = set()
     for adm in entries:
         covered.update(adm.omega.facet_label_sets())
-    for facet in ambient.facet_label_sets():
+    for facet in A.ambient.facet_label_sets():
         _need(facet in covered, f"facet {facet} is not covered")
 
 
@@ -247,17 +239,12 @@ def verify_certificate(cert: dict[str, Any], recompute: bool = False) -> tuple[b
         K = _rebuild_complex(cert.get("complex"))
         budget = cert.get("budget", DEFAULT_BUDGET)
         check_budget(budget)
-        if kind == "tc":
-            P = categorical_square(K)
-            _check_cover(cert, P.product, K)
+        _need(isinstance(kind, str), f"unknown certificate kind {kind!r}")
+        if kind in _COVER_KINDS:
+            adm_kind, invariant = _COVER_KINDS[kind]
+            _check_cover(cert, admissibility(adm_kind, K))
             if recompute:
-                res = tc(K, budget)
-                _need(res.status.value == cert["status"], "recompute: status changed")
-                _need(res.value == cert["value"], "recompute: value changed")
-        elif kind == "scat":
-            _check_cover(cert, K, None)
-            if recompute:
-                res = scat(K, budget)
+                res = invariant(K, budget)
                 _need(res.status.value == cert["status"], "recompute: status changed")
                 _need(res.value == cert["value"], "recompute: value changed")
         elif kind == "core":
@@ -273,28 +260,23 @@ def verify_certificate(cert: dict[str, Any], recompute: bool = False) -> tuple[b
                 fresh, _ = core(K)
                 _need(fresh == seq.end, "recompute: core changed")
         elif kind in ("farber", "categorical"):
-            if kind == "farber":
-                P = categorical_square(K)
-                ambient, base = P.product, K
-            else:
-                ambient, base = K, None
-            omega = subcomplex(ambient, [ambient.simplex_mask(f) for f in cert["omega"]])
-            verdict = cert["verdict"]
+            A = admissibility(kind, K)
+            omega = subcomplex(A.ambient, [A.ambient.simplex_mask(f) for f in cert["omega"]])
+            verdict, entry = cert["verdict"], cert["admissible"]
+            _need(verdict in [v.value for v in Verdict], f"unknown verdict {verdict!r}")
             if verdict == Verdict.YES.value:
-                adm = _rebuild_admissible(cert["admissible"], ambient, base)
+                adm = _rebuild_admissible(entry, A)
                 _need(
                     sorted(adm.omega.facet_label_sets()) == sorted(omega.facet_label_sets()),
                     "admissible set does not match the queried subcomplex",
                 )
+            else:
+                _need(entry is None, f"{verdict!r} verdict carries an admissible set")
             if recompute:
-                if kind == "farber":
-                    got, _ = is_farber(omega, P, budget)
-                else:
-                    got, _ = is_categorical(omega, K, budget)
+                got, _ = A.decide(omega, budget)
                 _need(got.value == verdict, "recompute: verdict changed")
         elif kind == "plan":
-            P = categorical_square(K)
-            adm = _rebuild_admissible(cert["admissible"], P.product, K)
+            adm = _rebuild_admissible(cert["admissible"], admissibility("farber", K))
             x, y = K.id(cert["from"]), K.id(cert["to"])
             plan = motion_plan(adm, x, y)
             _need(

@@ -22,9 +22,9 @@ from .certificates import (
     verify_certificate,
 )
 from .collapse import core
-from .complexes import parse_complex, serialize_complex
+from .complexes import parse_complex, serialize_complex, subcomplex
 from .errors import InvalidInput, SimplicialTCError
-from .invariants import InvariantResult, Status, is_categorical, is_farber, motion_plan, scat, tc
+from .invariants import InvariantResult, Status, admissibility, motion_plan, scat, tc
 from .maps import DEFAULT_BUDGET, Verdict
 from .product import categorical_square
 
@@ -70,12 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tc", help="discrete topological complexity of a complex")
     sp.add_argument("file")
     add_common(sp)
-    sp.set_defaults(func=_cmd_tc)
+    sp.set_defaults(func=_cmd_cover, name="TC", invariant=tc, emit=emit_tc)
 
     sp = sub.add_parser("scat", help="simplicial LS-category of a complex")
     sp.add_argument("file")
     add_common(sp)
-    sp.set_defaults(func=_cmd_scat)
+    sp.set_defaults(func=_cmd_cover, name="scat", invariant=scat, emit=emit_scat)
 
     sp = sub.add_parser("core", help="strong-collapse core and collapse sequence")
     sp.add_argument("file")
@@ -91,17 +91,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument(
         "--omega",
+        dest="facets",
+        metavar="OMEGA",
         required=True,
         help="facets of the subcomplex, ';'-separated, vertices as pair labels like a|b",
     )
     add_common(sp)
-    sp.set_defaults(func=_cmd_is_farber)
+    sp.set_defaults(func=_cmd_membership, kind="farber")
 
     sp = sub.add_parser("is-categorical", help="is a subcomplex of K categorical?")
     sp.add_argument("file")
-    sp.add_argument("--sub", required=True, help="facets of the subcomplex, ';'-separated")
+    sp.add_argument(
+        "--sub",
+        dest="facets",
+        metavar="SUB",
+        required=True,
+        help="facets of the subcomplex, ';'-separated",
+    )
     add_common(sp)
-    sp.set_defaults(func=_cmd_is_categorical)
+    sp.set_defaults(func=_cmd_membership, kind="categorical")
 
     sp = sub.add_parser("plan", help="motion plan between two vertices")
     sp.add_argument("file")
@@ -153,17 +161,10 @@ def _describe_result(name: str, res: InvariantResult) -> list[str]:
     ]
 
 
-def _cmd_tc(args) -> int:
+def _cmd_cover(args) -> int:
     K = _load(args.file)
-    res = tc(K, budget=args.budget)
-    _deliver(args, emit_tc(K, res, args.budget), _describe_result("TC", res))
-    return _STATUS_EXIT[res.status]
-
-
-def _cmd_scat(args) -> int:
-    K = _load(args.file)
-    res = scat(K, budget=args.budget)
-    _deliver(args, emit_scat(K, res, args.budget), _describe_result("scat", res))
+    res = args.invariant(K, budget=args.budget)
+    _deliver(args, args.emit(K, res, args.budget), _describe_result(args.name, res))
     return _STATUS_EXIT[res.status]
 
 
@@ -202,30 +203,15 @@ def _parse_facet_arg(spec: str) -> list[list[str]]:
     return facets
 
 
-def _cmd_is_farber(args) -> int:
+def _cmd_membership(args) -> int:
     K = _load(args.file)
-    P = categorical_square(K)
-    from .complexes import subcomplex
-
-    masks = [P.product.simplex_mask(f) for f in _parse_facet_arg(args.omega)]
-    omega = subcomplex(P.product, masks)
-    verdict, adm = is_farber(omega, P, budget=args.budget)
-    cert = emit_membership("farber", K, omega, verdict, adm, args.budget)
+    A = admissibility(args.kind, K)
+    masks = [A.ambient.simplex_mask(f) for f in _parse_facet_arg(args.facets)]
+    sub = subcomplex(A.ambient, masks)
+    verdict, adm = A.decide(sub, budget=args.budget)
+    cert = emit_membership(args.kind, K, sub, verdict, adm, args.budget)
     detail = f" (witness length {len(adm.witness)})" if adm is not None else ""
-    _deliver(args, cert, [f"farber: {verdict.value}{detail}"])
-    return _VERDICT_EXIT[verdict]
-
-
-def _cmd_is_categorical(args) -> int:
-    K = _load(args.file)
-    from .complexes import subcomplex
-
-    masks = [K.simplex_mask(f) for f in _parse_facet_arg(args.sub)]
-    sub = subcomplex(K, masks)
-    verdict, adm = is_categorical(sub, K, budget=args.budget)
-    cert = emit_membership("categorical", K, sub, verdict, adm, args.budget)
-    detail = f" (witness length {len(adm.witness)})" if adm is not None else ""
-    _deliver(args, cert, [f"categorical: {verdict.value}{detail}"])
+    _deliver(args, cert, [f"{args.kind}: {verdict.value}{detail}"])
     return _VERDICT_EXIT[verdict]
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .complexes import Complex, _canonical_facet_order, ids_from_mask, mask_from_ids
+from .complexes import Complex, _complex_on, ids_from_mask
 from .errors import InvalidInput
 from .maps import ContiguityWitness, SimplicialMap, _retraction_chain
 
@@ -61,15 +61,6 @@ def _drop_vertex(facets: list[int], v: int) -> list[int]:
             if t and not any(t & ~k == 0 for k in untouched):
                 out.append(t)
     return out
-
-
-def _complex_on(K: Complex, facets: Sequence[int]) -> Complex:
-    """The complex on the given facet masks of K: labels kept, ids re-densified."""
-    used = ids_from_mask(mask_from_ids(w for m in facets for w in ids_from_mask(m)))
-    old_to_new = {old: new for new, old in enumerate(used)}
-    labels = tuple(K.labels[old] for old in used)
-    masks = tuple(mask_from_ids(old_to_new[w] for w in ids_from_mask(m)) for m in facets)
-    return Complex(labels, _canonical_facet_order(labels, masks))
 
 
 def _greedy_collapse(K: Complex) -> tuple[tuple[tuple[int, int], ...], Complex]:

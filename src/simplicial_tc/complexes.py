@@ -13,7 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput, ParseError
 
@@ -217,12 +217,16 @@ def subcomplex(K: Complex, simplices: Iterable[Mask]) -> Complex:
     for m in masks:
         if not K.is_simplex(m):
             raise InvalidInput("generator is not a simplex of the ambient complex")
-    gen = _antichain(masks)
-    used = ids_from_mask(mask_from_ids(v for m in gen for v in ids_from_mask(m)))
+    return _complex_on(K, _antichain(masks))
+
+
+def _complex_on(K: Complex, facets: Sequence[Mask]) -> Complex:
+    """The complex on a facet antichain of K: labels kept, ids re-densified in parent-id order."""
+    used = ids_from_mask(mask_from_ids(v for m in facets for v in ids_from_mask(m)))
     old_to_new = {old: new for new, old in enumerate(used)}
     labels = tuple(K.labels[old] for old in used)
-    facets = tuple(mask_from_ids(old_to_new[v] for v in ids_from_mask(m)) for m in gen)
-    return Complex(labels, _canonical_facet_order(labels, facets))
+    masks = tuple(mask_from_ids(old_to_new[v] for v in ids_from_mask(m)) for m in facets)
+    return Complex(labels, _canonical_facet_order(labels, masks))
 
 
 def embedding_ids(sub: Complex, K: Complex) -> tuple[int, ...]:

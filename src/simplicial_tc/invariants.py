@@ -1,8 +1,15 @@
 """Farber/categorical subcomplex recognition, minimum covers, TC, scat, plans.
 
-The two invariants share one search: the smallest k for which the facets of
-the ambient complex (K^2 for TC, K for scat) split into k classes, each
-generating an admissible subcomplex (Farber for TC, categorical for scat).
+The two invariants share one code path and differ only in their
+Admissibility, the one place that pairs each kind with its ambient complex,
+checker and base: Farber subcomplexes of K^2 (is_farber, base K) for TC,
+categorical subcomplexes of K (is_categorical, no base) for scat.  The
+certificate verifier and the membership commands use the same pairing.
+
+Both invariants look for the smallest k for which the facets of the ambient
+complex split into k classes, each generating an admissible subcomplex.
+One wiring (_admissible_cover) builds the subcomplex of a facet mask, asks
+the checker for a verdict only, and re-certifies the classes it returns.
 Admissibility is hereditary under facet-subset inclusion (restricting the
 stored witness certifies every subset), so such a partition exists exactly
 when k admissible sets cover the facets.  For k = 1, 2, ... a depth-first
@@ -43,9 +50,7 @@ from .collapse import contraction_witness, core_complex, is_strongly_collapsible
 from .complexes import (
     Complex,
     embedding_ids,
-    ids_from_mask,
     is_subcomplex,
-    mask_from_ids,
     subcomplex,
 )
 from .errors import InvalidInput
@@ -148,20 +153,8 @@ def _diagonal_witness(
     return AdmissibleSet("farber", omega, witness, section=section)
 
 
-def _slice_covers_base(omega_masks: Sequence[int], K: Complex, a: int, row: bool) -> bool:
-    """Does the row (or column) slice of omega at vertex a contain all of K?"""
-    n = K.n_vertices
-    slices = []
-    for m in omega_masks:
-        if row:
-            s = (m >> (a * n)) & ((1 << n) - 1)
-        else:
-            s = 0
-            for u in range(n):
-                if m & (1 << (u * n + a)):
-                    s |= 1 << u
-        if s:
-            slices.append(s)
+def _slice_covers_base(slices: Sequence[int], K: Complex) -> bool:
+    """Does one row or column slice of omega (a K-mask per omega facet) contain all of K?"""
     return all(any(f & ~s == 0 for s in slices) for f in K.facets)
 
 
@@ -191,18 +184,18 @@ def is_farber(
         return Verdict.NO, None
 
     if not is_strongly_collapsible(K):
-        emb = embedding_ids(omega, P.product)
-        n = K.n_vertices
-        omega_masks = [
-            mask_from_ids(emb[w] for w in ids_from_mask(m)) for m in omega.facets
-        ]
-        for a in range(n):
-            if _slice_covers_base(omega_masks, K, a, row=True) or _slice_covers_base(
-                omega_masks, K, a, row=False
-            ):
-                # Slices of Farber subcomplexes are categorical; all of K is
-                # categorical in itself only when K is strongly collapsible.
-                return Verdict.NO, None
+        # rows[a][j] / cols[a][j]: the K-vertices v with (a, v) / (v, a) in facet j
+        rows = [[0] * len(omega.facets) for _ in range(K.n_vertices)]
+        cols = [[0] * len(omega.facets) for _ in range(K.n_vertices)]
+        for j, ids in enumerate(omega.facet_vertex_ids):
+            for w in ids:
+                u, v = pairs[w]
+                rows[u][j] |= 1 << v
+                cols[v][j] |= 1 << u
+        if any(_slice_covers_base(s, K) for s in rows + cols):
+            # Slices of Farber subcomplexes are categorical; all of K is
+            # categorical in itself only when K is strongly collapsible.
+            return Verdict.NO, None
 
     if not want_witness:
         # The core is a strong deformation retract of omega, so restricting
@@ -400,8 +393,8 @@ def min_cover(n_elements: int, sets: Sequence[frozenset[int]]) -> list[int] | No
 
 def _cover_invariant(
     n_facets: int,
-    check: Callable[[frozenset[int]], tuple[Verdict, AdmissibleSet | None]],
-    certify: Callable[[frozenset[int]], AdmissibleSet],
+    check: Callable[[int], Verdict],
+    certify: Callable[[int], AdmissibleSet],
 ) -> InvariantResult:
     """Smallest k for which the facets split into k admissible classes, minus one.
 
@@ -413,8 +406,9 @@ def _cover_invariant(
     no relabelled copy of a partition is visited twice), and backs off as
     soon as a class fails.  The first k that succeeds gives the value; every
     smaller k was searched exhaustively, which is the lower-bound proof.
-    Verdicts are memoised by facet mask for this one call; `checks` counts
-    the masks actually checked.  Only the k returned classes are certified.
+    check and certify take a facet mask (bit i is facet i).  Verdicts are
+    memoised by facet mask for this one call; `checks` counts the masks
+    actually checked.  Only the k returned classes are certified.
 
     A facet whose singleton class is "no" lies in no admissible set, so the
     complex is not coverable.  Undecided ("unknown") verdicts never pass in
@@ -433,7 +427,7 @@ def _cover_invariant(
     def verdict(mask: int) -> Verdict:
         v = memo.get(mask)
         if v is None:
-            v, _ = check(to_set(mask))
+            v = check(mask)
             memo[mask] = v
             if v is Verdict.UNKNOWN:
                 unknown.append(mask)
@@ -466,7 +460,7 @@ def _cover_invariant(
     def result(status: Status, lower=None, upper=None, classes=None) -> InvariantResult:
         cover = None
         if classes is not None:
-            cover = tuple(replace(certify(S), facet_indices=S) for S in map(to_set, classes))
+            cover = tuple(replace(certify(m), facet_indices=to_set(m)) for m in classes)
         value = lower if status is Status.EXACT else None
         unknown_sets = tuple(map(to_set, unknown))
         return InvariantResult(value, lower, upper, status, cover, (), unknown_sets, len(memo))
@@ -496,41 +490,70 @@ def _cover_invariant(
     return result(Status.BUDGET_EXHAUSTED, lower_k - 1)
 
 
-def scat(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
-    """Simplicial LS-category: minimum categorical cover size minus one."""
-    check_budget(budget)
+@dataclass(frozen=True)
+class Admissibility:
+    """Which subcomplexes one invariant's covers are made of.
 
-    def check(S: frozenset[int]) -> tuple[Verdict, AdmissibleSet | None]:
-        sub = subcomplex(K, [K.facets[i] for i in sorted(S)])
-        return is_categorical(sub, K, budget, want_witness=False)
+    "farber" (TC): Farber subcomplexes of ambient = K^2, decided by is_farber
+    against the square, with base K (witnesses land in K^2, sections in K).
+    "categorical" (scat): categorical subcomplexes of ambient = K, decided by
+    is_categorical, with no base.
+    """
 
-    def certify(S: frozenset[int]) -> AdmissibleSet:
-        sub = subcomplex(K, [K.facets[i] for i in sorted(S)])
-        verdict, adm = is_categorical(sub, K, budget)
+    kind: str
+    ambient: Complex
+    base: Complex | None
+    square: ProductComplex | None
+
+    def decide(
+        self, sub: Complex, budget: int, want_witness: bool = True
+    ) -> tuple[Verdict, AdmissibleSet | None]:
+        # The checkers are looked up in this module on every call (not stored
+        # as fields), so a wrapper set on is_farber / is_categorical sees each check.
+        if self.square is not None:
+            return is_farber(sub, self.square, budget, want_witness=want_witness)
+        return is_categorical(sub, self.ambient, budget, want_witness=want_witness)
+
+
+def admissibility(kind: str, K: Complex) -> Admissibility:
+    """The admissible subcomplexes of kind "farber" or "categorical" for K."""
+    if kind == "farber":
+        P = categorical_square(K)
+        return Admissibility(kind, P.product, K, P)
+    if kind == "categorical":
+        return Admissibility(kind, K, None, None)
+    raise InvalidInput(f"unknown admissible kind {kind!r}")
+
+
+def _admissible_cover(A: Admissibility, budget: int) -> InvariantResult:
+    """The cover search over the facets of A.ambient with A's admissibility check."""
+    facets = A.ambient.facets
+
+    def sub(mask: int) -> Complex:
+        return subcomplex(A.ambient, [f for i, f in enumerate(facets) if mask >> i & 1])
+
+    def check(mask: int) -> Verdict:
+        return A.decide(sub(mask), budget, want_witness=False)[0]
+
+    def certify(mask: int) -> AdmissibleSet:
+        verdict, adm = A.decide(sub(mask), budget)
         if verdict is not Verdict.YES or adm is None:
             raise InvalidInput("certification pass disagrees with the search verdict")
         return adm
 
-    return _cover_invariant(len(K.facets), check, certify=certify)
+    return _cover_invariant(len(facets), check, certify)
+
+
+def scat(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
+    """Simplicial LS-category: minimum categorical cover size minus one."""
+    check_budget(budget)
+    return _admissible_cover(admissibility("categorical", K), budget)
 
 
 def tc(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
     """Discrete topological complexity: minimum Farber cover of K^2, minus one."""
     check_budget(budget)
-    P = categorical_square(K)
-
-    def check(S: frozenset[int]) -> tuple[Verdict, AdmissibleSet | None]:
-        omega = subcomplex(P.product, [P.product.facets[i] for i in sorted(S)])
-        return is_farber(omega, P, budget, want_witness=False)
-
-    def certify(S: frozenset[int]) -> AdmissibleSet:
-        omega = subcomplex(P.product, [P.product.facets[i] for i in sorted(S)])
-        verdict, adm = is_farber(omega, P, budget)
-        if verdict is not Verdict.YES or adm is None:
-            raise InvalidInput("certification pass disagrees with the search verdict")
-        return adm
-
-    return _cover_invariant(len(P.product.facets), check, certify)
+    return _admissible_cover(admissibility("farber", K), budget)
 
 
 # -- motion planning -----------------------------------------------------------

@@ -204,7 +204,7 @@ def _context(domain: Complex, codomain: Complex) -> pure.Context:
     """
     if codomain.n_vertices > 255:
         raise InvalidInput("class search supports codomains with at most 255 vertices")
-    return pure.make_context(
+    return pure.Context(
         domain.facet_vertex_ids,
         domain.vertex_facets,
         codomain.facets,

@@ -280,3 +280,47 @@ class TestStatusBoundsConsistency:
         for budget in (True, -3, 0, 2.5, "1000", None):
             assert self.rejected(cert, budget=budget), budget
         assert not self.rejected(cert, budget=7)
+
+
+class TestMembershipVerdictConsistency:
+    """A farber/categorical certificate's verdict must be a Verdict value, and
+    only a "yes" may (and must) carry an admissible set."""
+
+    @staticmethod
+    def certs(K):
+        P = categorical_square(K)
+        omega = subcomplex(P.product, [P.product.facets[0]])
+        L = subcomplex(K, [K.facets[0]])
+        out = []
+        for kind, sub, (verdict, adm) in (
+            ("farber", omega, is_farber(omega, P)),
+            ("categorical", L, is_categorical(L, K)),
+        ):
+            assert verdict is Verdict.YES
+            out.append(emit_membership(kind, K, sub, verdict, adm, DEFAULT_BUDGET))
+        return out
+
+    @staticmethod
+    def message(cert, **fields):
+        cert = copy.deepcopy(cert)
+        cert.update(fields)
+        ok, msgs = verify_certificate(cert)
+        assert not ok, fields
+        assert not msgs[0].startswith("malformed certificate"), msgs
+        return msgs[0]
+
+    def test_verdict_must_be_yes_no_or_unknown(self, boundary_triangle):
+        for cert in self.certs(boundary_triangle):
+            for verdict in ("maybe", None, 3):
+                assert "unknown verdict" in self.message(cert, verdict=verdict, admissible=None)
+
+    def test_no_or_unknown_verdict_carries_no_admissible_set(self, boundary_triangle):
+        for cert in self.certs(boundary_triangle):
+            for verdict in ("no", "unknown"):
+                msg = self.message(cert, verdict=verdict)
+                assert "carries an admissible set" in msg
+                assert verify_certificate({**cert, "verdict": verdict, "admissible": None})[0]
+
+    def test_yes_verdict_needs_an_admissible_set(self, boundary_triangle):
+        for cert in self.certs(boundary_triangle):
+            assert "admissible set" in self.message(cert, admissible=None)

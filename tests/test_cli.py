@@ -190,6 +190,16 @@ class TestVerifyCommand:
         assert main(["verify", boundary_file]) == 1
         assert "certificate REJECTED: malformed JSON" in capsys.readouterr().err
 
+    def test_inconsistent_membership_verdict_rejected(self, boundary_file, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        assert main(["is-categorical", boundary_file, "--sub", "a b", "-o", str(cert_path)]) == 0
+        cert = json.loads(cert_path.read_text())
+        for verdict in ("maybe", "no"):
+            cert_path.write_text(json.dumps({**cert, "verdict": verdict}))
+            capsys.readouterr()
+            assert main(["verify", str(cert_path)]) == 1
+            assert "certificate REJECTED" in capsys.readouterr().err
+
     def test_recompute_flag(self, boundary_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
         main(["scat", boundary_file, "-o", str(cert_path)])

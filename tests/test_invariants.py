@@ -491,17 +491,18 @@ class TestPartitionSearch:
 
     @staticmethod
     def family_check(maximal, undecided=frozenset()):
-        """A hereditary family given by its maximal sets; masks in undecided answer UNKNOWN."""
+        """A hereditary family given by its maximal sets; sets in undecided answer UNKNOWN."""
 
-        def check(S):
+        def check(mask):
+            S = frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
             if S in undecided:
-                return Verdict.UNKNOWN, None
-            return (Verdict.YES if any(S <= M for M in maximal) else Verdict.NO), None
+                return Verdict.UNKNOWN
+            return Verdict.YES if any(S <= M for M in maximal) else Verdict.NO
 
         return check
 
     @staticmethod
-    def certify(S):
+    def certify(mask):
         return AdmissibleSet("categorical", None, None)
 
     @staticmethod

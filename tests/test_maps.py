@@ -144,7 +144,7 @@ class TestNeighbors:
 
     @given(small_complexes, small_complexes, st.randoms(use_true_random=False))
     def test_bfs_step_is_the_one_vertex_oracle_neighbors(self, dom, cod, rng):
-        ctx = pure.make_context(
+        ctx = pure.Context(
             dom.facet_vertex_ids, dom.vertex_facets, cod.facets, dom.n_vertices, cod.n_vertices
         )
         maps = oracles.oracle_valid_maps(dom, cod)
