@@ -7,13 +7,15 @@ types, nerves and collapses", 2012).  The core is the fixed point of greedy
 deletion; it is unique up to isomorphism whatever the deletion order, and
 collapsing to it preserves contiguity classes.
 
-The greedy loop runs on facet bitmasks: delete the lowest dominated vertex
-in favour of its lowest dominator, truncate the facets that held it, and
-build one `Complex` at the end.  Verdict-only callers (the admissibility
-checks of the cover search) take just that complex through `core_complex`.
-`core` adds the replayable `CollapseSequence`, which class queries and
-certificates use; `contraction_witness` validates the retraction chain that
-the class queries of `maps` lift their witnesses through.
+One greedy loop (_greedy_collapse) runs on facet bitmasks: delete the
+lowest dominated vertex in favour of its lowest dominator and truncate the
+facets that held it.  It takes bare masks, so the verdict-only checks of the
+cover search collapse a class in the ambient complex's vertex ids and build
+no `Complex` unless the core keeps several vertices.  `core` runs the same
+loop on a complex, builds the core `Complex` and adds the replayable
+`CollapseSequence`, which class queries and certificates use;
+`contraction_witness` validates the retraction chain that the class queries
+of `maps` lift their witnesses through.
 """
 
 from __future__ import annotations
@@ -63,39 +65,42 @@ def _drop_vertex(facets: list[int], v: int) -> list[int]:
     return out
 
 
-def _greedy_collapse(K: Complex) -> tuple[tuple[tuple[int, int], ...], Complex]:
+def _greedy_collapse(facets: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], list[int]]:
     """Delete the lowest-id dominated vertex (lowest dominator) until none remains.
 
-    Returns the steps (ids of K) and the core; K itself when nothing is
-    dominated.  Only the stars of the deleted vertex's neighbours change, so
+    facets is a facet antichain whose vertex ids are the bits of its masks,
+    so it may live in any ambient numbering; deletions follow the relative
+    order of the ids, so a complex and its image under an order-preserving
+    renumbering collapse step for step.  Returns the steps and the core's
+    facets.  Only the stars of the deleted vertex's neighbours change, so
     only their dominator masks are recomputed.
     """
-    facets = list(K.facets)
-    doms = [_dominators(facets, v) for v in range(K.n_vertices)]
+    facets = list(facets)
+    verts = 0
+    for m in facets:
+        verts |= m
+    doms: dict[int, int] = {}
+    dominated = 0  # the vertices whose dominator mask is nonzero
+    for v in ids_from_mask(verts):
+        doms[v] = d = _dominators(facets, v)
+        if d:
+            dominated |= 1 << v
     steps: list[tuple[int, int]] = []
-    while True:
-        v = next((w for w, d in enumerate(doms) if d), None)
-        if v is None:
-            break
+    while dominated:
+        vbit = dominated & -dominated
+        v = vbit.bit_length() - 1
         d = doms[v]
         steps.append((v, (d & -d).bit_length() - 1))
-        vbit = 1 << v
         star = 0
         for m in facets:
             if m & vbit:
                 star |= m
         facets = _drop_vertex(facets, v)
-        doms[v] = 0
-        for w in ids_from_mask(star & ~vbit):
-            doms[w] = _dominators(facets, w)
-    if not steps:
-        return (), K
-    return tuple(steps), _complex_on(K, facets)
-
-
-def core_complex(K: Complex) -> Complex:
-    """The core `core(K)` returns, without the collapse sequence or its replay."""
-    return _greedy_collapse(K)[1]
+        dominated ^= vbit
+        for w in ids_from_mask(star ^ vbit):
+            doms[w] = d = _dominators(facets, w)
+            dominated = dominated | 1 << w if d else dominated & ~(1 << w)
+    return tuple(steps), facets
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,8 @@ def replay(seq: CollapseSequence) -> Complex:
 @lru_cache(maxsize=8192)
 def core(K: Complex) -> tuple[Complex, CollapseSequence]:
     """The greedy core of K and its collapse sequence (replayed on construction)."""
-    steps, c = _greedy_collapse(K)
+    steps, facets = _greedy_collapse(K.facets)
+    c = _complex_on(K, facets) if steps else K
     return c, CollapseSequence(K, c, steps)
 
 

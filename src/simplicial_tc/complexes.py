@@ -166,6 +166,15 @@ class Complex:
             cid += 1
         return tuple(comp)
 
+    @cached_property
+    def component_masks(self) -> tuple[Mask, ...]:
+        """For each vertex, the vertex mask of its edge-path component."""
+        comp = self.vertex_components
+        masks = [0] * (max(comp) + 1)
+        for v, c in enumerate(comp):
+            masks[c] |= 1 << v
+        return tuple(masks[c] for c in comp)
+
 
 # -- constructors ---------------------------------------------------------
 

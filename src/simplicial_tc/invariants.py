@@ -8,8 +8,9 @@ certificate verifier and the membership commands use the same pairing.
 
 Both invariants look for the smallest k for which the facets of the ambient
 complex split into k classes, each generating an admissible subcomplex.
-One wiring (_admissible_cover) builds the subcomplex of a facet mask, asks
-the checker for a verdict only, and re-certifies the classes it returns.
+One wiring (_admissible_cover) hands the checker each class as a facet mask
+(bit i is ambient facet i), asks for a verdict only, and builds and
+re-certifies just the classes it returns.
 Admissibility is hereditary under facet-subset inclusion (restricting the
 stored witness certifies every subset), so such a partition exists exactly
 when k admissible sets cover the facets.  For k = 1, 2, ... a depth-first
@@ -27,15 +28,21 @@ pair split across components of K, or a full row/column slice when K itself
 is not strongly collapsible) and prune the search without exploring map
 space.
 
-The search asks for verdicts only, and those are decided on facet masks: a
-greedy strong collapse of the subcomplex's facet bitmasks answers "yes" when
-one vertex survives, and otherwise the class query runs on the core it
-leaves (collapses preserve contiguity classes; Barmak & Minian 2012).
-Witnesses are built only for the classes of the cover that is returned, for
-certificates, and for the membership and plan commands, and all by one
-route: the class query in maps lifts its answer on the cores (for a
-strongly collapsible subcomplex, an edge path or the constant it reduces
-to) back through the strong-collapse retraction chains.
+The checkers take a subcomplex or a facet mask and turn either into facet
+bitmasks in the ambient complex's vertex ids (for K^2, q = u*n + v), so one
+code path decides both.  The component rule is one AND of the facets'
+union with a mask of the pairs that split components; the slice rule reads
+rows and columns off the K^2 bits.  For a verdict only, a greedy strong
+collapse of those masks answers "yes" when one vertex survives; otherwise
+the class query runs on the core it leaves (collapses preserve contiguity
+classes; Barmak & Minian 2012), the only place a Complex is built.  The
+search passes a memo that lives for one tc/scat call and maps each core's
+facet set to its class-query verdict, so checks with one core share one
+query.  Witnesses are built only for the classes of the cover that is
+returned, for certificates, and for the membership and plan commands, and
+all by one route: the class query in maps lifts its answer on the cores
+(for a strongly collapsible subcomplex, an edge path or the constant it
+reduces to) back through the strong-collapse retraction chains.
 """
 
 from __future__ import annotations
@@ -46,11 +53,14 @@ from math import ceil
 from typing import Callable, Sequence
 
 # contraction_witness and witness_between_constants are unused here; e2ebench/tracing.py patches them.
-from .collapse import contraction_witness, core_complex, is_strongly_collapsible
+from .collapse import _greedy_collapse, contraction_witness, is_strongly_collapsible
 from .complexes import (
     Complex,
+    _complex_on,
     embedding_ids,
+    ids_from_mask,
     is_subcomplex,
+    mask_from_ids,
     subcomplex,
 )
 from .errors import InvalidInput
@@ -61,7 +71,6 @@ from .maps import (
     Verdict,
     check_budget,
     class_constant_witness,
-    inclusion_map,
     same_contiguity_class,
     witness_between_constants,
 )
@@ -115,19 +124,67 @@ class InvariantResult:
 # -- Farber recognition ------------------------------------------------------
 
 
-def _omega_pairs(omega: Complex, P: ProductComplex) -> list[tuple[int, int]]:
-    emb = embedding_ids(omega, P.product)
-    return [P.unpair(q) for q in emb]
+def _ambient_facets(
+    sub: Complex | int, ambient: Complex, not_sub: str
+) -> tuple[list[int], tuple[int, ...] | None]:
+    """sub's facets as masks in ambient vertex ids, and sub's embedding if it is a Complex.
+
+    sub is a subcomplex of ambient, or a facet mask: a positive int whose
+    bit i selects ambient facet i.
+    """
+    if isinstance(sub, Complex):
+        if not is_subcomplex(sub, ambient):
+            raise InvalidInput(not_sub)
+        emb = embedding_ids(sub, ambient)
+        return [mask_from_ids(emb[v] for v in ids) for ids in sub.facet_vertex_ids], emb
+    if isinstance(sub, bool) or not isinstance(sub, int) or sub <= 0 or sub >> len(ambient.facets):
+        raise InvalidInput("a facet mask must be a positive int over the ambient complex's facets")
+    return [f for i, f in enumerate(ambient.facets) if sub >> i & 1], None
 
 
-def _projection_restriction(omega: Complex, P: ProductComplex, i: int) -> SimplicialMap:
-    pairs = _omega_pairs(omega, P)
-    assignment = tuple(p[0] if i == 1 else p[1] for p in pairs)
-    return SimplicialMap(omega, P.base, assignment)
+def _core_verdict(
+    facets: list[int],
+    ambient: Complex,
+    memo: dict[frozenset[int], Verdict] | None,
+    query: Callable[[Complex, tuple[int, ...]], Verdict],
+) -> Verdict:
+    """The class query's verdict, asked on the greedy core of facets (ambient ids).
+
+    The core is a strong deformation retract, so restricting the maps to it
+    keeps their contiguity class, and the class query would reduce the
+    subcomplex to this same core anyway.  A one-vertex core is a "yes"; any
+    other core is built as a Complex and handed to query with the ambient id
+    of each of its vertices.  memo, when given, maps a core's facet set to
+    the verdict found for it, so checks that reduce to one core share one
+    class query.
+    """
+    core = _greedy_collapse(facets)[1]
+    if len(core) == 1 and core[0].bit_count() == 1:
+        return Verdict.YES
+    key = frozenset(core)
+    verdict = memo.get(key) if memo is not None else None
+    if verdict is None:
+        union = 0
+        for m in core:
+            union |= m
+        verdict = query(_complex_on(ambient, core), ids_from_mask(union))
+        if memo is not None:
+            memo[key] = verdict
+    return verdict
+
+
+def _projection_restriction(
+    omega: Complex, pairs: Sequence[tuple[int, int]], K: Complex, i: int
+) -> SimplicialMap:
+    """pi_i on omega, a subcomplex of K^2 whose vertex w is the pair pairs[w]."""
+    return SimplicialMap(omega, K, tuple(p[i - 1] for p in pairs))
 
 
 def _diagonal_witness(
-    omega: Complex, P: ProductComplex, proj_witness: ContiguityWitness
+    omega: Complex,
+    P: ProductComplex,
+    pairs: Sequence[tuple[int, int]],
+    proj_witness: ContiguityWitness,
 ) -> AdmissibleSet:
     """Turn a witness pi1|omega ~ pi2|omega into the defining certificate.
 
@@ -136,9 +193,7 @@ def _diagonal_witness(
     composed with the section sigma = pi1|omega and ends at the inclusion.
     """
     n = P.n
-    pairs = _omega_pairs(omega, P)
     first = [p[0] for p in pairs]
-    emb = embedding_ids(omega, P.product)
     steps = []
     for h in proj_witness.steps:
         steps.append(
@@ -148,71 +203,69 @@ def _diagonal_witness(
         )
     witness = ContiguityWitness(tuple(steps))
     section = SimplicialMap(omega, P.base, tuple(first))
-    if witness.last.assignment != emb:
+    if witness.last.assignment != tuple(u * n + v for u, v in pairs):
         raise InvalidInput("derived witness does not end at the inclusion")
     return AdmissibleSet("farber", omega, witness, section=section)
 
 
-def _slice_covers_base(slices: Sequence[int], K: Complex) -> bool:
-    """Does one row or column slice of omega (a K-mask per omega facet) contain all of K?"""
-    return all(any(f & ~s == 0 for s in slices) for f in K.facets)
-
-
 def is_farber(
-    omega: Complex, P: ProductComplex, budget: int = DEFAULT_BUDGET, want_witness: bool = True
+    omega: Complex | int,
+    P: ProductComplex,
+    budget: int = DEFAULT_BUDGET,
+    want_witness: bool = True,
+    *,
+    memo: dict[frozenset[int], Verdict] | None = None,
 ) -> tuple[Verdict, AdmissibleSet | None]:
     """Decide whether omega is a Farber subcomplex of P.product.
 
-    Two sound "no" rules run first: a vertex pair of omega split across
-    components of K, and a full row or column slice when K is not strongly
-    collapsible.  Then the decision is projection contiguity: the two
-    restricted projections lie in one contiguity class (the class query,
-    exact without search when omega strongly collapses to a point).  Its
-    witness becomes the defining certificate, with the first projection as
-    the section.  With want_witness=False only the verdict is computed, on
-    the greedy core of omega (search layers use this and re-certify the sets
-    they keep).
+    omega is a subcomplex of K^2, or a facet mask of K^2 (bit i is facet i
+    of P.product).  Two sound "no" rules run first: a vertex pair of omega
+    split across components of K, and a full row or column slice when K is
+    not strongly collapsible.  Then the decision is projection contiguity:
+    the two restricted projections lie in one contiguity class (the class
+    query, exact without search when omega strongly collapses to a point).
+    Its witness becomes the defining certificate, with the first projection
+    as the section.  With want_witness=False only the verdict is computed,
+    on the greedy core of omega, and memo (see _core_verdict) may carry the
+    class-query verdicts of earlier checks; search layers use this and
+    re-certify the sets they keep.
     """
-    if not is_subcomplex(omega, P.product):
-        raise InvalidInput("omega is not a subcomplex of the product")
-    K = P.base
+    facets, emb = _ambient_facets(omega, P.product, "omega is not a subcomplex of the product")
+    K, n = P.base, P.n
+    union = 0
+    for m in facets:
+        union |= m
 
-    comp = K.vertex_components
-    pairs = _omega_pairs(omega, P)
-    if any(comp[u] != comp[v] for u, v in pairs):
+    if union & P.split_pairs:
         # A Farber witness would unfold to an edge path between the pair.
         return Verdict.NO, None
 
-    if not is_strongly_collapsible(K):
-        # rows[a][j] / cols[a][j]: the K-vertices v with (a, v) / (v, a) in facet j
-        rows = [[0] * len(omega.facets) for _ in range(K.n_vertices)]
-        cols = [[0] * len(omega.facets) for _ in range(K.n_vertices)]
-        for j, ids in enumerate(omega.facet_vertex_ids):
-            for w in ids:
-                u, v = pairs[w]
-                rows[u][j] |= 1 << v
-                cols[v][j] |= 1 << u
-        if any(_slice_covers_base(s, K) for s in rows + cols):
-            # Slices of Farber subcomplexes are categorical; all of K is
-            # categorical in itself only when K is strongly collapsible.
-            return Verdict.NO, None
+    if not is_strongly_collapsible(K) and any(
+        whole & ~union == 0 and all(any(t & ~m == 0 for m in facets) for t in targets)
+        for whole, targets in P.facet_slices
+    ):
+        # Slices of Farber subcomplexes are categorical; all of K is
+        # categorical in itself only when K is strongly collapsible.
+        return Verdict.NO, None
 
     if not want_witness:
-        # The core is a strong deformation retract of omega, so restricting
-        # both projections to it keeps their contiguity class; the class
-        # query reduces omega to this same core, so it walks the same states.
-        c = core_complex(omega)
-        if c.n_vertices == 1:
-            return Verdict.YES, None
-        p1 = _projection_restriction(c, P, 1)
-        p2 = _projection_restriction(c, P, 2)
-        return same_contiguity_class(p1, p2, budget).verdict, None
 
-    p1 = _projection_restriction(omega, P, 1)
-    p2 = _projection_restriction(omega, P, 2)
+        def query(core: Complex, ids: tuple[int, ...]) -> Verdict:
+            pairs = [divmod(q, n) for q in ids]
+            p1 = _projection_restriction(core, pairs, K, 1)
+            p2 = _projection_restriction(core, pairs, K, 2)
+            return same_contiguity_class(p1, p2, budget).verdict
+
+        return _core_verdict(facets, P.product, memo, query), None
+
+    if emb is None:
+        omega, emb = _complex_on(P.product, facets), ids_from_mask(union)
+    pairs = [divmod(q, n) for q in emb]
+    p1 = _projection_restriction(omega, pairs, K, 1)
+    p2 = _projection_restriction(omega, pairs, K, 2)
     result = same_contiguity_class(p1, p2, budget)
     if result.verdict is Verdict.YES:
-        return Verdict.YES, _diagonal_witness(omega, P, result.witness)
+        return Verdict.YES, _diagonal_witness(omega, P, pairs, result.witness)
     return result.verdict, None
 
 
@@ -220,33 +273,42 @@ def is_farber(
 
 
 def is_categorical(
-    sub: Complex, K: Complex, budget: int = DEFAULT_BUDGET, want_witness: bool = True
+    sub: Complex | int,
+    K: Complex,
+    budget: int = DEFAULT_BUDGET,
+    want_witness: bool = True,
+    *,
+    memo: dict[frozenset[int], Verdict] | None = None,
 ) -> tuple[Verdict, AdmissibleSet | None]:
     """Decide whether the inclusion of sub into K is in a constant's class.
 
+    sub is a subcomplex of K, or a facet mask of K (bit i is facet i).
     After the component rule, the class query searches the inclusion's class
     for a constant map; when sub strongly collapses to a point the reduced
     inclusion is already constant, and the witness is the lifted retraction
     chain.  With want_witness=False only the verdict is computed, on the
-    greedy core of sub.
+    greedy core of sub, with memo as in is_farber.
     """
-    if not is_subcomplex(sub, K):
-        raise InvalidInput("not a subcomplex of the ambient complex")
-    emb = embedding_ids(sub, K)
+    facets, emb = _ambient_facets(sub, K, "not a subcomplex of the ambient complex")
+    union = 0
+    for m in facets:
+        union |= m
 
-    comp = K.vertex_components
-    if len({comp[p] for p in emb}) > 1:
+    if union & ~K.component_masks[(union & -union).bit_length() - 1]:
         # The witness would unfold to edge paths joining all of sub's
         # vertices to one constant vertex.
         return Verdict.NO, None
 
     if not want_witness:
-        c = core_complex(sub)
-        if c.n_vertices == 1:
-            return Verdict.YES, None
-        return class_constant_witness(inclusion_map(c, K), budget).verdict, None
 
-    result = class_constant_witness(inclusion_map(sub, K), budget)
+        def query(core: Complex, ids: tuple[int, ...]) -> Verdict:
+            return class_constant_witness(SimplicialMap(core, K, ids), budget).verdict
+
+        return _core_verdict(facets, K, memo, query), None
+
+    if emb is None:
+        sub, emb = _complex_on(K, facets), ids_from_mask(union)
+    result = class_constant_witness(SimplicialMap(sub, K, emb), budget)
     if result.verdict is Verdict.YES:
         return Verdict.YES, AdmissibleSet("categorical", sub, result.witness)
     return result.verdict, None
@@ -506,13 +568,17 @@ class Admissibility:
     square: ProductComplex | None
 
     def decide(
-        self, sub: Complex, budget: int, want_witness: bool = True
+        self,
+        sub: Complex | int,
+        budget: int,
+        want_witness: bool = True,
+        memo: dict[frozenset[int], Verdict] | None = None,
     ) -> tuple[Verdict, AdmissibleSet | None]:
         # The checkers are looked up in this module on every call (not stored
         # as fields), so a wrapper set on is_farber / is_categorical sees each check.
         if self.square is not None:
-            return is_farber(sub, self.square, budget, want_witness=want_witness)
-        return is_categorical(sub, self.ambient, budget, want_witness=want_witness)
+            return is_farber(sub, self.square, budget, want_witness=want_witness, memo=memo)
+        return is_categorical(sub, self.ambient, budget, want_witness=want_witness, memo=memo)
 
 
 def admissibility(kind: str, K: Complex) -> Admissibility:
@@ -526,17 +592,21 @@ def admissibility(kind: str, K: Complex) -> Admissibility:
 
 
 def _admissible_cover(A: Admissibility, budget: int) -> InvariantResult:
-    """The cover search over the facets of A.ambient with A's admissibility check."""
-    facets = A.ambient.facets
+    """The cover search over the facets of A.ambient with A's admissibility check.
 
-    def sub(mask: int) -> Complex:
-        return subcomplex(A.ambient, [f for i, f in enumerate(facets) if mask >> i & 1])
+    Checks hand A their facet mask and share one class-query memo, which
+    lives as long as this call; only the classes of the returned cover are
+    built as complexes and certified.
+    """
+    facets = A.ambient.facets
+    memo: dict[frozenset[int], Verdict] = {}
 
     def check(mask: int) -> Verdict:
-        return A.decide(sub(mask), budget, want_witness=False)[0]
+        return A.decide(mask, budget, want_witness=False, memo=memo)[0]
 
     def certify(mask: int) -> AdmissibleSet:
-        verdict, adm = A.decide(sub(mask), budget)
+        sub = subcomplex(A.ambient, [f for i, f in enumerate(facets) if mask >> i & 1])
+        verdict, adm = A.decide(sub, budget)
         if verdict is not Verdict.YES or adm is None:
             raise InvalidInput("certification pass disagrees with the search verdict")
         return adm

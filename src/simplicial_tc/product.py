@@ -11,6 +11,7 @@ this facet characterization against the projection rule by brute force.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import (
     Complex,
@@ -40,6 +41,35 @@ class ProductComplex:
 
     def unpair(self, q: int) -> tuple[int, int]:
         return divmod(q, self.n)
+
+    @cached_property
+    def split_pairs(self) -> int:
+        """Mask of the vertices (u, v) of the square whose u and v lie in different components."""
+        n, full = self.n, (1 << self.n) - 1
+        out = 0
+        for u, comp in enumerate(self.base.component_masks):
+            out |= (full & ~comp) << (u * n)
+        return out
+
+    @cached_property
+    def facet_slices(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per row {a} x K and column K x {a}: its vertex mask and K's facets placed in it.
+
+        A subcomplex's row (column) slice at a contains all of K exactly when
+        each placed facet lies in one of its facets; that needs every vertex
+        of the row (column) first.
+        """
+        n = self.n
+        column = [sum(1 << (u * n) for u in ids_from_mask(f)) for f in self.base.facets]
+        placed = [tuple(f << (a * n) for f in self.base.facets) for a in range(n)]
+        placed += [tuple(c << a for c in column) for a in range(n)]
+        out = []
+        for targets in placed:
+            whole = 0
+            for t in targets:
+                whole |= t
+            out.append((whole, targets))
+        return tuple(out)
 
 
 def categorical_square(K: Complex) -> ProductComplex:

@@ -14,6 +14,7 @@ ACCEPTANCE_SEED = 20240817
 
 CYCLE3 = [("a", "b"), ("b", "c"), ("a", "c")]
 CYCLE4 = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+CYCLE5 = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")]
 BOUNDARY_TETRAHEDRON = [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d")]
 # The 7-vertex (Moebius) torus.
 TORUS7 = [
@@ -57,16 +58,31 @@ def acceptance_corpus(seed: int) -> list[Complex]:
     return instances
 
 
-def random_facet_subcomplexes(ambient: Complex, count: int, seed: int) -> list[Complex]:
-    """Seeded subcomplexes of ambient, each generated by a random nonempty facet subset."""
+def random_facet_masks(n_facets: int, count: int, seed: int) -> list[int]:
+    """Seeded nonempty facet masks (bit i selects facet i) over n_facets facets."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         density = rng.uniform(0.1, 0.9)
-        chosen = [m for m in ambient.facets if rng.random() < density]
-        if chosen:
-            out.append(subcomplex(ambient, chosen))
+        mask = 0
+        for i in range(n_facets):
+            if rng.random() < density:
+                mask |= 1 << i
+        if mask:
+            out.append(mask)
     return out
+
+
+def facet_subcomplex(ambient: Complex, mask: int) -> Complex:
+    """The subcomplex of ambient generated by the facets that mask selects."""
+    return subcomplex(ambient, [m for i, m in enumerate(ambient.facets) if mask >> i & 1])
+
+
+def random_facet_subcomplexes(ambient: Complex, count: int, seed: int) -> list[Complex]:
+    """Seeded subcomplexes of ambient, each generated by a random nonempty facet subset."""
+    return [
+        facet_subcomplex(ambient, m) for m in random_facet_masks(len(ambient.facets), count, seed)
+    ]
 
 
 def random_connected_complex(rng: random.Random, **kw) -> Complex:

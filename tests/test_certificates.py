@@ -1,5 +1,8 @@
 import copy
+import hashlib
 import json
+
+import pytest
 
 from simplicial_tc import (
     InvariantResult,
@@ -23,6 +26,8 @@ from simplicial_tc import (
     verify_certificate,
 )
 from simplicial_tc.maps import DEFAULT_BUDGET
+
+import corpusgen
 
 
 def tc_cert(K):
@@ -123,6 +128,45 @@ class TestDeterminism:
 
     def test_scat_certificate_bytes_stable(self, boundary_triangle):
         assert dumps(scat_cert(boundary_triangle)) == dumps(scat_cert(boundary_triangle))
+
+    # (tc value, checks, sha256 of the tc certificate, scat value, checks, sha256),
+    # recorded before the search checks moved onto facet masks: the mask path
+    # must take the same search steps and emit the same bytes.
+    PINNED = {
+        "C3": (
+            2, 72, "a21ed3294bd52ef8530001a38fb3ed42390626bb29eaa431d201686372857c6a",
+            1, 5, "5df5b11e1b9dbd93b4df12eec2fde0e25148663a210c5cd66c704fe9882c1ecf",
+        ),
+        "C4": (
+            2, 2432, "ec07f23ff5c98653ea81255affe3544403cf546e7da3798b2926c214ef057e28",
+            1, 7, "0bf9479ad90192b04d17c69cff4762e754a42810ad194eb731abeed46d453700",
+        ),
+        "boundary-tetrahedron": (
+            2, 1792, "62e03aa88cfc8f2b60a364674bf4b02ac6ae20fc9a0992d9dfb0df95b2af0341",
+            1, 7, "5cd6b4e176e8b082c3f1e17f24a091701445ca466e625988976dacd5a3e4a0cd",
+        ),
+        "C5": (
+            1, 1854, "a710f54866c65e01df37ade2b7919bd40661f97e4f5648154e8d08f9518df5b1",
+            1, 9, "a7edaa47230d27540fe67bc839a279992eed5ec72ad3b9f0974423aae65987ad",
+        ),
+    }
+    FACETS = {
+        "C3": corpusgen.CYCLE3,
+        "C4": corpusgen.CYCLE4,
+        "boundary-tetrahedron": corpusgen.BOUNDARY_TETRAHEDRON,
+        "C5": corpusgen.CYCLE5,
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_values_checks_and_bytes_pinned(self, name):
+        K = build_complex(self.FACETS[name])
+        got = []
+        for invariant, emit in ((tc, emit_tc), (scat, emit_scat)):
+            r = invariant(K)
+            assert r.status is Status.EXACT
+            digest = hashlib.sha256(dumps(emit(K, r, DEFAULT_BUDGET)).encode()).hexdigest()
+            got += [r.value, r.checks, digest]
+        assert tuple(got) == self.PINNED[name]
 
 
 class TestMutationsRejected:

@@ -24,8 +24,9 @@ from simplicial_tc import (
     validate_motion_plan,
     compose,
 )
-from simplicial_tc.collapse import core_complex
-from simplicial_tc.invariants import AdmissibleSet, _cover_invariant
+from simplicial_tc import invariants
+from simplicial_tc.collapse import _greedy_collapse, core
+from simplicial_tc.invariants import AdmissibleSet, _cover_invariant, admissibility
 from simplicial_tc.maps import DEFAULT_BUDGET
 
 import corpusgen
@@ -189,10 +190,12 @@ class TestTheoremEquivalence:
         assert (cond2 is Verdict.YES) == found
 
         # condition 3: diagonal after either projection restriction
+        from simplicial_tc.complexes import embedding_ids
         from simplicial_tc.invariants import _projection_restriction
 
+        pairs = [P.unpair(q) for q in embedding_ids(omega, P.product)]
         for i in (1, 2):
-            pi = _projection_restriction(omega, P, i)
+            pi = _projection_restriction(omega, pairs, K, i)
             r = same_contiguity_class(compose(d, pi), incl)
             assert (r.verdict is Verdict.YES) == (cond2 is Verdict.YES)
 
@@ -439,7 +442,7 @@ class TestVerdictOnlyPath:
             assert quick is full
             assert (adm is not None) == (full is Verdict.YES)
             counts[full] += 1
-            yes_on_proper_core += full is Verdict.YES and core_complex(sub).n_vertices > 1
+            yes_on_proper_core += full is Verdict.YES and core(sub)[0].n_vertices > 1
         # both verdicts occur, and some "yes" needed the class query on a
         # core of several vertices, so no branch goes untested
         assert counts[Verdict.YES] and counts[Verdict.NO] and yes_on_proper_core
@@ -469,6 +472,128 @@ class TestVerdictOnlyPath:
         self.tally(
             (sub, is_categorical(sub, T, want_witness=False), is_categorical(sub, T)) for sub in subs
         )
+
+    # -- the facet-mask form, which the cover search hands the checkers ------
+
+    @staticmethod
+    def assert_mask_form_agrees(A, masks):
+        """Mask and Complex forms give one verdict, with or without a shared memo.
+
+        Returns the verdict counts, so callers can require both answers.
+        """
+        counts = {Verdict.YES: 0, Verdict.NO: 0, Verdict.UNKNOWN: 0}
+        memo = {}
+        for mask in masks:
+            sub = corpusgen.facet_subcomplex(A.ambient, mask)
+            quick = A.decide(mask, DEFAULT_BUDGET, want_witness=False)
+            assert A.decide(mask, DEFAULT_BUDGET, want_witness=False, memo=memo) == quick
+            assert A.decide(sub, DEFAULT_BUDGET, want_witness=False) == quick
+            assert A.decide(sub, DEFAULT_BUDGET)[0] is quick[0]
+            counts[quick[0]] += 1
+        return counts
+
+    def test_mask_form_on_all_subsets_of_c3_square(self):
+        A = admissibility("farber", build_complex(corpusgen.CYCLE3))
+        counts = self.assert_mask_form_agrees(A, range(1, 1 << 9))
+        assert counts[Verdict.YES] and counts[Verdict.NO]
+
+    @pytest.mark.parametrize(
+        "facets, seed",
+        [(corpusgen.CYCLE4, 21), (corpusgen.BOUNDARY_TETRAHEDRON, 22), (corpusgen.CYCLE5, 23)],
+        ids=["C4", "boundary-tetrahedron", "C5"],
+    )
+    def test_mask_form_on_seeded_subsets_of_squares(self, facets, seed):
+        A = admissibility("farber", build_complex(facets))
+        masks = corpusgen.random_facet_masks(len(A.ambient.facets), 200, seed)
+        counts = self.assert_mask_form_agrees(A, masks)
+        assert counts[Verdict.YES] and counts[Verdict.NO]
+
+    def test_mask_form_on_seeded_subsets_of_torus(self):
+        A = admissibility("categorical", build_complex(corpusgen.TORUS7))
+        masks = corpusgen.random_facet_masks(len(A.ambient.facets), 200, seed=24)
+        counts = self.assert_mask_form_agrees(A, masks)
+        assert counts[Verdict.YES] and counts[Verdict.NO]
+
+    def test_mask_form_with_a_mask_certifies_like_the_complex(self):
+        for kind, facets in (("farber", corpusgen.CYCLE4), ("categorical", corpusgen.TORUS7)):
+            A = admissibility(kind, build_complex(facets))
+            for mask in corpusgen.random_facet_masks(len(A.ambient.facets), 40, seed=25):
+                sub = corpusgen.facet_subcomplex(A.ambient, mask)
+                assert A.decide(mask, DEFAULT_BUDGET) == A.decide(sub, DEFAULT_BUDGET)
+
+    def test_component_rule_on_a_disconnected_complex(self, monkeypatch):
+        K = build_complex([{"a", "b"}, {"b", "c"}, {"d", "e"}])
+        farber, categorical = admissibility("farber", K), admissibility("categorical", K)
+        counts = self.assert_mask_form_agrees(farber, range(1, 1 << 9))
+        assert counts[Verdict.YES] and counts[Verdict.NO]
+        counts = self.assert_mask_form_agrees(categorical, range(1, 1 << 3))
+        assert counts == {Verdict.YES: 4, Verdict.NO: 3, Verdict.UNKNOWN: 0}
+        # the split classes are refused before any class query
+        monkeypatch.setattr(invariants, "same_contiguity_class", None)
+        monkeypatch.setattr(invariants, "class_constant_witness", None)
+        de_x_ab = farber.ambient.simplex_mask(["d|a", "d|b", "e|a", "e|b"])
+        single = 1 << farber.ambient.facets.index(de_x_ab)
+        assert farber.decide(single, DEFAULT_BUDGET, want_witness=False)[0] is Verdict.NO
+        assert categorical.decide(0b101, DEFAULT_BUDGET, want_witness=False)[0] is Verdict.NO
+
+    def test_slice_rule_fires_only_when_k_is_not_strongly_collapsible(self, monkeypatch):
+        def row_of_a(A):
+            # the facets F1 x F2 of K^2 with a (vertex 0) in F1 hold the whole row {a} x K
+            row = (1 << A.square.n) - 1
+            return sum(1 << i for i, f in enumerate(A.ambient.facets) if f & row)
+
+        cycle = admissibility("farber", build_complex(corpusgen.CYCLE3))
+        path = admissibility("farber", build_complex([{"a", "b"}, {"b", "c"}]))
+        for A in (cycle, path):
+            self.assert_mask_form_agrees(A, [row_of_a(A)])
+        # C3 is not strongly collapsible: the full row is refused with no class query
+        monkeypatch.setattr(invariants, "same_contiguity_class", None)
+        assert cycle.decide(row_of_a(cycle), DEFAULT_BUDGET, want_witness=False)[0] is Verdict.NO
+        # a path is: the rule is skipped, and the row (a cone) is Farber
+        assert path.decide(row_of_a(path), DEFAULT_BUDGET, want_witness=False)[0] is Verdict.YES
+
+    def test_class_queries_are_memoised_by_core_within_one_call(self, monkeypatch):
+        calls = []
+        real = invariants.same_contiguity_class
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(invariants, "same_contiguity_class", counted)
+        K = build_complex(corpusgen.CYCLE4)
+        P = categorical_square(K)
+        # facets 3, 4 and facets 0, 3, 4 of C4^2 collapse to one two-facet core
+        first, second = 0b11000, 0b11001
+        cores = [
+            _greedy_collapse([f for i, f in enumerate(P.product.facets) if m >> i & 1])[1]
+            for m in (first, second)
+        ]
+        assert set(cores[0]) == set(cores[1]) and len(cores[0]) == 2
+
+        memo = {}
+        assert is_farber(first, P, want_witness=False, memo=memo)[0] is Verdict.YES
+        assert is_farber(second, P, want_witness=False, memo=memo)[0] is Verdict.YES
+        assert len(calls) == 1
+        assert is_farber(second, P, want_witness=False, memo={})[0] is Verdict.YES
+        assert len(calls) == 2
+
+        # each tc call starts from an empty memo and asks its own queries
+        calls.clear()
+        r = tc(K)
+        per_call = len(calls)
+        calls.clear()
+        assert tc(K) == r
+        assert len(calls) == per_call
+        assert 0 < per_call < r.checks
+
+    @pytest.mark.parametrize("bad", [0, -3, True, False, 1 << 9, (1 << 9) | 1, 1.0, frozenset({0})])
+    def test_bad_facet_masks_rejected(self, bad):
+        K = build_complex(corpusgen.CYCLE3)
+        with pytest.raises(InvalidInput):
+            is_farber(bad, categorical_square(K), want_witness=False)
+        with pytest.raises(InvalidInput):
+            is_categorical(bad, K)
 
 
 class TestSandwichOnRandoms:
