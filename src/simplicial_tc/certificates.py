@@ -247,6 +247,8 @@ def verify_certificate(cert: dict[str, Any], recompute: bool = False) -> tuple[b
                 res = invariant(K, budget)
                 _need(res.status.value == cert["status"], "recompute: status changed")
                 _need(res.value == cert["value"], "recompute: value changed")
+                _need(res.lower_bound == cert["lower"], "recompute: lower bound changed")
+                _need(res.upper_bound == cert["upper"], "recompute: upper bound changed")
         elif kind == "core":
             end = _assemble_complex(cert["core"]["facets"], check_labels=False)
             steps = tuple(

@@ -40,10 +40,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SimplicialTCError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (SimplicialTCError, OSError, UnicodeDecodeError) as exc:
+        # unreadable input (a directory, a missing or non-UTF-8 file) is an input error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,9 +9,13 @@ collapsing to it preserves contiguity classes.
 
 One greedy loop (_greedy_collapse) runs on facet bitmasks: delete the
 lowest dominated vertex in favour of its lowest dominator and truncate the
-facets that held it.  It takes bare masks, so the verdict-only checks of the
+facets that held it.  Dominators come from one pass over the facets that
+ANDs each facet into the star intersection of every vertex it holds: for
+all vertices at the start, and after a deletion for the link of the deleted
+vertex only.  It takes bare masks, so the verdict-only checks of the
 cover search collapse a class in the ambient complex's vertex ids and build
-no `Complex` unless the core keeps several vertices.  `core` runs the same
+no `Complex` unless the core keeps several vertices (a class whose facets
+share a vertex is a cone and never reaches the loop).  `core` runs the same
 loop on a complex, builds the core `Complex` and adds the replayable
 `CollapseSequence`, which class queries and certificates use;
 `contraction_witness` validates the retraction chain that the class queries
@@ -47,21 +51,44 @@ def _dominators(facets: Sequence[int], v: int) -> int:
     return inter & ~vbit
 
 
-def _drop_vertex(facets: list[int], v: int) -> list[int]:
-    """Facet antichain after deleting v.
+def _drop_vertex(facets: list[int], v: int) -> tuple[list[int], int]:
+    """Facet antichain after deleting v, and the mask of v's link vertices.
 
-    Facets that held v lose it and survive unless they now lie inside a
-    facet that did not hold v; two of them cannot nest, as the facets that
-    held v were an antichain.
+    The link vertices are all that shared a facet with v.  Facets that held
+    v lose it and survive unless they now lie inside a facet that did not
+    hold v; two of them cannot nest, as the facets that held v were an
+    antichain.
     """
     vbit = 1 << v
     untouched = [m for m in facets if not m & vbit]
     out = list(untouched)
+    link = 0
     for m in facets:
         if m & vbit:
             t = m ^ vbit
-            if t and not any(t & ~k == 0 for k in untouched):
-                out.append(t)
+            link |= t
+            if t:
+                for k in untouched:
+                    if t & ~k == 0:
+                        break
+                else:
+                    out.append(t)
+    return out, link
+
+
+def _star_intersections(facets: Sequence[int], verts: int) -> dict[int, int]:
+    """For each vertex w in verts that some facet holds: the AND of the facets holding w.
+
+    One pass over the facets, walking the bits each shares with verts.
+    """
+    out: dict[int, int] = {}
+    for m in facets:
+        x = m & verts
+        while x:
+            low = x & -x
+            w = low.bit_length() - 1
+            out[w] = out.get(w, m) & m
+            x ^= low
     return out
 
 
@@ -72,34 +99,29 @@ def _greedy_collapse(facets: Sequence[int]) -> tuple[tuple[tuple[int, int], ...]
     so it may live in any ambient numbering; deletions follow the relative
     order of the ids, so a complex and its image under an order-preserving
     renumbering collapse step for step.  Returns the steps and the core's
-    facets.  Only the stars of the deleted vertex's neighbours change, so
-    only their dominator masks are recomputed.
+    facets.  doms[v] is the AND of the facets holding v, v itself included,
+    so v is dominated when it has a second bit.  One pass over the facets
+    fills it at the start; a deletion changes only the stars of the deleted
+    vertex's link, and one more pass refills just theirs.
     """
     facets = list(facets)
-    verts = 0
-    for m in facets:
-        verts |= m
-    doms: dict[int, int] = {}
-    dominated = 0  # the vertices whose dominator mask is nonzero
-    for v in ids_from_mask(verts):
-        doms[v] = d = _dominators(facets, v)
-        if d:
+    doms = _star_intersections(facets, -1)
+    dominated = 0  # the vertices whose doms entry has a bit besides their own
+    for v, d in doms.items():
+        if d & (d - 1):
             dominated |= 1 << v
     steps: list[tuple[int, int]] = []
     while dominated:
         vbit = dominated & -dominated
         v = vbit.bit_length() - 1
-        d = doms[v]
+        d = doms.pop(v) ^ vbit
         steps.append((v, (d & -d).bit_length() - 1))
-        star = 0
-        for m in facets:
-            if m & vbit:
-                star |= m
-        facets = _drop_vertex(facets, v)
+        facets, link = _drop_vertex(facets, v)
         dominated ^= vbit
-        for w in ids_from_mask(star ^ vbit):
-            doms[w] = d = _dominators(facets, w)
-            dominated = dominated | 1 << w if d else dominated & ~(1 << w)
+        fresh = _star_intersections(facets, link)
+        doms.update(fresh)
+        for w, d in fresh.items():
+            dominated = dominated | 1 << w if d & (d - 1) else dominated & ~(1 << w)
     return tuple(steps), facets
 
 
@@ -135,7 +157,7 @@ def replay(seq: CollapseSequence) -> Complex:
             raise InvalidInput(
                 f"step deletes {K.labels[v]!r} but it is not dominated by {K.labels[u]!r}"
             )
-        facets = _drop_vertex(facets, v)
+        facets = _drop_vertex(facets, v)[0]
         alive &= ~(1 << v)
     return _complex_on(K, facets) if seq.steps else K
 

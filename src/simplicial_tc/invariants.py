@@ -31,10 +31,13 @@ space.
 The checkers take a subcomplex or a facet mask and turn either into facet
 bitmasks in the ambient complex's vertex ids (for K^2, q = u*n + v), so one
 code path decides both.  The component rule is one AND of the facets'
-union with a mask of the pairs that split components; the slice rule reads
-rows and columns off the K^2 bits.  For a verdict only, a greedy strong
-collapse of those masks answers "yes" when one vertex survives; otherwise
-the class query runs on the core it leaves (collapses preserve contiguity
+union with a mask of the pairs that split components; the slice rule is one
+OR of the facets' coverage words (ProductComplex.coverage_word: which
+placed copies {a} x F and F x {b} of K's facets each simplex holds) and one
+test for an all-ones block.  For a verdict only, a class whose facets share
+a vertex is a cone and so a "yes" at once; otherwise a greedy strong
+collapse of the masks answers "yes" when one vertex survives, and else the
+class query runs on the core it leaves (collapses preserve contiguity
 classes; Barmak & Minian 2012), the only place a Complex is built.  The
 search passes a memo that lives for one tc/scat call and maps each core's
 facet set to its class-query verdict, so checks with one core share one
@@ -139,7 +142,13 @@ def _ambient_facets(
         return [mask_from_ids(emb[v] for v in ids) for ids in sub.facet_vertex_ids], emb
     if isinstance(sub, bool) or not isinstance(sub, int) or sub <= 0 or sub >> len(ambient.facets):
         raise InvalidInput("a facet mask must be a positive int over the ambient complex's facets")
-    return [f for i, f in enumerate(ambient.facets) if sub >> i & 1], None
+    facets = ambient.facets
+    out = []
+    while sub:
+        low = sub & -sub
+        out.append(facets[low.bit_length() - 1])
+        sub ^= low
+    return out, None
 
 
 def _core_verdict(
@@ -150,14 +159,21 @@ def _core_verdict(
 ) -> Verdict:
     """The class query's verdict, asked on the greedy core of facets (ambient ids).
 
-    The core is a strong deformation retract, so restricting the maps to it
-    keeps their contiguity class, and the class query would reduce the
-    subcomplex to this same core anyway.  A one-vertex core is a "yes"; any
+    Facets with a common vertex span a cone, which strongly collapses to its
+    apex, so that is a "yes" before any collapse runs.  Otherwise the core is
+    a strong deformation retract, so restricting the maps to it keeps their
+    contiguity class, and the class query would reduce the subcomplex to
+    this same core anyway.  A one-vertex core is a "yes"; any
     other core is built as a Complex and handed to query with the ambient id
     of each of its vertices.  memo, when given, maps a core's facet set to
     the verdict found for it, so checks that reduce to one core share one
     class query.
     """
+    common = -1
+    for m in facets:
+        common &= m
+    if common:
+        return Verdict.YES
     core = _greedy_collapse(facets)[1]
     if len(core) == 1 and core[0].bit_count() == 1:
         return Verdict.YES
@@ -220,8 +236,9 @@ def is_farber(
 
     omega is a subcomplex of K^2, or a facet mask of K^2 (bit i is facet i
     of P.product).  Two sound "no" rules run first: a vertex pair of omega
-    split across components of K, and a full row or column slice when K is
-    not strongly collapsible.  Then the decision is projection contiguity:
+    split across components of K, and a full row or column slice (read off
+    the coverage words of omega's facets) when K is not strongly
+    collapsible.  Then the decision is projection contiguity:
     the two restricted projections lie in one contiguity class (the class
     query, exact without search when omega strongly collapses to a point).
     Its witness becomes the defining certificate, with the first projection
@@ -240,10 +257,7 @@ def is_farber(
         # A Farber witness would unfold to an edge path between the pair.
         return Verdict.NO, None
 
-    if not is_strongly_collapsible(K) and any(
-        whole & ~union == 0 and all(any(t & ~m == 0 for m in facets) for t in targets)
-        for whole, targets in P.facet_slices
-    ):
+    if not is_strongly_collapsible(K) and P.has_full_slice(facets):
         # Slices of Farber subcomplexes are categorical; all of K is
         # categorical in itself only when K is strongly collapsible.
         return Verdict.NO, None

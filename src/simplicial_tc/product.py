@@ -6,12 +6,22 @@ projections are simplices of K; it follows that the facets of K^2 are exactly
 the products F1 x F2 of facets of K (every simplex lies in pi1(s) x pi2(s),
 and a product of facets satisfies the rule and is maximal).  Tests validate
 this facet characterization against the projection rule by brute force.
+
+The slice rule of the Farber check asks whether a subcomplex of K^2 holds a
+whole row {a} x K or column K x {b}.  Each simplex of K^2 gets a coverage
+word, one block of bits per row and per column and one bit per facet of K
+in each block, saying which placed copies of K's facets it contains; a
+subcomplex holds a slice exactly when some block of the OR of its facets'
+words is all ones.  Words are memoised per simplex mask on the square, so
+the facet masks of the cover search and the facets of a `Complex`
+subcomplex go through the same function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .complexes import (
     Complex,
@@ -52,24 +62,55 @@ class ProductComplex:
         return out
 
     @cached_property
-    def facet_slices(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per row {a} x K and column K x {a}: its vertex mask and K's facets placed in it.
+    def _coverage_words(self) -> dict[int, int]:
+        """coverage_word's memo, keyed by simplex mask; lives as long as this square."""
+        return {}
 
-        A subcomplex's row (column) slice at a contains all of K exactly when
-        each placed facet lies in one of its facets; that needs every vertex
-        of the row (column) first.
+    @cached_property
+    def _block_bits(self) -> tuple[int, int]:
+        """(lowest bit, guard bit) of every block of a coverage word, OR-ed together."""
+        stride = len(self.base.facets) + 1
+        low = sum(1 << (a * stride) for a in range(2 * self.n))
+        return low, low << (stride - 1)
+
+    def coverage_word(self, m: int) -> int:
+        """Which placed copies of K's facets the simplex m of K^2 contains.
+
+        With F_0 .. F_{r-1} the facets of K, bit k of block a (a < n) says
+        {a} x F_k lies in m, and bit k of block n + b says F_k x {b} does.
+        Block j takes bits j*(r+1) .. j*(r+1) + r - 1; bit j*(r+1) + r is a
+        zero guard.  For a product facet F_i x F_j this is bit j of block a
+        for a in F_i and bit i of block n + b for b in F_j.
         """
-        n = self.n
-        column = [sum(1 << (u * n) for u in ids_from_mask(f)) for f in self.base.facets]
-        placed = [tuple(f << (a * n) for f in self.base.facets) for a in range(n)]
-        placed += [tuple(c << a for c in column) for a in range(n)]
-        out = []
-        for targets in placed:
-            whole = 0
-            for t in targets:
-                whole |= t
-            out.append((whole, targets))
-        return tuple(out)
+        word = self._coverage_words.get(m)
+        if word is None:
+            n, facets = self.n, self.base.facets
+            stride = len(facets) + 1
+            columns = [sum(1 << (u * n) for u in ids_from_mask(f)) for f in facets]
+            word = 0
+            for a in range(n):
+                for k, f in enumerate(facets):
+                    if (f << (a * n)) & ~m == 0:
+                        word |= 1 << (a * stride + k)
+                    if (columns[k] << a) & ~m == 0:
+                        word |= 1 << ((n + a) * stride + k)
+            self._coverage_words[m] = word
+        return word
+
+    def has_full_slice(self, facets: Iterable[int]) -> bool:
+        """Whether the subcomplex the simplices facets generate contains a whole slice.
+
+        A row {a} x K (column K x {b}) lies in the subcomplex exactly when
+        each of its facets {a} x F_k (F_k x {b}) lies in one of facets, that
+        is when its block of the OR of the coverage words is all ones.
+        Adding the blocks' lowest bits carries into a block's guard bit
+        exactly then.
+        """
+        word = 0
+        for m in facets:
+            word |= self.coverage_word(m)
+        low, guard = self._block_bits
+        return (word + low) & guard != 0
 
 
 def categorical_square(K: Complex) -> ProductComplex:

@@ -127,3 +127,34 @@ def oracle_core(K: Complex) -> tuple[tuple[tuple[int, int], ...], Complex]:
         v, u = min(doms)
         steps.append((K.id(current.labels[v]), K.id(current.labels[u])))
         current = delete_vertex(current, v)
+
+
+# -- the slice rule as a scan over placed facets -----------------------------------
+#
+# The reference for ProductComplex.has_full_slice: the rule as the library
+# first stated it, one subset test per placed facet of K and facet of the
+# subcomplex.
+
+
+def oracle_full_slice(K: Complex, facets) -> bool:
+    """Some row {a} x K or column K x {a} of K^2 lies in the subcomplex facets generate.
+
+    facets are simplices of K^2 as masks over its pair ids q = u*n + v.  A
+    slice lies in the subcomplex when every copy of a facet of K placed in
+    it ({a} x F or F x {a}) lies in one of facets; that needs every vertex of
+    the slice first.
+    """
+    n = K.n_vertices
+    column = [sum(1 << (u * n) for u in ids) for ids in K.facet_vertex_ids]
+    placed = [tuple(f << (a * n) for f in K.facets) for a in range(n)]
+    placed += [tuple(c << a for c in column) for a in range(n)]
+    union = 0
+    for m in facets:
+        union |= m
+    for targets in placed:
+        whole = 0
+        for t in targets:
+            whole |= t
+        if whole & ~union == 0 and all(any(t & ~m == 0 for m in facets) for t in targets):
+            return True
+    return False

@@ -104,6 +104,34 @@ class TestRoundTrip:
         ok, msgs = verify_certificate(cert)
         assert ok, msgs
 
+    @pytest.mark.parametrize(
+        "kind, facets, lower",
+        [
+            # tc(C4, budget=1) is budget-exhausted in [2, 2]; a lower bound of 1
+            # still reads consistent with the cover
+            ("tc", corpusgen.CYCLE4, 1),
+            # scat of the 7-vertex torus at budget 1 is budget-exhausted in [1, 2]
+            ("scat", corpusgen.TORUS7, 2),
+        ],
+    )
+    def test_recompute_checks_both_bounds(self, kind, facets, lower):
+        K = build_complex(facets)
+        invariant, emit = (tc, emit_tc) if kind == "tc" else (scat, emit_scat)
+        cert = emit(K, invariant(K, budget=1), 1)
+        assert cert["status"] == "budget-exhausted"
+        assert verify_certificate(cert, recompute=True)[0]
+        assert cert["lower"] != lower
+        forged = {**cert, "lower": lower}
+        assert verify_certificate(forged)[0]  # consistent on its face
+        ok, msgs = verify_certificate(forged, recompute=True)
+        assert not ok
+        assert "lower bound changed" in msgs[0]
+        dropped = {**cert, "upper": None, "cover": None}  # no cover found, no upper bound
+        assert verify_certificate(dropped)[0]
+        ok, msgs = verify_certificate(dropped, recompute=True)
+        assert not ok
+        assert "upper bound changed" in msgs[0]
+
     def test_recompute_checks_membership_verdicts(self, boundary_triangle):
         from simplicial_tc import Verdict
 

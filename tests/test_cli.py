@@ -211,6 +211,22 @@ class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["tc", "/nonexistent/thing.txt"]) == 1
 
+    @pytest.mark.parametrize("verb", ["tc", "verify"])
+    def test_directory_is_a_clean_error(self, verb, tmp_path, capsys):
+        assert main([verb, str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["tc", "verify"])
+    def test_non_utf8_file_is_a_clean_error(self, verb, tmp_path, capsys):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes("a b\nb c\n\xe9 a\n".encode("latin-1"))
+        assert main([verb, str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "codec can't decode" in err
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         p.write_text("a b\nc d|e\n")

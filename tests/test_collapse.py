@@ -16,7 +16,7 @@ from simplicial_tc import (
     replay,
 )
 from simplicial_tc.collapse import _greedy_collapse
-from simplicial_tc.complexes import ids_from_mask
+from simplicial_tc.complexes import embedding_ids, ids_from_mask
 
 import corpusgen
 import oracles
@@ -147,6 +147,28 @@ class TestBitmaskCoreMatchesReference:
             collapsed += core(omega)[0].n_vertices == 1
         # both outcomes occur, so neither branch of the loop goes untested
         assert 0 < collapsed < len(subs)
+
+    @pytest.mark.parametrize(
+        "facets",
+        [corpusgen.CYCLE4, corpusgen.BOUNDARY_TETRAHEDRON, corpusgen.CYCLE5],
+        ids=["C4", "boundary-tetrahedron", "C5"],
+    )
+    def test_seeded_masks_in_ambient_ids(self, facets):
+        """The loop on facet masks of the square, in the square's own vertex
+        ids as the cover search runs it, against the oracle on the subcomplex."""
+        square = categorical_square(build_complex(facets)).product
+        masks = corpusgen.random_facet_masks(len(square.facets), 300, seed=13)
+        for mask in masks:
+            chosen = [f for i, f in enumerate(square.facets) if mask >> i & 1]
+            steps, core_facets = _greedy_collapse(chosen)
+            omega = corpusgen.facet_subcomplex(square, mask)
+            emb = embedding_ids(omega, square)
+            expected_steps, expected = oracles.oracle_core(omega)
+            assert list(steps) == [(emb[v], emb[u]) for v, u in expected_steps]
+            expected_emb = embedding_ids(expected, square)
+            assert sorted(core_facets) == sorted(
+                sum(1 << expected_emb[v] for v in ids) for ids in expected.facet_vertex_ids
+            )
 
 
 class TestReplayChecks:

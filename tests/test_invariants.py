@@ -587,6 +587,42 @@ class TestVerdictOnlyPath:
         assert len(calls) == per_call
         assert 0 < per_call < r.checks
 
+    def test_classes_with_a_common_vertex_skip_the_collapse(self, monkeypatch):
+        seen = []
+        real = invariants._greedy_collapse
+
+        def counted(facets):
+            seen.append(list(facets))
+            return real(facets)
+
+        monkeypatch.setattr(invariants, "_greedy_collapse", counted)
+        K = build_complex(corpusgen.CYCLE4)
+        P = categorical_square(K)
+        # the facets F_i x F_j of C4^2 holding the pair (0, 0): a cone on it
+        cone = sum(1 << i for i, f in enumerate(P.product.facets) if f & 1)
+        assert cone.bit_count() == 4
+        assert is_farber(cone, P, want_witness=False)[0] is Verdict.YES
+        star = sum(1 << i for i, f in enumerate(K.facets) if f & 1)
+        assert is_categorical(star, K, want_witness=False)[0] is Verdict.YES
+        assert seen == []
+        # facets 3, 4 of C4^2 share no vertex and do reach the collapse
+        assert is_farber(0b11000, P, want_witness=False)[0] is Verdict.YES
+        assert len(seen) == 1
+        # over whole searches, every class that reaches it has no common vertex
+        seen.clear()
+        for invariant, facets in (
+            (tc, corpusgen.CYCLE4),
+            (tc, corpusgen.BOUNDARY_TETRAHEDRON),
+            (scat, corpusgen.TORUS7),
+        ):
+            invariant(build_complex(facets))
+        assert len(seen) > 100
+        for class_facets in seen:
+            common = -1
+            for m in class_facets:
+                common &= m
+            assert common == 0
+
     @pytest.mark.parametrize("bad", [0, -3, True, False, 1 << 9, (1 << 9) | 1, 1.0, frozenset({0})])
     def test_bad_facet_masks_rejected(self, bad):
         K = build_complex(corpusgen.CYCLE3)

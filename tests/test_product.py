@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from simplicial_tc import (
     constant_map,
     diagonal,
     identity_map,
+    is_farber,
     preimage_subcomplex,
     projection,
     same_contiguity_class,
@@ -21,6 +23,7 @@ from simplicial_tc import (
     validate_map,
     Verdict,
 )
+from simplicial_tc import invariants
 
 import corpusgen
 import oracles
@@ -219,3 +222,82 @@ class TestPreimage:
                 for s in oracles.downward_closure(pre)
             }
             assert got == expected
+
+
+SQUARED = {
+    "C4": corpusgen.CYCLE4,
+    "boundary-tetrahedron": corpusgen.BOUNDARY_TETRAHEDRON,
+    "C5": corpusgen.CYCLE5,
+}
+
+
+class TestCoverageWords:
+    """ProductComplex.has_full_slice against the placed-facet scan in oracles."""
+
+    @staticmethod
+    def agree(P, facets) -> bool:
+        got = P.has_full_slice(facets)
+        assert got == oracles.oracle_full_slice(P.base, facets), facets
+        return got
+
+    def test_product_facet_words(self):
+        # F_i x F_j: bit j of block a for a in F_i, bit i of block n + b for b in F_j
+        for facets in SQUARED.values():
+            K = build_complex(facets)
+            P = categorical_square(K)
+            n, r = P.n, len(K.facets)
+            for q, m in enumerate(P.product.facets):
+                i, j = divmod(q, r)
+                expected = sum(1 << (a * (r + 1) + j) for a in K.facet_vertex_ids[i])
+                expected += sum(1 << ((n + b) * (r + 1) + i) for b in K.facet_vertex_ids[j])
+                assert P.coverage_word(m) == expected
+
+    def test_every_facet_subset_of_the_C3_square(self):
+        P = categorical_square(build_complex(corpusgen.CYCLE3))
+        facets = P.product.facets
+        full = [
+            self.agree(P, [f for i, f in enumerate(facets) if mask >> i & 1])
+            for mask in range(1, 1 << len(facets))
+        ]
+        assert len(full) == 511
+        assert 0 < sum(full) < len(full)
+
+    @pytest.mark.parametrize("name", list(SQUARED))
+    def test_seeded_facet_subsets(self, name):
+        P = categorical_square(build_complex(SQUARED[name]))
+        facets = P.product.facets
+        masks = corpusgen.random_facet_masks(len(facets), 300, seed=8)
+        full = [self.agree(P, [f for i, f in enumerate(facets) if m >> i & 1]) for m in masks]
+        assert 0 < sum(full) < len(full)
+
+    @pytest.mark.parametrize("name", list(SQUARED))
+    def test_subcomplexes_with_faces_for_facets(self, name):
+        """Complex-form subcomplexes, generated by faces of product facets and
+        by the placed facets of a slice, some with one placed facet left out."""
+        K = build_complex(SQUARED[name])
+        P = categorical_square(K)
+        n = P.n
+        column = [sum(1 << (u * n) for u in ids) for ids in K.facet_vertex_ids]
+        slices = [[f << (a * n) for f in K.facets] for a in range(n)]
+        slices += [[c << a for c in column] for a in range(n)]
+        rng = random.Random(5)
+        full = non_product = 0
+        for _ in range(200):
+            gens = []
+            for f in rng.sample(P.product.facets, rng.randint(1, 4)):
+                ids = [q for q in range(n * n) if f >> q & 1]
+                gens.append(sum(1 << q for q in rng.sample(ids, rng.randint(1, len(ids)))))
+            if rng.random() < 0.6:
+                placed = list(rng.choice(slices))
+                if rng.random() < 0.5:
+                    placed.pop(rng.randrange(len(placed)))
+                gens += placed
+            omega = subcomplex(P.product, gens)
+            ambient, _ = invariants._ambient_facets(omega, P.product, "not a subcomplex")
+            non_product += any(m not in P.product.facets for m in ambient)
+            has = self.agree(P, ambient)
+            full += has
+            if has:  # none of these K is strongly collapsible: the rule refuses omega
+                assert is_farber(omega, P, want_witness=False)[0] is Verdict.NO
+        assert 0 < full < 200
+        assert non_product > 100
