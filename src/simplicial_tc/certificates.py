@@ -16,7 +16,7 @@ import json
 from typing import Any
 
 from .collapse import CollapseSequence, core
-from .complexes import Complex, _assemble_complex, embedding_ids, subcomplex
+from .complexes import Complex, _assemble_complex, _label_lists, _labels, embedding_ids, subcomplex
 from .errors import SimplicialTCError
 from .invariants import (
     Admissibility,
@@ -152,7 +152,7 @@ def _need(cond: bool, message: str) -> None:
 def _rebuild_complex(payload: Any) -> Complex:
     _need(isinstance(payload, dict) and "facets" in payload, "missing complex facets")
     # products carry pair labels with '|', so skip the input-label reservations
-    return _assemble_complex(payload["facets"], check_labels=False)
+    return _assemble_complex(_label_lists(payload["facets"], "facets"), check_labels=False)
 
 
 def _rebuild_admissible(entry: Any, A: Admissibility) -> AdmissibleSet:
@@ -164,19 +164,19 @@ def _rebuild_admissible(entry: Any, A: Admissibility) -> AdmissibleSet:
     _need(isinstance(entry, dict), "admissible set must be a JSON object")
     _need(entry["kind"] == A.kind, f"expected a {A.kind} admissible set, got {entry['kind']!r}")
     ambient, base = A.ambient, A.base
-    omega = subcomplex(ambient, [ambient.simplex_mask(f) for f in entry["facets"]])
-    _need(list(omega.labels) == list(entry["vertices"]), "vertex table mismatch in admissible set")
+    facets = _label_lists(entry["facets"], "admissible set facets")
+    omega = subcomplex(ambient, [ambient.simplex_mask(f) for f in facets])
+    vertices = _labels(entry["vertices"], "vertices")
+    _need(list(omega.labels) == vertices, "vertex table mismatch in admissible set")
     steps = []
-    for row in entry["witness"]:
+    for row in _label_lists(entry["witness"], "witness"):
         _need(len(row) == omega.n_vertices, "witness step has wrong length")
         steps.append(SimplicialMap(omega, ambient, tuple(ambient.id(lab) for lab in row)))
     witness = ContiguityWitness(tuple(steps))
     emb = embedding_ids(omega, ambient)
     if base is not None:
-        _need(entry["section"] is not None, "farber entry needs a section")
-        section = SimplicialMap(
-            omega, base, tuple(base.id(lab) for lab in entry["section"])
-        )
+        section_labels = _labels(entry["section"], "a farber entry's section")
+        section = SimplicialMap(omega, base, tuple(base.id(lab) for lab in section_labels))
         n = base.n_vertices
         diag = tuple(c * n + c for c in section.assignment)
         _need(witness.first.assignment == diag, "witness does not start at diagonal∘section")
@@ -192,15 +192,23 @@ def _is_count(x: Any) -> bool:
 
 
 def _check_cover(cert: dict[str, Any], A: Admissibility) -> None:
-    """Status, value, bounds and cover size must agree, and the cover must cover."""
+    """Status, value, bounds, counts and cover size must agree, and the cover must cover.
+
+    A not-coverable result may count undecided subsets: a full set can be
+    undecided before a singleton is a "no".
+    """
     status = cert["status"]
     cover = cert["cover"]
     value, lower, upper = cert["value"], cert["lower"], cert["upper"]
+    unknown = cert["unknown_subsets"]
     _need(status in {s.value for s in Status}, f"unknown status {status!r}")
     _need(cover is None or isinstance(cover, list), "cover must be a list or null")
     for x in (value, lower, upper):
         _need(x is None or _is_count(x), "value and bounds must be integers or null")
+    for x in (cert["checks"], unknown):
+        _need(_is_count(x) and x >= 0, "checks and unknown_subsets must be non-negative integers")
     if status == Status.EXACT.value:
+        _need(unknown == 0, "exact result has undecided subsets")
         _need(cover is not None, "exact result must carry a cover")
         _need(
             value == lower == upper == len(cover) - 1,
@@ -214,6 +222,7 @@ def _check_cover(cert: dict[str, Any], A: Admissibility) -> None:
         )
     else:
         _need(value is None, "budget-exhausted result carries a value")
+        _need(unknown >= 1, "budget-exhausted result has no undecided subsets")
         _need(lower is not None, "budget-exhausted result needs a lower bound")
         if cover is None:
             _need(upper is None, "upper bound without a cover")
@@ -250,9 +259,9 @@ def verify_certificate(cert: dict[str, Any], recompute: bool = False) -> tuple[b
                 _need(res.lower_bound == cert["lower"], "recompute: lower bound changed")
                 _need(res.upper_bound == cert["upper"], "recompute: upper bound changed")
         elif kind == "core":
-            end = _assemble_complex(cert["core"]["facets"], check_labels=False)
+            end = _rebuild_complex(cert["core"])
             steps = tuple(
-                (K.id(v_lab), K.id(u_lab)) for v_lab, u_lab in cert["steps"]
+                (K.id(v_lab), K.id(u_lab)) for v_lab, u_lab in _label_lists(cert["steps"], "steps")
             )
             seq = CollapseSequence(K, end, steps)  # replays and checks domination
             from .collapse import dominated_vertices
@@ -263,7 +272,8 @@ def verify_certificate(cert: dict[str, Any], recompute: bool = False) -> tuple[b
                 _need(fresh == seq.end, "recompute: core changed")
         elif kind in ("farber", "categorical"):
             A = admissibility(kind, K)
-            omega = subcomplex(A.ambient, [A.ambient.simplex_mask(f) for f in cert["omega"]])
+            facets = _label_lists(cert["omega"], "omega")
+            omega = subcomplex(A.ambient, [A.ambient.simplex_mask(f) for f in facets])
             verdict, entry = cert["verdict"], cert["admissible"]
             _need(verdict in [v.value for v in Verdict], f"unknown verdict {verdict!r}")
             if verdict == Verdict.YES.value:

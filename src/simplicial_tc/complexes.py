@@ -13,7 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import InvalidInput, ParseError
 
@@ -325,14 +325,24 @@ def _parse_json(text: str) -> Complex:
         raise ParseError(exc.msg, line=exc.lineno) from None
     if not isinstance(data, dict) or "facets" not in data:
         raise ParseError('JSON complex must be an object with a "facets" key')
-    facets = data["facets"]
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
-        raise ParseError('"facets" must be a list of label lists')
-    for f in facets:
-        for lab in f:
-            if not isinstance(lab, str):
-                raise ParseError(f"vertex label {lab!r} is not a string")
-    return build_complex(facets)
+    return build_complex(_label_lists(data["facets"], '"facets"'))
+
+
+def _labels(row: Any, what: str) -> list[str]:
+    """row, checked to be a JSON array of label strings."""
+    if not isinstance(row, list):
+        raise ParseError(f"{what} must be a list of labels")
+    for lab in row:
+        if not isinstance(lab, str):
+            raise ParseError(f"vertex label {lab!r} is not a string")
+    return row
+
+
+def _label_lists(rows: Any, what: str) -> list[list[str]]:
+    """rows, checked to be a JSON array of arrays of label strings."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ParseError(f"{what} must be a list of label lists")
+    return [_labels(r, what) for r in rows]
 
 
 def serialize_complex(K: Complex, form: str = "text") -> str:

@@ -15,10 +15,12 @@ Admissibility is hereditary under facet-subset inclusion (restricting the
 stored witness certifies every subset), so such a partition exists exactly
 when k admissible sets cover the facets.  For k = 1, 2, ... a depth-first
 search assigns the facets in index order to an open class or to one new
-class, backing off as soon as a class fails; the first k that succeeds
-gives the value, and the exhausted searches for every smaller k are the
-lower-bound proof.  maximal_admissible_sets and min_cover (enumerate every
-maximal admissible set, then set-cover them) remain as standalone tools.
+class, backing off as soon as a class fails.  Undecided classes pass in
+this one search: the first k that succeeds is a lower bound, proved by the
+exhausted searches for every smaller k, and the value when no verdict was
+undecided; otherwise a strict pass (undecided classes fail) runs from that
+k up.  maximal_admissible_sets and min_cover (enumerate every maximal
+admissible set, then set-cover them) remain as standalone tools.
 
 A Farber subcomplex of K^2 is one whose two projection restrictions lie in
 a single contiguity class; the class witness is converted into the defining
@@ -64,11 +66,12 @@ from .complexes import (
     ids_from_mask,
     is_subcomplex,
     mask_from_ids,
-    subcomplex,
+    subcomplex,  # unused here; e2ebench/tracing.py patches it
 )
 from .errors import InvalidInput
 from .maps import (
     DEFAULT_BUDGET,
+    ContiguityResult,
     ContiguityWitness,
     SimplicialMap,
     Verdict,
@@ -155,7 +158,7 @@ def _core_verdict(
     facets: list[int],
     ambient: Complex,
     memo: dict[frozenset[int], Verdict] | None,
-    query: Callable[[Complex, tuple[int, ...]], Verdict],
+    query: Callable[[Complex, tuple[int, ...]], ContiguityResult],
 ) -> Verdict:
     """The class query's verdict, asked on the greedy core of facets (ambient ids).
 
@@ -183,7 +186,7 @@ def _core_verdict(
         union = 0
         for m in core:
             union |= m
-        verdict = query(_complex_on(ambient, core), ids_from_mask(union))
+        verdict = query(_complex_on(ambient, core), ids_from_mask(union)).verdict
         if memo is not None:
             memo[key] = verdict
     return verdict
@@ -197,29 +200,22 @@ def _projection_restriction(
 
 
 def _diagonal_witness(
-    omega: Complex,
-    P: ProductComplex,
-    pairs: Sequence[tuple[int, int]],
-    proj_witness: ContiguityWitness,
+    omega: Complex, P: ProductComplex, emb: Sequence[int], proj_witness: ContiguityWitness
 ) -> AdmissibleSet:
     """Turn a witness pi1|omega ~ pi2|omega into the defining certificate.
 
     Pairing each step h with the fixed first projection gives simplicial maps
     w -> (pi1(w), h(w)) from omega into K^2; the chain starts at the diagonal
-    composed with the section sigma = pi1|omega and ends at the inclusion.
+    composed with the section sigma = pi1|omega and ends at the inclusion emb.
     """
-    n = P.n
-    first = [p[0] for p in pairs]
-    steps = []
-    for h in proj_witness.steps:
-        steps.append(
-            SimplicialMap(
-                omega, P.product, tuple(first[w] * n + h.assignment[w] for w in range(len(first)))
-            )
-        )
+    first = proj_witness.first.assignment
+    steps = [
+        SimplicialMap(omega, P.product, tuple(u * P.n + v for u, v in zip(first, h.assignment)))
+        for h in proj_witness.steps
+    ]
     witness = ContiguityWitness(tuple(steps))
-    section = SimplicialMap(omega, P.base, tuple(first))
-    if witness.last.assignment != tuple(u * n + v for u, v in pairs):
+    section = SimplicialMap(omega, P.base, first)
+    if witness.last.assignment != tuple(emb):
         raise InvalidInput("derived witness does not end at the inclusion")
     return AdmissibleSet("farber", omega, witness, section=section)
 
@@ -262,24 +258,19 @@ def is_farber(
         # categorical in itself only when K is strongly collapsible.
         return Verdict.NO, None
 
+    def query(dom: Complex, ids: tuple[int, ...]) -> ContiguityResult:
+        pairs = [divmod(q, n) for q in ids]
+        p1 = _projection_restriction(dom, pairs, K, 1)
+        p2 = _projection_restriction(dom, pairs, K, 2)
+        return same_contiguity_class(p1, p2, budget)
+
     if not want_witness:
-
-        def query(core: Complex, ids: tuple[int, ...]) -> Verdict:
-            pairs = [divmod(q, n) for q in ids]
-            p1 = _projection_restriction(core, pairs, K, 1)
-            p2 = _projection_restriction(core, pairs, K, 2)
-            return same_contiguity_class(p1, p2, budget).verdict
-
         return _core_verdict(facets, P.product, memo, query), None
-
     if emb is None:
         omega, emb = _complex_on(P.product, facets), ids_from_mask(union)
-    pairs = [divmod(q, n) for q in emb]
-    p1 = _projection_restriction(omega, pairs, K, 1)
-    p2 = _projection_restriction(omega, pairs, K, 2)
-    result = same_contiguity_class(p1, p2, budget)
+    result = query(omega, emb)
     if result.verdict is Verdict.YES:
-        return Verdict.YES, _diagonal_witness(omega, P, pairs, result.witness)
+        return Verdict.YES, _diagonal_witness(omega, P, emb, result.witness)
     return result.verdict, None
 
 
@@ -313,16 +304,14 @@ def is_categorical(
         # vertices to one constant vertex.
         return Verdict.NO, None
 
+    def query(dom: Complex, ids: tuple[int, ...]) -> ContiguityResult:
+        return class_constant_witness(SimplicialMap(dom, K, ids), budget)
+
     if not want_witness:
-
-        def query(core: Complex, ids: tuple[int, ...]) -> Verdict:
-            return class_constant_witness(SimplicialMap(core, K, ids), budget).verdict
-
         return _core_verdict(facets, K, memo, query), None
-
     if emb is None:
         sub, emb = _complex_on(K, facets), ids_from_mask(union)
-    result = class_constant_witness(SimplicialMap(sub, K, emb), budget)
+    result = query(sub, emb)
     if result.verdict is Verdict.YES:
         return Verdict.YES, AdmissibleSet("categorical", sub, result.witness)
     return result.verdict, None
@@ -480,18 +469,18 @@ def _cover_invariant(
     index order to one of the open classes, or opens one new class while
     fewer than k are open (so classes are numbered by their lowest facet and
     no relabelled copy of a partition is visited twice), and backs off as
-    soon as a class fails.  The first k that succeeds gives the value; every
-    smaller k was searched exhaustively, which is the lower-bound proof.
-    check and certify take a facet mask (bit i is facet i).  Verdicts are
-    memoised by facet mask for this one call; `checks` counts the masks
-    actually checked.  Only the k returned classes are certified.
+    soon as a class fails.  check and certify take a facet mask (bit i is
+    facet i).  Verdicts are memoised by facet mask for this one call;
+    `checks` counts the masks actually checked.  Only the k returned classes
+    are certified.
 
     A facet whose singleton class is "no" lies in no admissible set, so the
-    complex is not coverable.  Undecided ("unknown") verdicts never pass in
-    the search that builds the cover: when any occurs, the result is
-    budget-exhausted, its lower bound comes from the smallest k that succeeds
-    when unknown classes are allowed to pass, and its upper bound and cover
-    from the smallest k whose classes are all "yes" (None if there is none).
+    complex is not coverable.  Otherwise one optimistic pass, where undecided
+    ("unknown") classes pass, finds the smallest k that succeeds: every
+    smaller k was searched exhaustively, the lower-bound proof.  With no
+    verdict undecided its classes are all "yes" and k gives the value.  Else
+    the result is budget-exhausted, and a strict pass (undecided classes
+    fail) runs from that k up for the upper bound and cover (None if none).
     """
     memo: dict[int, Verdict] = {}
     unknown: list[int] = []
@@ -541,26 +530,19 @@ def _cover_invariant(
         unknown_sets = tuple(map(to_set, unknown))
         return InvariantResult(value, lower, upper, status, cover, (), unknown_sets, len(memo))
 
-    yes = (Verdict.YES,)
-    if partition(1, yes) is not None:
-        return result(Status.EXACT, 0, 0, [full])
-    if any(verdict(1 << i) is Verdict.NO for i in range(n_facets)):
+    if verdict(full) is not Verdict.YES and any(  # a "yes" full set has "yes" singletons
+        verdict(1 << i) is Verdict.NO for i in range(n_facets)
+    ):
         return result(Status.NOT_COVERABLE)
-    k = 2
-    while not unknown:  # exact as long as every verdict met is decided
-        classes = partition(k, yes)
-        if classes is not None and not unknown:
-            return result(Status.EXACT, k - 1, k - 1, classes)
-        k += 1
-
-    # Some verdict is undecided.  Every singleton passes optimistically, so
-    # k = n_facets succeeds; an optimistic k that fails also fails strictly.
-    optimistic = (Verdict.YES, Verdict.UNKNOWN)
+    # Every singleton passes optimistically, so k = n_facets succeeds; an
+    # optimistic k that fails also fails strictly.
     lower_k = 1
-    while partition(lower_k, optimistic) is None:
+    while (classes := partition(lower_k, (Verdict.YES, Verdict.UNKNOWN))) is None:
         lower_k += 1
+    if not unknown:  # every verdict met was decided, so every class is a "yes"
+        return result(Status.EXACT, lower_k - 1, lower_k - 1, classes)
     for k in range(lower_k, n_facets + 1):
-        classes = partition(k, yes)
+        classes = partition(k, (Verdict.YES,))
         if classes is not None:
             return result(Status.BUDGET_EXHAUSTED, lower_k - 1, k - 1, classes)
     return result(Status.BUDGET_EXHAUSTED, lower_k - 1)
@@ -610,22 +592,20 @@ def _admissible_cover(A: Admissibility, budget: int) -> InvariantResult:
 
     Checks hand A their facet mask and share one class-query memo, which
     lives as long as this call; only the classes of the returned cover are
-    built as complexes and certified.
+    built as complexes and certified, from their masks too.
     """
-    facets = A.ambient.facets
     memo: dict[frozenset[int], Verdict] = {}
 
     def check(mask: int) -> Verdict:
         return A.decide(mask, budget, want_witness=False, memo=memo)[0]
 
     def certify(mask: int) -> AdmissibleSet:
-        sub = subcomplex(A.ambient, [f for i, f in enumerate(facets) if mask >> i & 1])
-        verdict, adm = A.decide(sub, budget)
+        verdict, adm = A.decide(mask, budget)
         if verdict is not Verdict.YES or adm is None:
             raise InvalidInput("certification pass disagrees with the search verdict")
         return adm
 
-    return _cover_invariant(len(facets), check, certify)
+    return _cover_invariant(len(A.ambient.facets), check, certify)
 
 
 def scat(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:

@@ -355,21 +355,16 @@ def same_contiguity_class(
             return ContiguityResult(Verdict.NO, None, 1)
         w = rq.build_witness(f.assignment, [bytes((c,)) for c in path], g.assignment)
         return ContiguityResult(Verdict.YES, w, len(path))
-    hit, parents, complete = _bfs(rq.ctx, fa, lambda a: a == ga, budget)
-    explored = len(parents)
-    if hit is not None:
-        w = rq.build_witness(f.assignment, _path_from_parents(parents, hit), g.assignment)
-        return ContiguityResult(Verdict.YES, w, explored)
-    if complete:
-        return ContiguityResult(Verdict.NO, None, explored)
-    hit, parents2, complete = _bfs(rq.ctx, ga, lambda a: a == fa, budget)
-    explored += len(parents2)
-    if hit is not None:
-        path = _path_from_parents(parents2, hit)[::-1]
-        w = rq.build_witness(f.assignment, path, g.assignment)
-        return ContiguityResult(Verdict.YES, w, explored)
-    if complete:
-        return ContiguityResult(Verdict.NO, None, explored)
+    explored = 0
+    for start, goal, order in ((fa, ga, 1), (ga, fa, -1)):
+        hit, parents, complete = _bfs(rq.ctx, start, goal.__eq__, budget)
+        explored += len(parents)
+        if hit is not None:
+            path = _path_from_parents(parents, hit)[::order]
+            w = rq.build_witness(f.assignment, path, g.assignment)
+            return ContiguityResult(Verdict.YES, w, explored)
+        if complete:
+            return ContiguityResult(Verdict.NO, None, explored)
     return ContiguityResult(Verdict.UNKNOWN, None, explored)
 
 

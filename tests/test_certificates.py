@@ -196,6 +196,69 @@ class TestDeterminism:
             got += [r.value, r.checks, digest]
         assert tuple(got) == self.PINNED[name]
 
+    # (invariant, complex, budget) -> (status, lower, upper, checks, number of
+    # unknown subsets, sha256 of the certificate), recorded before the cover
+    # search dropped its exact-only pass: budget-exhausted searches must take
+    # the same steps too.
+    BUDGET_PINNED = {
+        ("tc", "C4", 1): (
+            "budget-exhausted", 2, 2, 2463, 159,
+            "cff1e42043e7f2f4841fb2b047ce302c3c9314761f684ffea90086dedcdfb5a2",
+        ),
+        ("tc", "C4", 8): (
+            "budget-exhausted", 2, 2, 2442, 70,
+            "e5567a27bd3c4b221fcd375555ec4fa10bf0c47c7dd891e8e8f6a6439d3bce45",
+        ),
+        ("tc", "C5", 32): (
+            "budget-exhausted", 1, 1, 1872, 35,
+            "5461c1a99ac05c64af11b5f10932f60bb4cb6eee64e8bb9b874ad0bc7a8a9c4f",
+        ),
+        ("scat", "C3-square", 1): (
+            "budget-exhausted", 1, 2, 78, 31,
+            "f2109eb18e53205a1640c460476c5ffbded6bcde2ab0211399943df76031c0ef",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind, name, budget", list(BUDGET_PINNED))
+    def test_budget_exhausted_results_pinned(self, kind, name, budget):
+        if name == "C3-square":
+            K = categorical_square(build_complex(corpusgen.CYCLE3)).product
+        else:
+            K = build_complex(self.FACETS[name])
+        invariant, emit = (tc, emit_tc) if kind == "tc" else (scat, emit_scat)
+        r = invariant(K, budget=budget)
+        digest = hashlib.sha256(dumps(emit(K, r, budget)).encode()).hexdigest()
+        got = (r.status.value, r.lower_bound, r.upper_bound, r.checks, len(r.unknown_sets), digest)
+        assert got == self.BUDGET_PINNED[kind, name, budget]
+
+
+def _join_rows(rows):
+    return ["".join(row) for row in rows]
+
+
+def _in_cover(field, change):
+    def mutate(cert):
+        for entry in cert["cover"]:
+            entry[field] = change(entry[field])
+
+    return mutate
+
+
+# (certificate, mutation): one label list given as a string, or as strings.
+# Single-letter labels read one character at a time would pass as the list.
+LABEL_LISTS_AS_STRINGS = [
+    pytest.param("tc", lambda c: c["complex"].update(facets=["ab", "bc", "ac"]), id="complex-facets"),
+    pytest.param("scat", _in_cover("facets", _join_rows), id="cover-facets"),
+    pytest.param("scat", _in_cover("vertices", "".join), id="vertices"),
+    pytest.param("scat", _in_cover("witness", _join_rows), id="witness-rows"),
+    pytest.param("tc", _in_cover("section", "".join), id="section"),
+    pytest.param("membership", lambda c: c.update(omega=_join_rows(c["omega"])), id="omega"),
+    pytest.param(
+        "core", lambda c: c["core"].update(facets=_join_rows(c["core"]["facets"])), id="core-facets"
+    ),
+    pytest.param("core", lambda c: c.update(steps=_join_rows(c["steps"])), id="collapse-steps"),
+]
+
 
 class TestMutationsRejected:
     def test_flipped_witness_image(self, boundary_triangle):
@@ -271,6 +334,63 @@ class TestMutationsRejected:
         ok, msgs = verify_certificate({"format": "simplicial-tc/1", "kind": "tc"})
         assert not ok
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("checks", "x"),
+            ("checks", -5),
+            ("checks", None),
+            ("unknown_subsets", 7),
+            ("unknown_subsets", "many"),
+        ],
+    )
+    def test_inconsistent_counts(self, boundary_triangle, field, value):
+        cert = {**tc_cert(boundary_triangle), field: value}
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert "unknown_subsets" in msgs[0] or "undecided" in msgs[0], msgs
+
+    def test_budget_exhausted_needs_an_undecided_subset(self):
+        K = build_complex(corpusgen.CYCLE4)
+        cert = emit_tc(K, tc(K, budget=1), 1)
+        assert cert["status"] == "budget-exhausted"
+        assert verify_certificate(cert)[0]
+        ok, msgs = verify_certificate({**cert, "unknown_subsets": 0})
+        assert not ok
+        assert "no undecided subsets" in msgs[0]
+        # a full set can be undecided before a singleton is a "no"
+        K = build_complex([{"a"}, {"b"}])
+        cert = emit_tc(K, tc(K), DEFAULT_BUDGET)
+        assert cert["status"] == "not-coverable"
+        assert verify_certificate({**cert, "unknown_subsets": 1})[0]
+
+    @staticmethod
+    def _source_cert(source, K):
+        if source == "tc":
+            return tc_cert(K)
+        if source == "scat":
+            return scat_cert(K)
+        if source == "membership":
+            L = subcomplex(K, [K.facets[0]])
+            return emit_membership("categorical", K, L, *is_categorical(L, K), DEFAULT_BUDGET)
+        coned = build_complex([{"a", "b", "x"}, {"b", "c", "x"}, {"a", "c", "x"}])
+        return emit_core(coned, *core(coned))
+
+    @pytest.mark.parametrize("source, mutate", LABEL_LISTS_AS_STRINGS)
+    def test_label_lists_given_as_strings(self, boundary_triangle, source, mutate):
+        cert = copy.deepcopy(self._source_cert(source, boundary_triangle))
+        mutate(cert)
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert "must be a list of label" in msgs[0], msgs
+
+    def test_facets_as_an_object_rejected_by_shape(self, boundary_triangle):
+        cert = copy.deepcopy(tc_cert(boundary_triangle))
+        cert["complex"]["facets"] = {"a|a": ["a|b"]}
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert "facets must be a list of label lists" in msgs[0]
+
 
 class TestAdmissibleKindMustMatch:
     """A categorical subcomplex of K^2 need not be Farber: tc covers and farber
@@ -329,11 +449,15 @@ class TestStatusBoundsConsistency:
         assert self.rejected(cert, upper=3)
 
     def test_budget_exhausted_with_a_value(self, boundary_triangle):
-        assert self.rejected(tc_cert(boundary_triangle), status="budget-exhausted")
+        cert = tc_cert(boundary_triangle)
+        assert self.rejected(cert, status="budget-exhausted", unknown_subsets=1)
+
+    # a budget-exhausted result has met at least one undecided subset
+    PARTIAL = dict(status="budget-exhausted", value=None, unknown_subsets=1)
 
     def test_budget_exhausted_bounds(self, boundary_triangle):
         cert = tc_cert(boundary_triangle)  # three cover classes
-        partial = dict(status="budget-exhausted", value=None)
+        partial = self.PARTIAL
         assert not self.rejected(cert, lower=1, upper=2, **partial)
         assert self.rejected(cert, lower=3, upper=2, **partial)
         assert self.rejected(cert, lower=1, upper=1, **partial)
@@ -342,7 +466,7 @@ class TestStatusBoundsConsistency:
 
     def test_non_integer_bounds(self, boundary_triangle):
         cert = tc_cert(boundary_triangle)  # three cover classes
-        partial = dict(status="budget-exhausted", value=None)
+        partial = self.PARTIAL
         assert self.rejected(cert, lower=True, upper=2, **partial)
         assert self.rejected(cert, lower="1", upper=2, **partial)
         assert self.rejected(cert, lower=1, upper=2.0, **partial)
