@@ -177,8 +177,7 @@ def _rebuild_admissible(entry: Any, A: Admissibility) -> AdmissibleSet:
     if base is not None:
         section_labels = _labels(entry["section"], "a farber entry's section")
         section = SimplicialMap(omega, base, tuple(base.id(lab) for lab in section_labels))
-        n = base.n_vertices
-        diag = tuple(c * n + c for c in section.assignment)
+        diag = tuple(A.square.pair_id(c, c) for c in section.assignment)
         _need(witness.first.assignment == diag, "witness does not start at diagonal∘section")
         _need(witness.last.assignment == emb, "witness does not end at the inclusion")
         return AdmissibleSet("farber", omega, witness, section=section)

@@ -12,14 +12,14 @@ lowest dominated vertex in favour of its lowest dominator and truncate the
 facets that held it.  Dominators come from one pass over the facets that
 ANDs each facet into the star intersection of every vertex it holds: for
 all vertices at the start, and after a deletion for the link of the deleted
-vertex only.  It takes bare masks, so the verdict-only checks of the
-cover search collapse a class in the ambient complex's vertex ids and build
-no `Complex` unless the core keeps several vertices (a class whose facets
-share a vertex is a cone and never reaches the loop).  `core` runs the same
-loop on a complex, builds the core `Complex` and adds the replayable
-`CollapseSequence`, which class queries and certificates use;
-`contraction_witness` validates the retraction chain that the class queries
-of `maps` lift their witnesses through.
+vertex only; `dominated_vertices` and `replay` use the same pass.  It takes
+bare masks, so the verdict-only checks of the cover search collapse a class
+in the ambient complex's vertex ids and build no `Complex` unless the core
+keeps several vertices (a class whose facets share a vertex is a cone and
+never reaches the loop).  On a complex the loop runs once, in
+maps._retraction_chain, whose record the class queries of `maps`, `core`,
+`is_strongly_collapsible` and `contraction_witness` read; only `core` builds
+the replayable `CollapseSequence`, which core certificates carry.
 """
 
 from __future__ import annotations
@@ -35,20 +35,8 @@ from .maps import ContiguityWitness, SimplicialMap, _retraction_chain
 
 def dominated_vertices(K: Complex) -> list[tuple[int, int]]:
     """All pairs (v, v') with v != v' and every facet containing v containing v'."""
-    return [(v, u) for v in range(K.n_vertices) for u in ids_from_mask(_dominators(K.facets, v))]
-
-
-def _dominators(facets: Sequence[int], v: int) -> int:
-    """Mask of the vertices other than v lying in every facet that holds v.
-
-    v must lie in at least one of the facets.
-    """
-    vbit = 1 << v
-    inter = -1
-    for m in facets:
-        if m & vbit:
-            inter &= m
-    return inter & ~vbit
+    doms = _star_intersections(K.facets, -1)
+    return [(v, u) for v in range(K.n_vertices) for u in ids_from_mask(doms[v] & ~(1 << v))]
 
 
 def _drop_vertex(facets: list[int], v: int) -> tuple[list[int], int]:
@@ -153,7 +141,7 @@ def replay(seq: CollapseSequence) -> Complex:
             if not alive >> w & 1:
                 raise InvalidInput(f"collapse step uses deleted vertex {K.labels[w]!r}")
         v, u = step
-        if v == u or not _dominators(facets, v) >> u & 1:
+        if v == u or not _star_intersections(facets, 1 << v)[v] >> u & 1:
             raise InvalidInput(
                 f"step deletes {K.labels[v]!r} but it is not dominated by {K.labels[u]!r}"
             )
@@ -165,15 +153,14 @@ def replay(seq: CollapseSequence) -> Complex:
 @lru_cache(maxsize=8192)
 def core(K: Complex) -> tuple[Complex, CollapseSequence]:
     """The greedy core of K and its collapse sequence (replayed on construction)."""
-    steps, facets = _greedy_collapse(K.facets)
-    c = _complex_on(K, facets) if steps else K
-    return c, CollapseSequence(K, c, steps)
+    r = _retraction_chain(K)
+    return r.core, CollapseSequence(K, r.core, r.steps)
 
 
 @lru_cache(maxsize=4096)
 def is_strongly_collapsible(K: Complex) -> bool:
     """True iff the core of K is a single vertex."""
-    return core(K)[0].n_vertices == 1
+    return _retraction_chain(K).core.n_vertices == 1
 
 
 def add_cone_facet(K: Complex, base_mask: int, new_label: str) -> Complex:
@@ -207,7 +194,7 @@ def contraction_witness(K: Complex) -> ContiguityWitness | None:
     to the identity, and composing the chain (maps._retraction_chain)
     contracts the identity to the constant map at the core vertex.
     """
-    c, chain = _retraction_chain(K)
-    if c.n_vertices != 1:
+    r = _retraction_chain(K)
+    if r.core.n_vertices != 1:
         return None
-    return ContiguityWitness(tuple(SimplicialMap(K, K, rho) for rho in chain))
+    return ContiguityWitness(tuple(SimplicialMap(K, K, rho) for rho in r.chain))

@@ -192,13 +192,6 @@ def _core_verdict(
     return verdict
 
 
-def _projection_restriction(
-    omega: Complex, pairs: Sequence[tuple[int, int]], K: Complex, i: int
-) -> SimplicialMap:
-    """pi_i on omega, a subcomplex of K^2 whose vertex w is the pair pairs[w]."""
-    return SimplicialMap(omega, K, tuple(p[i - 1] for p in pairs))
-
-
 def _diagonal_witness(
     omega: Complex, P: ProductComplex, emb: Sequence[int], proj_witness: ContiguityWitness
 ) -> AdmissibleSet:
@@ -210,7 +203,7 @@ def _diagonal_witness(
     """
     first = proj_witness.first.assignment
     steps = [
-        SimplicialMap(omega, P.product, tuple(u * P.n + v for u, v in zip(first, h.assignment)))
+        SimplicialMap(omega, P.product, tuple(map(P.pair_id, first, h.assignment)))
         for h in proj_witness.steps
     ]
     witness = ContiguityWitness(tuple(steps))
@@ -244,7 +237,7 @@ def is_farber(
     re-certify the sets they keep.
     """
     facets, emb = _ambient_facets(omega, P.product, "omega is not a subcomplex of the product")
-    K, n = P.base, P.n
+    K = P.base
     union = 0
     for m in facets:
         union |= m
@@ -259,9 +252,10 @@ def is_farber(
         return Verdict.NO, None
 
     def query(dom: Complex, ids: tuple[int, ...]) -> ContiguityResult:
-        pairs = [divmod(q, n) for q in ids]
-        p1 = _projection_restriction(dom, pairs, K, 1)
-        p2 = _projection_restriction(dom, pairs, K, 2)
+        # the two projections restricted to dom, whose vertex w is ids[w] in K^2
+        pairs = [P.unpair(q) for q in ids]
+        p1 = SimplicialMap(dom, K, tuple(u for u, _ in pairs))
+        p2 = SimplicialMap(dom, K, tuple(v for _, v in pairs))
         return same_contiguity_class(p1, p2, budget)
 
     if not want_witness:

@@ -18,7 +18,9 @@ their images are joined by an edge path).
 Class-query witnesses, and so the witnesses of every admissible set, come
 from one route: a path found among the maps between the strong-collapse
 cores is lifted back through the retraction chains of domain and codomain
-(_ClassQuery.build_witness) and validated once.
+(_ClassQuery.build_witness) and validated once.  Both chains, the cores and
+their vertex ids come from one record per complex (_retraction_chain), which
+collapse.core, is_strongly_collapsible and contraction_witness read too.
 
 BFS states are bytes (one codomain id per domain vertex), which caps the
 codomain at 255 vertices; orders of magnitude beyond the intended desk scale.
@@ -33,7 +35,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from ._kernels import pure
-from .complexes import Complex, edge_path, embedding_ids, ids_from_mask, is_subcomplex
+from .complexes import Complex, _complex_on, edge_path, embedding_ids, ids_from_mask, is_subcomplex
 from .errors import DomainMismatch, InvalidInput, NotSimplicial
 
 DEFAULT_BUDGET = 10**6
@@ -258,22 +260,41 @@ def _path_from_parents(parents: dict[bytes, bytes | None], hit: bytes) -> list[b
     return chain[::-1]
 
 
+@dataclass(frozen=True)
+class Reduction:
+    """K's greedy strong-collapse reduction (see _retraction_chain)."""
+
+    core: Complex
+    steps: tuple[tuple[int, int], ...]  # (deleted v, dominator u), ids of K
+    chain: tuple[tuple[int, ...], ...]  # identity -> full retraction, self-maps of K
+    core_ids: tuple[int, ...]  # id in K of each core vertex
+    retraction: tuple[int, ...]  # chain[-1] in core ids
+
+
 @lru_cache(maxsize=1024)
-def _retraction_chain(K: Complex) -> tuple[Complex, tuple[tuple[int, ...], ...]]:
-    """Core of K plus the chain identity -> full retraction (self-maps of K).
+def _retraction_chain(K: Complex) -> Reduction:
+    """The one record of K's strong-collapse reduction, from one greedy collapse.
 
-    Looked up when a class query is built, so the cache is as large as the
-    class-query cache; the chains of certified sets are used once.
+    chain[i + 1] is chain[i] followed by the retraction of step i (the
+    deleted vertex to its dominator), so consecutive maps are contiguous.
+    The function keeps the name of the chain it once returned, and its
+    cache, because the benchmark (e2ebench/sweep.py) clears it by name.
     """
-    from .collapse import core
+    from .collapse import _greedy_collapse
 
-    c, seq = core(K)
+    steps, facets = _greedy_collapse(K.facets)
+    c = _complex_on(K, facets) if steps else K
     rho = list(range(K.n_vertices))
     chain = [tuple(rho)]
-    for v, u in seq.steps:
+    for v, u in steps:
         rho = [u if x == v else x for x in rho]
         chain.append(tuple(rho))
-    return c, tuple(chain)
+    union = 0
+    for m in facets:
+        union |= m
+    # core ids keep the order of K's ids, so a survivor's core id counts the survivors below it
+    retraction = tuple((union & ((1 << x) - 1)).bit_count() for x in rho)
+    return Reduction(c, steps, tuple(chain), ids_from_mask(union), retraction)
 
 
 @lru_cache(maxsize=1024)
@@ -287,30 +308,22 @@ class _ClassQuery:
     def __init__(self, domain: Complex, codomain: Complex):
         self.domain = domain
         self.codomain = codomain
-        self.dom_core, self.dom_chain = _retraction_chain(domain)
-        self.cod_core, self.cod_chain = _retraction_chain(codomain)
-        self.dom_emb = embedding_ids(self.dom_core, domain)
-        self.cod_emb = embedding_ids(self.cod_core, codomain)
-        dom_to = {old: new for new, old in enumerate(self.dom_emb)}
-        cod_to = {old: new for new, old in enumerate(self.cod_emb)}
-        self.dom_r = tuple(dom_to[x] for x in self.dom_chain[-1])
-        self.cod_r = tuple(cod_to[x] for x in self.cod_chain[-1])
-        self.ctx = _context(self.dom_core, self.cod_core)
+        self.dom = _retraction_chain(domain)
+        self.cod = _retraction_chain(codomain)
+        self.ctx = _context(self.dom.core, self.cod.core)
 
     def reduce(self, assignment: tuple[int, ...]) -> bytes:
-        return bytes(self.cod_r[assignment[e]] for e in self.dom_emb)
+        return bytes(self.cod.retraction[assignment[e]] for e in self.dom.core_ids)
 
     def lift(self, reduced: bytes) -> tuple[int, ...]:
         """The map i∘h∘r : domain -> codomain for a core-space assignment h."""
-        return tuple(self.cod_emb[reduced[self.dom_r[w]]] for w in range(self.domain.n_vertices))
+        return tuple(self.cod.core_ids[reduced[r]] for r in self.dom.retraction)
 
     def bridge(self, assignment: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Chain f ~ ... ~ i∘(reduce f)∘r inside maps domain -> codomain."""
-        chain = [tuple(rho[assignment[w]] for w in range(self.domain.n_vertices)) for rho in self.cod_chain]
+        chain = [tuple(rho[a] for a in assignment) for rho in self.cod.chain]
         retracted = chain[-1]
-        chain.extend(
-            tuple(retracted[c[w]] for w in range(self.domain.n_vertices)) for c in self.dom_chain[1:]
-        )
+        chain.extend(tuple(retracted[x] for x in c) for c in self.dom.chain[1:])
         return chain
 
     def build_witness(self, front: tuple[int, ...], path: list[bytes], back: tuple[int, ...] | None) -> ContiguityWitness:
@@ -349,8 +362,8 @@ def same_contiguity_class(
         return ContiguityResult(
             Verdict.YES, rq.build_witness(f.assignment, [fa], g.assignment), 1
         )
-    if rq.dom_core.n_vertices == 1:
-        path = edge_path(rq.cod_core, fa[0], ga[0])
+    if rq.dom.core.n_vertices == 1:
+        path = edge_path(rq.cod.core, fa[0], ga[0])
         if path is None:
             return ContiguityResult(Verdict.NO, None, 1)
         w = rq.build_witness(f.assignment, [bytes((c,)) for c in path], g.assignment)
@@ -371,7 +384,7 @@ def same_contiguity_class(
 def class_constant_witness(f: SimplicialMap, budget: int = DEFAULT_BUDGET) -> ContiguityResult:
     """Search the contiguity class of f for any constant map."""
     rq = _class_query(f.domain, f.codomain)
-    n = rq.dom_core.n_vertices
+    n = rq.dom.core.n_vertices
     fa = rq.reduce(f.assignment)
 
     def is_const(a: bytes) -> bool:

@@ -20,6 +20,11 @@ BOUNDARY_TETRAHEDRON = [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b",
 TORUS7 = [
     (str(i), str((i + 1) % 7), str((i + 3) % 7)) for i in range(7)
 ] + [(str(i), str((i + 2) % 7), str((i + 3) % 7)) for i in range(7)]
+# The 6-vertex real projective plane (hemi-icosahedron).
+RP2_6 = [
+    ("0", "1", "2"), ("0", "2", "3"), ("0", "3", "4"), ("0", "4", "5"), ("0", "5", "1"),
+    ("1", "2", "4"), ("2", "3", "5"), ("3", "4", "1"), ("4", "5", "2"), ("5", "1", "3"),
+]
 
 
 def random_complex(

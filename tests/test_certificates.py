@@ -8,6 +8,7 @@ from simplicial_tc import (
     InvariantResult,
     Status,
     Verdict,
+    add_cone_facet,
     build_complex,
     categorical_square,
     core,
@@ -230,6 +231,41 @@ class TestDeterminism:
         digest = hashlib.sha256(dumps(emit(K, r, budget)).encode()).hexdigest()
         got = (r.status.value, r.lower_bound, r.upper_bound, r.checks, len(r.unknown_sets), digest)
         assert got == self.BUDGET_PINNED[kind, name, budget]
+
+    # (value, checks, sha256 of the scat certificate), recorded before class
+    # queries read the strong-collapse record of maps._retraction_chain: both
+    # surfaces make BFS queries whose domain and codomain cores have several
+    # vertices, so the lifted witnesses go through both retractions.
+    SCAT_PINNED = {
+        "torus": (2, 213, "5e5d5a0b2c503af080351f5a0ccd3931c2526fb1db99e918d6ab0cde8f4cad67"),
+        "RP2": (2, 123, "dc4af5a7f92a02d1fa3482aaeaaffa69e03413ce378ea390f6ece4c5d8ee8b45"),
+    }
+    SURFACES = {"torus": corpusgen.TORUS7, "RP2": corpusgen.RP2_6}
+
+    @pytest.mark.parametrize("name", list(SCAT_PINNED))
+    def test_surface_scat_pinned(self, name):
+        K = build_complex(self.SURFACES[name])
+        r = scat(K)
+        assert r.status is Status.EXACT
+        digest = hashlib.sha256(dumps(emit_scat(K, r, DEFAULT_BUDGET)).encode()).hexdigest()
+        assert (r.value, r.checks, digest) == self.SCAT_PINNED[name]
+
+    # sha256 of the core certificate, recorded with the scat pins above.
+    CORE_PINNED = {
+        "torus": "eb6a6c5b8ed8c0baec6557fdb1481523fc23701d5d0624aa76463251b1121f65",
+        "cone": "685b10c28b146aa442940183caa2483c894a75f54653ceebb734975599a21e19",
+        "C4": "ac168d11cda76247c481dbfb4b163c9e29741822e701efc096711c5de1022795",
+    }
+
+    @pytest.mark.parametrize("name", list(CORE_PINNED))
+    def test_core_certificate_bytes_pinned(self, name):
+        if name == "cone":
+            bd = build_complex(corpusgen.CYCLE3)
+            K = add_cone_facet(bd, bd.simplex_mask({"a", "b"}), "w")
+        else:
+            K = build_complex(corpusgen.TORUS7 if name == "torus" else corpusgen.CYCLE4)
+        digest = hashlib.sha256(dumps(emit_core(K, *core(K))).encode()).hexdigest()
+        assert digest == self.CORE_PINNED[name]
 
 
 def _join_rows(rows):

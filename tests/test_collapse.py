@@ -17,6 +17,7 @@ from simplicial_tc import (
 )
 from simplicial_tc.collapse import _greedy_collapse
 from simplicial_tc.complexes import embedding_ids, ids_from_mask
+from simplicial_tc.maps import _retraction_chain
 
 import corpusgen
 import oracles
@@ -169,6 +170,41 @@ class TestBitmaskCoreMatchesReference:
             assert sorted(core_facets) == sorted(
                 sum(1 << expected_emb[v] for v in ids) for ids in expected.facet_vertex_ids
             )
+
+
+class TestReductionRecord:
+    """maps._retraction_chain, the one record of a complex's strong-collapse
+    reduction, against core(), label embeddings and the dominance oracle."""
+
+    @staticmethod
+    def assert_record_agrees(K):
+        r = _retraction_chain(K)
+        c, seq = core(K)
+        assert (r.core, r.steps) == (c, seq.steps)
+        assert r.core_ids == embedding_ids(c, K)
+        # the dict-based derivation class queries used before the record
+        to_core = {old: new for new, old in enumerate(embedding_ids(c, K))}
+        assert r.retraction == tuple(to_core[x] for x in r.chain[-1])
+        assert r.chain[0] == tuple(range(K.n_vertices))
+        assert set(r.chain[-1]) == set(r.core_ids)
+        assert dominated_vertices(K) == oracles.oracle_dominated_vertices(K)
+
+    def test_acceptance_corpus(self):
+        for K in corpusgen.acceptance_corpus(corpusgen.ACCEPTANCE_SEED):
+            self.assert_record_agrees(K)
+
+    @pytest.mark.parametrize(
+        "facets",
+        [corpusgen.CYCLE3, corpusgen.CYCLE4, corpusgen.BOUNDARY_TETRAHEDRON],
+        ids=["C3", "C4", "boundary-tetrahedron"],
+    )
+    def test_squares(self, facets):
+        self.assert_record_agrees(categorical_square(build_complex(facets)).product)
+
+    def test_seeded_subcomplexes_of_the_square(self):
+        square = categorical_square(build_complex(corpusgen.CYCLE4)).product
+        for omega in corpusgen.random_facet_subcomplexes(square, 300, seed=17):
+            self.assert_record_agrees(omega)
 
 
 class TestReplayChecks:

@@ -16,6 +16,8 @@ from simplicial_tc import (
     is_farber,
     min_cover,
     motion_plan,
+    projection,
+    restrict,
     restrict_witness,
     same_contiguity_class,
     scat,
@@ -190,12 +192,8 @@ class TestTheoremEquivalence:
         assert (cond2 is Verdict.YES) == found
 
         # condition 3: diagonal after either projection restriction
-        from simplicial_tc.complexes import embedding_ids
-        from simplicial_tc.invariants import _projection_restriction
-
-        pairs = [P.unpair(q) for q in embedding_ids(omega, P.product)]
         for i in (1, 2):
-            pi = _projection_restriction(omega, pairs, K, i)
+            pi = restrict(projection(P, i), omega)
             r = same_contiguity_class(compose(d, pi), incl)
             assert (r.verdict is Verdict.YES) == (cond2 is Verdict.YES)
 
