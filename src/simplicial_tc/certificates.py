@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .collapse import CollapseSequence, core
+from .collapse import CollapseSequence, core, dominated_vertices
 from .complexes import Complex, _assemble_complex, _label_lists, _labels, embedding_ids, subcomplex
 from .errors import SimplicialTCError
 from .invariants import (
@@ -203,9 +203,13 @@ def _check_cover(cert: dict[str, Any], A: Admissibility) -> None:
     _need(status in {s.value for s in Status}, f"unknown status {status!r}")
     _need(cover is None or isinstance(cover, list), "cover must be a list or null")
     for x in (value, lower, upper):
-        _need(x is None or _is_count(x), "value and bounds must be integers or null")
+        _need(
+            x is None or _is_count(x) and x >= 0,
+            "value and bounds must be non-negative integers or null",
+        )
     for x in (cert["checks"], unknown):
         _need(_is_count(x) and x >= 0, "checks and unknown_subsets must be non-negative integers")
+    _need(unknown <= cert["checks"], "more undecided subsets than checks")  # each one was checked
     if status == Status.EXACT.value:
         _need(unknown == 0, "exact result has undecided subsets")
         _need(cover is not None, "exact result must carry a cover")
@@ -263,8 +267,6 @@ def verify_certificate(cert: dict[str, Any], recompute: bool = False) -> tuple[b
                 (K.id(v_lab), K.id(u_lab)) for v_lab, u_lab in _label_lists(cert["steps"], "steps")
             )
             seq = CollapseSequence(K, end, steps)  # replays and checks domination
-            from .collapse import dominated_vertices
-
             _need(not dominated_vertices(seq.end), "claimed core still has dominated vertices")
             if recompute:
                 fresh, _ = core(K)

@@ -244,7 +244,7 @@ def _cmd_plan(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         cert = json.loads(Path(args.cert).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"certificate REJECTED: malformed JSON: {exc}", file=sys.stderr)
         return 1
     ok, messages = verify_certificate(cert, recompute=args.recompute)

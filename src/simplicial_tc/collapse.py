@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .complexes import Complex, _complex_on, ids_from_mask
+from .complexes import Complex, _assemble_complex, _check_label, _complex_on, ids_from_mask
 from .errors import InvalidInput
 from .maps import ContiguityWitness, SimplicialMap, _retraction_chain
 
@@ -169,8 +169,6 @@ def add_cone_facet(K: Complex, base_mask: int, new_label: str) -> Complex:
     The new vertex is dominated by every vertex of base_mask, and deleting it
     gives back K, so the result has the strong homotopy type of K.
     """
-    from .complexes import _assemble_complex, _check_label
-
     if not K.is_simplex(base_mask):
         raise InvalidInput("expansion base must be a simplex of K")
     _check_label(new_label)

@@ -323,6 +323,8 @@ def _parse_json(text: str) -> Complex:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(data, dict) or "facets" not in data:
         raise ParseError('JSON complex must be an object with a "facets" key')
     return build_complex(_label_lists(data["facets"], '"facets"'))

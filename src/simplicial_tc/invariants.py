@@ -20,7 +20,9 @@ this one search: the first k that succeeds is a lower bound, proved by the
 exhausted searches for every smaller k, and the value when no verdict was
 undecided; otherwise a strict pass (undecided classes fail) runs from that
 k up.  maximal_admissible_sets and min_cover (enumerate every maximal
-admissible set, then set-cover them) remain as standalone tools.
+admissible set, then set-cover them) remain as standalone tools: the first
+takes the same verdict-only facet-mask check and returns facet-index sets,
+the second the indices of a smallest covering subfamily.
 
 A Farber subcomplex of K^2 is one whose two projection restrictions lie in
 a single contiguity class; the class witness is converted into the defining
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import ceil
 from typing import Callable, Sequence
 
 # contraction_witness and witness_between_constants are unused here; e2ebench/tracing.py patches them.
@@ -112,9 +113,9 @@ class InvariantResult:
 
     cover holds the certified classes of the smallest partition found, with
     facet_indices set.  maximal is always empty from tc/scat, because the
-    partition search never enumerates maximal admissible sets (call
-    maximal_admissible_sets for them); the field stays because the benchmark
-    (e2ebench/sweep.py) still reads it.
+    partition search never enumerates maximal admissible sets
+    (maximal_admissible_sets lists them as facet-index sets, uncertified);
+    the field stays because the benchmark (e2ebench/sweep.py) still reads it.
     """
 
     value: int | None
@@ -315,25 +316,18 @@ def is_categorical(
 
 
 def maximal_admissible_sets(
-    n_facets: int,
-    check: Callable[[frozenset[int]], tuple[Verdict, AdmissibleSet | None]],
-    certify: Callable[[frozenset[int]], AdmissibleSet] | None = None,
-) -> tuple[list[AdmissibleSet], list[frozenset[int]], int]:
+    n_facets: int, check: Callable[[int], Verdict]
+) -> tuple[list[frozenset[int]], list[frozenset[int]], int]:
     """All inclusion-maximal facet subsets passing a monotone admissibility check.
 
+    check takes a facet mask (bit i is facet i), as in _cover_invariant.
     Top-down lattice walk: the full set is tried first; every failing (or
     undecided) set expands to its one-smaller subsets.  Monotonicity gives two
-    memo shortcuts, kept as inclusion antichains of int masks: a subset of a
-    passing set passes, a superset of a failing set fails.  Unknown verdicts
-    are collected so callers can degrade their result instead of trusting an
-    unproved bound.
+    memo shortcuts, kept as inclusion antichains of masks: a subset of a
+    passing set passes, a superset of a failing set fails.
 
-    check may skip witness construction (returning a None payload); the
-    maximal sets are then re-certified through `certify`, so only the kept
-    sets pay for witness building.
-
-    Returns (maximal admissible sets with certificates, unknown subsets,
-    number of direct checks run).
+    Returns (the maximal passing sets in sorted order, the subsets whose
+    verdict was "unknown", the number of masks checked).
     """
 
     def to_set(mask: int) -> frozenset[int]:
@@ -342,7 +336,6 @@ def maximal_admissible_sets(
     full = (1 << n_facets) - 1
     max_passing: list[int] = []  # antichain of maximal known-passing masks
     min_failing: list[int] = []  # antichain of minimal known-failing masks
-    payloads: dict[int, AdmissibleSet] = {}
     unknown: list[int] = []
     checks = 0
 
@@ -355,26 +348,22 @@ def maximal_admissible_sets(
                 return Verdict.NO
         return None
 
-    def record(m: int, verdict: Verdict, payload: AdmissibleSet | None) -> None:
-        if verdict is Verdict.YES:
-            max_passing[:] = [p for p in max_passing if p & ~m != 0]
-            max_passing.append(m)
-            payloads[m] = payload
-        elif verdict is Verdict.NO:
-            min_failing[:] = [f for f in min_failing if m & ~f != 0]
-            min_failing.append(m)
-        else:
-            unknown.append(m)
-
     stack: list[int] = [full]
     seen: set[int] = {full}
     while stack:
         m = stack.pop()
         verdict = dominance(m)
         if verdict is None:
-            verdict, payload = check(to_set(m))
+            verdict = check(m)
             checks += 1
-            record(m, verdict, payload)
+            if verdict is Verdict.YES:
+                max_passing[:] = [p for p in max_passing if p & ~m != 0]
+                max_passing.append(m)
+            elif verdict is Verdict.NO:
+                min_failing[:] = [f for f in min_failing if m & ~f != 0]
+                min_failing.append(m)
+            else:
+                unknown.append(m)
         if verdict is Verdict.YES or m.bit_count() <= 1:
             continue
         rest = m
@@ -386,17 +375,8 @@ def maximal_admissible_sets(
                 seen.add(child)
                 stack.append(child)
 
-    max_passing.sort(key=lambda m: tuple(sorted(to_set(m))))
-    out = []
-    for m in max_passing:
-        S = to_set(m)
-        payload = payloads.get(m)
-        if payload is None:
-            if certify is None:
-                raise InvalidInput("check returned no certificate and no certifier was given")
-            payload = certify(S)
-        out.append(replace(payload, facet_indices=S))
-    return out, [to_set(m) for m in unknown], checks
+    maximal = sorted(map(to_set, max_passing), key=sorted)
+    return maximal, [to_set(m) for m in unknown], checks
 
 
 # -- minimum set cover --------------------------------------------------------
@@ -405,46 +385,39 @@ def maximal_admissible_sets(
 def min_cover(n_elements: int, sets: Sequence[frozenset[int]]) -> list[int] | None:
     """Smallest subfamily covering range(n_elements); None if not coverable.
 
-    Exact branch and bound: greedy incumbent, branch on the uncovered element
-    with the fewest candidate sets, prune with a ceil(remaining/max-size)
-    bound.  Deterministic tie-breaking keeps certificates stable.
+    Iterative deepening over k = 0, 1, 2, ...: a cover of size k picks, for
+    the lowest uncovered element, one of the sets holding it (in index
+    order), then covers the rest with k - 1 sets.  The first k that succeeds
+    is the minimum; its sets are returned as sorted indices.  Elements
+    outside range(n_elements) are ignored.
     """
-    universe = frozenset(range(n_elements))
-    reach: set[int] = set()
-    for s in sets:
-        reach |= s
-    if not universe <= reach:
+    universe = (1 << n_elements) - 1
+    masks = [sum(1 << e for e in s if 0 <= e < n_elements) for s in sets]
+    reach = 0
+    for m in masks:
+        reach |= m
+    if reach != universe:
         return None
 
-    # Greedy incumbent.
-    uncovered = set(universe)
-    greedy: list[int] = []
-    while uncovered:
-        best = max(range(len(sets)), key=lambda i: (len(sets[i] & uncovered), -i))
-        greedy.append(best)
-        uncovered -= sets[best]
-    incumbent: list[int] | None = greedy
-    max_size = max(len(s) for s in sets)
-
-    covers_of = {e: [i for i in range(len(sets)) if e in sets[i]] for e in universe}
-
-    def dfs(uncovered: frozenset[int], chosen: list[int]) -> None:
-        nonlocal incumbent
+    def cover(uncovered: int, k: int, chosen: list[int]) -> bool:
         if not uncovered:
-            if incumbent is None or len(chosen) < len(incumbent):
-                incumbent = list(chosen)
-            return
-        if len(chosen) + ceil(len(uncovered) / max_size) >= len(incumbent):
-            return
-        e = min(uncovered, key=lambda x: (len(covers_of[x]), x))
-        candidates = sorted(covers_of[e], key=lambda i: (-len(sets[i] & uncovered), i))
-        for i in candidates:
-            chosen.append(i)
-            dfs(uncovered - sets[i], chosen)
-            chosen.pop()
+            return True
+        if k == 0:
+            return False
+        low = uncovered & -uncovered
+        for i, m in enumerate(masks):
+            if m & low:
+                chosen.append(i)
+                if cover(uncovered & ~m, k - 1, chosen):
+                    return True
+                chosen.pop()
+        return False
 
-    dfs(universe, [])
-    return sorted(incumbent)
+    k = 0
+    chosen: list[int] = []
+    while not cover(universe, k, chosen):
+        k += 1
+    return sorted(chosen)
 
 
 # -- the two invariants --------------------------------------------------------

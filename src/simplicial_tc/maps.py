@@ -168,9 +168,6 @@ class ContiguityWitness:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def reverse(self) -> "ContiguityWitness":
-        return ContiguityWitness(tuple(reversed(self.steps)))
-
     def concat(self, other: "ContiguityWitness") -> "ContiguityWitness":
         if self.last.assignment != other.first.assignment:
             raise InvalidInput("witness endpoints do not meet")

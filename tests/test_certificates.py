@@ -507,6 +507,27 @@ class TestStatusBoundsConsistency:
         assert self.rejected(cert, lower="1", upper=2, **partial)
         assert self.rejected(cert, lower=1, upper=2.0, **partial)
 
+    @staticmethod
+    def partial_c4():
+        K = build_complex(corpusgen.CYCLE4)
+        cert = emit_tc(K, tc(K, budget=1), 1)
+        assert cert["status"] == "budget-exhausted" and verify_certificate(cert)[0]
+        return cert
+
+    def test_negative_lower_bound(self):
+        cert = self.partial_c4()
+        assert self.rejected(cert, lower=-3)
+        assert not self.rejected(cert, lower=0)
+
+    def test_more_undecided_subsets_than_checks(self):
+        cert = self.partial_c4()
+        checks, unknown = cert["checks"], cert["unknown_subsets"]
+        assert 1 <= unknown <= checks
+        assert not self.rejected(cert, unknown_subsets=checks)
+        assert self.rejected(cert, unknown_subsets=checks + 1)
+        assert self.rejected(cert, checks=0)
+        assert self.rejected(cert, lower=-3, checks=0, unknown_subsets=7)
+
     def test_budget_must_be_a_positive_integer(self, boundary_triangle):
         cert = tc_cert(boundary_triangle)
         for budget in (True, -3, 0, 2.5, "1000", None):

@@ -190,6 +190,14 @@ class TestVerifyCommand:
         assert main(["verify", boundary_file]) == 1
         assert "certificate REJECTED: malformed JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 200000 + "]" * 200000)
+        assert main(["verify", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "certificate REJECTED: malformed JSON" in err
+        assert "Traceback" not in err
+
     def test_inconsistent_membership_verdict_rejected(self, boundary_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
         assert main(["is-categorical", boundary_file, "--sub", "a b", "-o", str(cert_path)]) == 0
@@ -226,6 +234,14 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "codec can't decode" in err
+
+    def test_deeply_nested_json_complex_is_a_clean_error(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text('{"facets": ' + "[" * 200000 + "]" * 200000 + "}")
+        assert main(["tc", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "nested too deeply" in err
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"

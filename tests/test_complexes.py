@@ -155,6 +155,10 @@ class TestParseSerialize:
         with pytest.raises(ParseError):
             parse_complex("{not json")
 
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_complex('{"facets": ' + "[" * 200000 + "]" * 200000 + "}")
+
     def test_json_needs_facets_key(self):
         with pytest.raises(ParseError):
             parse_complex('{"cells": []}')

@@ -14,6 +14,7 @@ from simplicial_tc import (
     inclusion_map,
     is_categorical,
     is_farber,
+    maximal_admissible_sets,
     min_cover,
     motion_plan,
     projection,
@@ -232,6 +233,41 @@ class TestMaximalAdmissibleSets:
             (1, 2),
         ]
 
+    def test_matches_brute_force_on_random_families(self):
+        rng = random.Random(19)
+        family_check = TestPartitionSearch.family_check
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            maximal = TestPartitionSearch.random_family(rng, n, 5)
+            check = family_check(maximal)
+            passing = [
+                frozenset(i for i in range(n) if m >> i & 1)
+                for m in range(1, 1 << n)
+                if check(m) is Verdict.YES
+            ]
+            expected = sorted((S for S in passing if not any(S < T for T in passing)), key=sorted)
+            sets, unknown, checks = maximal_admissible_sets(n, check)
+            assert sets == expected and unknown == []
+            assert 1 <= checks < 1 << n
+
+    def test_undecided_sets_are_reported_and_never_returned(self):
+        rng = random.Random(20)
+        family_check = TestPartitionSearch.family_check
+        seen_unknown = 0
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            maximal = TestPartitionSearch.random_family(rng, n, 4)
+            subsets = [
+                frozenset(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)
+            ]
+            undecided = frozenset(rng.sample(subsets, rng.randint(0, len(subsets) // 2)))
+            sets, unknown, _ = maximal_admissible_sets(n, family_check(maximal, undecided))
+            seen_unknown += bool(unknown)
+            assert set(unknown) <= undecided
+            assert all(any(S <= M for M in maximal) and S not in undecided for S in sets)
+            assert not any(S < T for S in sets for T in sets)
+        assert seen_unknown >= 50
+
     def test_unknown_propagates_as_incomplete(self, boundary_triangle):
         # scat of the square needs real class searches, so a one-state budget
         # leaves subsets undecided and the result degrades honestly
@@ -256,6 +292,20 @@ class TestMinCover:
     def test_picks_minimum(self):
         sets = [frozenset({0}), frozenset({1}), frozenset({2}), frozenset({0, 1, 2})]
         assert min_cover(3, sets) == [3]
+
+    def test_empty_universe_needs_no_sets(self):
+        assert min_cover(0, []) == []
+        assert min_cover(0, [frozenset({0})]) == []
+
+    def test_empty_set_in_the_family(self):
+        assert min_cover(2, [frozenset(), frozenset({0, 1})]) == [1]
+        assert min_cover(2, [frozenset(), frozenset({0})]) is None
+        assert min_cover(1, [frozenset()]) is None
+
+    def test_elements_outside_the_universe_are_ignored(self):
+        sets = [frozenset({0, 5}), frozenset({1, 2, 9}), frozenset({0, 1, 2, 7})]
+        assert min_cover(3, sets) == [2]
+        assert min_cover(3, [frozenset({3, 4})]) is None
 
     def test_exact_on_random_instances(self):
         rng = random.Random(11)
