@@ -181,6 +181,7 @@ def _rebuild_admissible(entry: Any, A: Admissibility) -> AdmissibleSet:
         _need(witness.first.assignment == diag, "witness does not start at diagonal∘section")
         _need(witness.last.assignment == emb, "witness does not end at the inclusion")
         return AdmissibleSet("farber", omega, witness, section=section)
+    _need(entry["section"] is None, "a categorical entry carries a section")
     _need(witness.first.assignment == emb, "witness does not start at the inclusion")
     _need(witness.last.is_constant, "witness does not end at a constant map")
     return AdmissibleSet("categorical", omega, witness)

@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="facets",
         metavar="SUB",
         required=True,
-        help="facets of the subcomplex, ';'-separated",
+        help="facets of the subcomplex, ';'-separated, vertices whitespace-separated",
     )
     add_common(sp)
     sp.set_defaults(func=_cmd_membership, kind="categorical")
@@ -193,7 +193,7 @@ def _cmd_product(args) -> int:
 def _parse_facet_arg(spec: str) -> list[list[str]]:
     facets = []
     for chunk in spec.split(";"):
-        toks = chunk.replace(",", " ").split()
+        toks = chunk.split()
         if toks:
             facets.append(toks)
     if not facets:

@@ -10,9 +10,10 @@ which is why the representation is a bitset and not a set-of-frozensets.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Any, Iterable, Sequence
 
 from .errors import InvalidInput, ParseError
@@ -39,6 +40,11 @@ def ids_from_mask(mask: Mask) -> tuple[int, ...]:
         mask >>= 1
         v += 1
     return tuple(out)
+
+
+def union_mask(masks: Iterable[Mask]) -> Mask:
+    """The OR of a family of masks; 0 for an empty family."""
+    return reduce(operator.or_, masks, 0)
 
 
 def _antichain(masks: Iterable[Mask]) -> tuple[Mask, ...]:
@@ -86,15 +92,13 @@ class Complex:
             raise InvalidInput("duplicate vertex labels")
         if not self.facets:
             raise InvalidInput("complex needs at least one facet")
-        covered = 0
         full = (1 << n) - 1
         for m in self.facets:
             if m == 0:
                 raise InvalidInput("empty facet")
             if m & ~full:
                 raise InvalidInput("facet references a vertex id outside the label table")
-            covered |= m
-        if covered != full:
+        if union_mask(self.facets) != full:
             raise InvalidInput("some vertex lies in no facet")
         fl = self.facets
         for i, a in enumerate(fl):
@@ -146,34 +150,23 @@ class Complex:
         return tuple(tuple(p) for p in per)
 
     @cached_property
-    def vertex_components(self) -> tuple[int, ...]:
-        """Component id per vertex of the 1-skeleton (facets are cliques)."""
-        n = self.n_vertices
-        comp = [-1] * n
-        cid = 0
-        for start in range(n):
-            if comp[start] >= 0:
-                continue
-            queue = deque([start])
-            comp[start] = cid
-            while queue:
-                v = queue.popleft()
-                for j in self.vertex_facets[v]:
-                    for w in ids_from_mask(self.facets[j]):
-                        if comp[w] < 0:
-                            comp[w] = cid
-                            queue.append(w)
-            cid += 1
-        return tuple(comp)
-
-    @cached_property
     def component_masks(self) -> tuple[Mask, ...]:
-        """For each vertex, the vertex mask of its edge-path component."""
-        comp = self.vertex_components
-        masks = [0] * (max(comp) + 1)
-        for v, c in enumerate(comp):
-            masks[c] |= 1 << v
-        return tuple(masks[c] for c in comp)
+        """For each vertex, the vertex mask of its edge-path component.
+
+        Facets are cliques of the 1-skeleton, so a component is a union of
+        facets chained by shared vertices: each facet in turn merges with
+        every component found so far that it meets.
+        """
+        comps: list[Mask] = []
+        for f in self.facets:
+            met = [c for c in comps if c & f]
+            comps = [c for c in comps if not c & f]
+            comps.append(union_mask(met) | f)
+        per = [0] * self.n_vertices
+        for c in comps:
+            for v in ids_from_mask(c):
+                per[v] = c
+        return tuple(per)
 
 
 # -- constructors ---------------------------------------------------------
@@ -231,7 +224,7 @@ def subcomplex(K: Complex, simplices: Iterable[Mask]) -> Complex:
 
 def _complex_on(K: Complex, facets: Sequence[Mask]) -> Complex:
     """The complex on a facet antichain of K: labels kept, ids re-densified in parent-id order."""
-    used = ids_from_mask(mask_from_ids(v for m in facets for v in ids_from_mask(m)))
+    used = ids_from_mask(union_mask(facets))
     old_to_new = {old: new for new, old in enumerate(used)}
     labels = tuple(K.labels[old] for old in used)
     masks = tuple(mask_from_ids(old_to_new[v] for v in ids_from_mask(m)) for m in facets)
@@ -258,14 +251,14 @@ def is_subcomplex(sub: Complex, K: Complex) -> bool:
 
 def is_edge_path_connected(K: Complex) -> bool:
     """True iff the 1-skeleton of K is a connected graph."""
-    return max(K.vertex_components) == 0
+    return K.component_masks[0] == (1 << K.n_vertices) - 1
 
 
 def edge_path(K: Complex, u: int, v: int) -> list[int] | None:
     """Shortest vertex sequence u..v with consecutive vertices spanning an edge."""
     if u == v:
         return [u]
-    if K.vertex_components[u] != K.vertex_components[v]:
+    if not K.component_masks[u] >> v & 1:
         return None
     prev: dict[int, int] = {u: u}
     queue = deque([u])

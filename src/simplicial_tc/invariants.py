@@ -68,6 +68,7 @@ from .complexes import (
     is_subcomplex,
     mask_from_ids,
     subcomplex,  # unused here; e2ebench/tracing.py patches it
+    union_mask,
 )
 from .errors import InvalidInput
 from .maps import (
@@ -184,10 +185,7 @@ def _core_verdict(
     key = frozenset(core)
     verdict = memo.get(key) if memo is not None else None
     if verdict is None:
-        union = 0
-        for m in core:
-            union |= m
-        verdict = query(_complex_on(ambient, core), ids_from_mask(union)).verdict
+        verdict = query(_complex_on(ambient, core), ids_from_mask(union_mask(core))).verdict
         if memo is not None:
             memo[key] = verdict
     return verdict
@@ -202,13 +200,12 @@ def _diagonal_witness(
     w -> (pi1(w), h(w)) from omega into K^2; the chain starts at the diagonal
     composed with the section sigma = pi1|omega and ends at the inclusion emb.
     """
-    first = proj_witness.first.assignment
+    section = proj_witness.first
     steps = [
-        SimplicialMap(omega, P.product, tuple(map(P.pair_id, first, h.assignment)))
+        SimplicialMap(omega, P.product, tuple(map(P.pair_id, section.assignment, h.assignment)))
         for h in proj_witness.steps
     ]
     witness = ContiguityWitness(tuple(steps))
-    section = SimplicialMap(omega, P.base, first)
     if witness.last.assignment != tuple(emb):
         raise InvalidInput("derived witness does not end at the inclusion")
     return AdmissibleSet("farber", omega, witness, section=section)
@@ -237,11 +234,10 @@ def is_farber(
     class-query verdicts of earlier checks; search layers use this and
     re-certify the sets they keep.
     """
+    check_budget(budget)
     facets, emb = _ambient_facets(omega, P.product, "omega is not a subcomplex of the product")
     K = P.base
-    union = 0
-    for m in facets:
-        union |= m
+    union = union_mask(facets)
 
     if union & P.split_pairs:
         # A Farber witness would unfold to an edge path between the pair.
@@ -289,10 +285,9 @@ def is_categorical(
     chain.  With want_witness=False only the verdict is computed, on the
     greedy core of sub, with memo as in is_farber.
     """
+    check_budget(budget)
     facets, emb = _ambient_facets(sub, K, "not a subcomplex of the ambient complex")
-    union = 0
-    for m in facets:
-        union |= m
+    union = union_mask(facets)
 
     if union & ~K.component_masks[(union & -union).bit_length() - 1]:
         # The witness would unfold to edge paths joining all of sub's
@@ -329,10 +324,6 @@ def maximal_admissible_sets(
     Returns (the maximal passing sets in sorted order, the subsets whose
     verdict was "unknown", the number of masks checked).
     """
-
-    def to_set(mask: int) -> frozenset[int]:
-        return frozenset(i for i in range(n_facets) if mask & (1 << i))
-
     full = (1 << n_facets) - 1
     max_passing: list[int] = []  # antichain of maximal known-passing masks
     min_failing: list[int] = []  # antichain of minimal known-failing masks
@@ -375,8 +366,8 @@ def maximal_admissible_sets(
                 seen.add(child)
                 stack.append(child)
 
-    maximal = sorted(map(to_set, max_passing), key=sorted)
-    return maximal, [to_set(m) for m in unknown], checks
+    maximal = sorted((frozenset(ids_from_mask(m)) for m in max_passing), key=sorted)
+    return maximal, [frozenset(ids_from_mask(m)) for m in unknown], checks
 
 
 # -- minimum set cover --------------------------------------------------------
@@ -393,10 +384,7 @@ def min_cover(n_elements: int, sets: Sequence[frozenset[int]]) -> list[int] | No
     """
     universe = (1 << n_elements) - 1
     masks = [sum(1 << e for e in s if 0 <= e < n_elements) for s in sets]
-    reach = 0
-    for m in masks:
-        reach |= m
-    if reach != universe:
+    if union_mask(masks) != universe:
         return None
 
     def cover(uncovered: int, k: int, chosen: list[int]) -> bool:
@@ -453,9 +441,6 @@ def _cover_invariant(
     unknown: list[int] = []
     full = (1 << n_facets) - 1
 
-    def to_set(mask: int) -> frozenset[int]:
-        return frozenset(i for i in range(n_facets) if mask >> i & 1)
-
     def verdict(mask: int) -> Verdict:
         v = memo.get(mask)
         if v is None:
@@ -492,9 +477,11 @@ def _cover_invariant(
     def result(status: Status, lower=None, upper=None, classes=None) -> InvariantResult:
         cover = None
         if classes is not None:
-            cover = tuple(replace(certify(m), facet_indices=to_set(m)) for m in classes)
+            cover = tuple(
+                replace(certify(m), facet_indices=frozenset(ids_from_mask(m))) for m in classes
+            )
         value = lower if status is Status.EXACT else None
-        unknown_sets = tuple(map(to_set, unknown))
+        unknown_sets = tuple(frozenset(ids_from_mask(m)) for m in unknown)
         return InvariantResult(value, lower, upper, status, cover, (), unknown_sets, len(memo))
 
     if verdict(full) is not Verdict.YES and any(  # a "yes" full set has "yes" singletons

@@ -35,7 +35,15 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from ._kernels import pure
-from .complexes import Complex, _complex_on, edge_path, embedding_ids, ids_from_mask, is_subcomplex
+from .complexes import (
+    Complex,
+    _complex_on,
+    edge_path,
+    embedding_ids,
+    ids_from_mask,
+    is_subcomplex,
+    union_mask,
+)
 from .errors import DomainMismatch, InvalidInput, NotSimplicial
 
 DEFAULT_BUDGET = 10**6
@@ -62,12 +70,11 @@ class SimplicialMap:
         if any(not (0 <= c < n_cod) for c in self.assignment):
             raise InvalidInput("assignment image outside the codomain vertex table")
         asg = self.assignment
-        cod_facets = self.codomain.facets
         for verts in self.domain.facet_vertex_ids:
             img = 0
             for v in verts:
                 img |= 1 << asg[v]
-            if not any(img & ~f == 0 for f in cod_facets):
+            if not self.codomain.is_simplex(img):
                 labs = tuple(sorted(self.domain.labels[v] for v in verts))
                 raise NotSimplicial(f"facet {labs} maps outside the codomain", labs)
 
@@ -130,12 +137,11 @@ def are_contiguous(f: SimplicialMap, g: SimplicialMap) -> bool:
     """Facet-level contiguity test: f(F) | g(F) a simplex for every facet F."""
     _require_parallel(f, g)
     fa, ga = f.assignment, g.assignment
-    cod_facets = f.codomain.facets
     for verts in f.domain.facet_vertex_ids:
         joint = 0
         for v in verts:
             joint |= (1 << fa[v]) | (1 << ga[v])
-        if not any(joint & ~m == 0 for m in cod_facets):
+        if not f.codomain.is_simplex(joint):
             return False
     return True
 
@@ -286,9 +292,7 @@ def _retraction_chain(K: Complex) -> Reduction:
     for v, u in steps:
         rho = [u if x == v else x for x in rho]
         chain.append(tuple(rho))
-    union = 0
-    for m in facets:
-        union |= m
+    union = union_mask(facets)
     # core ids keep the order of K's ids, so a survivor's core id counts the survivors below it
     retraction = tuple((union & ((1 << x) - 1)).bit_count() for x in rho)
     return Reduction(c, steps, tuple(chain), ids_from_mask(union), retraction)
@@ -350,15 +354,12 @@ def same_contiguity_class(
     or of g when f's side blows the budget first; unknown means the searches
     from both sides ran out of budget.
     """
+    check_budget(budget)
     _require_parallel(f, g)
     if f.assignment == g.assignment:
         return ContiguityResult(Verdict.YES, ContiguityWitness((f,)), 1)
     rq = _class_query(f.domain, f.codomain)
     fa, ga = rq.reduce(f.assignment), rq.reduce(g.assignment)
-    if fa == ga:
-        return ContiguityResult(
-            Verdict.YES, rq.build_witness(f.assignment, [fa], g.assignment), 1
-        )
     if rq.dom.core.n_vertices == 1:
         path = edge_path(rq.cod.core, fa[0], ga[0])
         if path is None:
@@ -380,6 +381,7 @@ def same_contiguity_class(
 
 def class_constant_witness(f: SimplicialMap, budget: int = DEFAULT_BUDGET) -> ContiguityResult:
     """Search the contiguity class of f for any constant map."""
+    check_budget(budget)
     rq = _class_query(f.domain, f.codomain)
     n = rq.dom.core.n_vertices
     fa = rq.reduce(f.assignment)

@@ -30,6 +30,7 @@ from .complexes import (
     is_subcomplex,
     mask_from_ids,
     subcomplex,
+    union_mask,
 )
 from .errors import InvalidInput
 from .maps import ContiguityWitness, SimplicialMap
@@ -106,11 +107,8 @@ class ProductComplex:
         Adding the blocks' lowest bits carries into a block's guard bit
         exactly then.
         """
-        word = 0
-        for m in facets:
-            word |= self.coverage_word(m)
         low, guard = self._block_bits
-        return (word + low) & guard != 0
+        return (union_mask(map(self.coverage_word, facets)) + low) & guard != 0
 
 
 def categorical_square(K: Complex) -> ProductComplex:
@@ -130,27 +128,22 @@ def projection(P: ProductComplex, i: int) -> SimplicialMap:
     """Coordinate projection K^2 -> K; i is 1 (first) or 2 (second)."""
     if i not in (1, 2):
         raise InvalidInput("projection index must be 1 or 2")
-    n = P.n
-    assignment = tuple(q // n if i == 1 else q % n for q in range(n * n))
-    return SimplicialMap(P.product, P.base, assignment)
+    pairs = map(P.unpair, range(P.n**2))
+    return SimplicialMap(P.product, P.base, tuple(pair[i - 1] for pair in pairs))
 
 
 def diagonal(P: ProductComplex) -> SimplicialMap:
     """The diagonal K -> K^2, v -> (v, v)."""
-    n = P.n
-    return SimplicialMap(P.base, P.product, tuple(v * n + v for v in range(n)))
+    return SimplicialMap(P.base, P.product, tuple(P.pair_id(v, v) for v in range(P.n)))
 
 
 def square_map(phi: SimplicialMap) -> SimplicialMap:
     """The squared map K^2 -> L^2 acting coordinatewise; preserves contiguity."""
     PK = categorical_square(phi.domain)
     PL = categorical_square(phi.codomain)
-    nk, nl = PK.n, PL.n
-    assignment = []
-    for q in range(nk * nk):
-        u, v = divmod(q, nk)
-        assignment.append(phi.assignment[u] * nl + phi.assignment[v])
-    return SimplicialMap(PK.product, PL.product, tuple(assignment))
+    f = phi.assignment
+    assignment = tuple(PL.pair_id(f[u], f[v]) for u, v in map(PK.unpair, range(PK.n**2)))
+    return SimplicialMap(PK.product, PL.product, assignment)
 
 
 def square_witness(w: ContiguityWitness) -> ContiguityWitness:

@@ -74,6 +74,25 @@ def oracle_component(dom: Complex, cod: Complex, f) -> set[tuple[int, ...]]:
     return seen
 
 
+def oracle_component_masks(K: Complex) -> tuple[int, ...]:
+    """For each vertex id, the mask of its component: a BFS over the edges of the facet label sets."""
+    adjacent: dict[str, set[str]] = {lab: set() for lab in K.labels}
+    for facet in K.facet_label_sets():
+        for a, b in itertools.combinations(facet, 2):
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+    out = []
+    for start in K.labels:
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            for b in adjacent[queue.popleft()] - seen:
+                seen.add(b)
+                queue.append(b)
+        out.append(sum(1 << K.id(lab) for lab in seen))
+    return tuple(out)
+
+
 def complexes_isomorphic(A: Complex, B: Complex) -> bool:
     if A.n_vertices != B.n_vertices or len(A.facets) != len(B.facets):
         return False

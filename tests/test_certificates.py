@@ -354,6 +354,14 @@ class TestMutationsRejected:
         ok, _ = verify_certificate(cert)
         assert not ok
 
+    def test_section_on_a_categorical_entry(self, boundary_triangle):
+        cert = copy.deepcopy(scat_cert(boundary_triangle))
+        assert cert["cover"][0]["section"] is None
+        cert["cover"][0]["section"] = ["a"]
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert any("section" in m for m in msgs)
+
     def test_unknown_kind_rejected(self, boundary_triangle):
         cert = copy.deepcopy(tc_cert(boundary_triangle))
         cert["kind"] = "mystery"

@@ -131,6 +131,14 @@ class TestMembershipCommands:
         assert code == 0
         assert "categorical: yes" in capsys.readouterr().out
 
+    def test_comma_is_part_of_a_label(self, tmp_path, capsys):
+        p = tmp_path / "comma.txt"
+        p.write_text("x,y z\nz w\n")
+        code = main(["is-categorical", str(p), "--sub", "x,y z"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "categorical: yes" in captured.out
+
     def test_bad_omega_label_errors(self, boundary_file, capsys):
         code = main(["is-farber", boundary_file, "--omega", "a|z"])
         assert code == 1

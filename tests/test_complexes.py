@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,9 @@ from simplicial_tc import (
     serialize_complex,
     subcomplex,
 )
+from simplicial_tc.complexes import edge_path, union_mask
 
+import corpusgen
 import oracles
 
 
@@ -106,6 +110,39 @@ class TestConnectivity:
 
     def test_single_vertex_connected(self):
         assert is_edge_path_connected(build_complex([{"a"}]))
+
+    def test_components_match_the_oracle(self):
+        # the acceptance corpus, plus seeded sparse complexes with isolated vertices
+        rng = random.Random(7)
+        corpus = corpusgen.acceptance_corpus(corpusgen.ACCEPTANCE_SEED) + [
+            corpusgen.random_complex(rng, max_vertices=8, max_facets=6, max_facet_size=size)
+            for size in (1, 2, 3)
+            for _ in range(60)
+        ]
+        for K in corpus:
+            expected = oracles.oracle_component_masks(K)
+            assert K.component_masks == expected, K.facet_label_sets()
+            assert is_edge_path_connected(K) == (expected[0] == (1 << K.n_vertices) - 1)
+            for u in range(K.n_vertices):
+                for v in range(K.n_vertices):
+                    path = edge_path(K, u, v)
+                    assert (path is None) == (not expected[u] >> v & 1), (K.labels, u, v)
+                    if path is not None:
+                        assert path[0] == u and path[-1] == v
+                        assert all(K.is_simplex((1 << a) | (1 << b)) for a, b in zip(path, path[1:]))
+        # a one-vertex facet is an isolated vertex
+        assert any(len(set(K.component_masks)) >= 3 for K in corpus)
+        assert any(any(m.bit_count() == 1 for m in K.facets) and len(K.facets) > 1 for K in corpus)
+
+    def test_union_mask(self):
+        assert union_mask([]) == 0
+        for seed in range(20):
+            family = corpusgen.random_facet_masks(12, seed % 7 + 1, seed)
+            plain = 0
+            for m in family:
+                plain |= m
+            assert union_mask(family) == plain
+            assert union_mask(iter(family)) == plain
 
 
 class TestSubcomplex:

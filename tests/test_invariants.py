@@ -10,7 +10,9 @@ from simplicial_tc import (
     Verdict,
     build_complex,
     categorical_square,
+    class_constant_witness,
     diagonal,
+    identity_map,
     inclusion_map,
     is_categorical,
     is_farber,
@@ -807,6 +809,21 @@ class TestFiveCycle:
         assert r_scat.status is Status.EXACT and r_scat.value == 1
 
 
+_C3 = build_complex(corpusgen.CYCLE3)
+_P3 = categorical_square(_C3)
+# Each call is decided without a BFS (equal maps, a cone class, a full-slice
+# class, a split component) or reaches one only through class_constant_witness.
+_BUDGET_ENTRY_POINTS = {
+    "farber-cone-check": lambda b: is_farber(1, _P3, b, want_witness=False),
+    "farber-cone-certify": lambda b: is_farber(1, _P3, b),
+    "farber-full-slice": lambda b: is_farber(_P3.product, _P3, b),
+    "equal-maps": lambda b: same_contiguity_class(identity_map(_C3), identity_map(_C3), b),
+    "categorical-edge": lambda b: is_categorical(1, _C3, b),
+    "categorical-split": lambda b: is_categorical(3, build_complex([{"a"}, {"b"}]), b),
+    "constant-class": lambda b: class_constant_witness(identity_map(_C3), b),
+}
+
+
 class TestBudgetBounds:
     @pytest.mark.parametrize("budget", [0, -1, True, 2.5, "8"])
     def test_budget_must_be_a_positive_int(self, budget):
@@ -815,6 +832,12 @@ class TestBudgetBounds:
         for invariant in (tc, scat):
             with pytest.raises(InvalidInput, match="budget must be a positive integer"):
                 invariant(simplex, budget=budget)
+
+    @pytest.mark.parametrize("budget", [0, -1, True, 1.5, "8"])
+    @pytest.mark.parametrize("entry", sorted(_BUDGET_ENTRY_POINTS))
+    def test_entry_points_check_the_budget(self, entry, budget):
+        with pytest.raises(InvalidInput, match="budget must be a positive integer"):
+            _BUDGET_ENTRY_POINTS[entry](budget)
 
     def test_small_budgets_bracket_the_exact_value(self):
         """Every budget gives lower <= exact <= upper and a certificate that verifies."""
