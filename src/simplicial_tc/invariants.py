@@ -54,7 +54,7 @@ reduces to) back through the strong-collapse retraction chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -105,16 +105,15 @@ class AdmissibleSet:
     omega: Complex
     witness: ContiguityWitness
     section: SimplicialMap | None = None
-    facet_indices: frozenset[int] | None = None
 
 
 @dataclass(frozen=True)
 class InvariantResult:
     """Outcome of tc/scat.
 
-    cover holds the certified classes of the smallest partition found, with
-    facet_indices set.  maximal is always empty from tc/scat, because the
-    partition search never enumerates maximal admissible sets
+    cover holds the certified classes of the smallest partition found, in
+    the order the search opened them.  maximal is always empty from tc/scat,
+    because the partition search never enumerates maximal admissible sets
     (maximal_admissible_sets lists them as facet-index sets, uncertified);
     the field stays because the benchmark (e2ebench/sweep.py) still reads it.
     """
@@ -424,10 +423,11 @@ def _cover_invariant(
     index order to one of the open classes, or opens one new class while
     fewer than k are open (so classes are numbered by their lowest facet and
     no relabelled copy of a partition is visited twice), and backs off as
-    soon as a class fails.  check and certify take a facet mask (bit i is
-    facet i).  Verdicts are memoised by facet mask for this one call;
-    `checks` counts the masks actually checked.  Only the k returned classes
-    are certified.
+    soon as a class fails; it keeps the class chosen for each placed facet
+    on an explicit stack, so thousands of facets need no deep recursion.
+    check and certify take a facet mask (bit i is facet i).  Verdicts are
+    memoised by facet mask for this one call; `checks` counts the masks
+    actually checked.  Only the k returned classes are certified.
 
     A facet whose singleton class is "no" lies in no admissible set, so the
     complex is not coverable.  Otherwise one optimistic pass, where undecided
@@ -454,32 +454,36 @@ def _cover_invariant(
         if k == 1:  # one candidate, the full set: one check decides it
             return [full] if verdict(full) in passing else None
         classes: list[int] = []
-
-        def place(i: int) -> bool:
-            if i == n_facets:
-                return True
+        chosen: list[int] = []  # the class each placed facet joined, by facet index
+        j = 0  # the next class to try for facet len(chosen); len(classes) opens one
+        while len(chosen) < n_facets:
+            i = len(chosen)
             bit = 1 << i
-            for j, m in enumerate(classes):
-                if verdict(m | bit) in passing:
-                    classes[j] = m | bit
-                    if place(i + 1):
-                        return True
-                    classes[j] = m
-            if len(classes) < k:
+            while j < len(classes) and verdict(classes[j] | bit) not in passing:
+                j += 1
+            if j < len(classes):
+                classes[j] |= bit
+            elif j == len(classes) < k:
                 classes.append(bit)
-                if place(i + 1):
-                    return True
-                classes.pop()
-            return False
-
-        return classes if place(0) else None
+            else:  # no class left for facet i: move facet i - 1 on to its next class
+                if not chosen:
+                    return None
+                j = chosen.pop()
+                prev = bit >> 1
+                if classes[j] == prev:  # facet i - 1 opened that class
+                    classes.pop()
+                else:
+                    classes[j] ^= prev
+                j += 1
+                continue
+            chosen.append(j)
+            j = 0
+        return classes
 
     def result(status: Status, lower=None, upper=None, classes=None) -> InvariantResult:
         cover = None
         if classes is not None:
-            cover = tuple(
-                replace(certify(m), facet_indices=frozenset(ids_from_mask(m))) for m in classes
-            )
+            cover = tuple(certify(m) for m in classes)
         value = lower if status is Status.EXACT else None
         unknown_sets = tuple(frozenset(ids_from_mask(m)) for m in unknown)
         return InvariantResult(value, lower, upper, status, cover, (), unknown_sets, len(memo))

@@ -209,13 +209,7 @@ def _context(domain: Complex, codomain: Complex) -> pure.Context:
     """
     if codomain.n_vertices > 255:
         raise InvalidInput("class search supports codomains with at most 255 vertices")
-    return pure.Context(
-        domain.facet_vertex_ids,
-        domain.vertex_facets,
-        codomain.facets,
-        domain.n_vertices,
-        codomain.n_vertices,
-    )
+    return pure.Context(domain.facet_vertex_ids, domain.vertex_facets, codomain.facets)
 
 
 def check_budget(budget) -> None:
@@ -408,9 +402,31 @@ def contiguity_component(
 
 
 def neighbors(f: SimplicialMap) -> Iterator[SimplicialMap]:
-    """All maps g != f contiguous to f, in deterministic enumeration order."""
+    """All maps g != f contiguous to f, in lexicographic order of assignment.
+
+    They are the closure of f under kernel steps that stay contiguous to f:
+    changing f(v) to g(v) one vertex at a time keeps every facet image
+    inside the simplex f(F) | g(F), so each map on the way is contiguous to
+    f and one step from the last.
+    """
     ctx = _context(f.domain, f.codomain)
-    for a in pure.contiguous_maps(ctx, bytes(f.assignment)):
+    start = bytes(f.assignment)
+
+    def contiguous(a: bytes) -> bool:
+        return all(
+            f.codomain.is_simplex(union_mask((1 << start[v]) | (1 << a[v]) for v in verts))
+            for verts in ctx.facet_vertices
+        )
+
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for b in pure.neighbors(ctx, queue.popleft()):
+            if b not in seen and contiguous(b):
+                seen.add(b)
+                queue.append(b)
+    seen.remove(start)
+    for a in sorted(seen):
         yield SimplicialMap(f.domain, f.codomain, tuple(a))
 
 

@@ -31,7 +31,8 @@ from simplicial_tc import (
 )
 from simplicial_tc import invariants
 from simplicial_tc.collapse import _greedy_collapse, core
-from simplicial_tc.invariants import AdmissibleSet, _cover_invariant, admissibility
+from simplicial_tc.complexes import ids_from_mask
+from simplicial_tc.invariants import _cover_invariant, admissibility
 from simplicial_tc.maps import DEFAULT_BUDGET
 
 import corpusgen
@@ -714,7 +715,7 @@ class TestPartitionSearch:
 
     @staticmethod
     def certify(mask):
-        return AdmissibleSet("categorical", None, None)
+        return frozenset(ids_from_mask(mask))
 
     @staticmethod
     def random_family(rng, n, most):
@@ -734,7 +735,7 @@ class TestPartitionSearch:
                 continue
             assert res.status is Status.EXACT
             assert res.value == res.lower_bound == res.upper_bound == len(chosen) - 1
-            classes = [adm.facet_indices for adm in res.cover]
+            classes = list(res.cover)
             assert sorted(i for S in classes for i in S) == list(range(n))
             assert all(any(S <= M for M in maximal) for S in classes)
 
@@ -759,8 +760,17 @@ class TestPartitionSearch:
             assert res.value is None
             assert res.lower_bound <= exact <= res.upper_bound  # singletons always pass
             assert len(res.cover) == res.upper_bound + 1
-            assert all(any(adm.facet_indices <= M for M in maximal) for adm in res.cover)
+            assert all(any(S <= M for M in maximal) for S in res.cover)
         assert seen_open >= 50
+
+    def test_thousands_of_facets_backtrack_without_recursion(self):
+        def check(mask):  # facets 0 and 1 never share a class
+            return Verdict.NO if mask & 3 == 3 else Verdict.YES
+
+        res = _cover_invariant(3000, check, self.certify)
+        assert res.status is Status.EXACT and res.value == 1
+        assert res.checks == 6000  # full set, 3000 singletons, {0, 1}, then 2998 joins
+        assert res.cover == (frozenset({0} | set(range(2, 3000))), frozenset({1}))
 
     def test_singleton_no_is_not_coverable(self):
         maximal = [frozenset({0, 1}), frozenset({1, 2})]  # facet 3 lies in no set

@@ -128,6 +128,12 @@ class TestNeighbors:
         f = constant_map(edge, two_points, 0)
         assert list(neighbors(f)) == []
 
+    def test_constant_from_a_long_path_empty(self):
+        path = build_complex([{f"p{i}", f"p{i + 1}"} for i in range(1199)])
+        two_points = build_complex([{"v"}, {"w"}])
+        assert path.n_vertices == 1200
+        assert list(neighbors(constant_map(path, two_points, 0))) == []
+
     def test_full_simplex_all_other_maps(self, full_triangle):
         K = full_triangle
         got = {n.assignment for n in neighbors(identity_map(K))}
@@ -144,9 +150,7 @@ class TestNeighbors:
 
     @given(small_complexes, small_complexes, st.randoms(use_true_random=False))
     def test_bfs_step_is_the_one_vertex_oracle_neighbors(self, dom, cod, rng):
-        ctx = pure.Context(
-            dom.facet_vertex_ids, dom.vertex_facets, cod.facets, dom.n_vertices, cod.n_vertices
-        )
+        ctx = pure.Context(dom.facet_vertex_ids, dom.vertex_facets, cod.facets)
         maps = oracles.oracle_valid_maps(dom, cod)
         for _ in range(5):
             fa = rng.choice(maps)
