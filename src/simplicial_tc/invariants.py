@@ -14,15 +14,22 @@ re-certifies just the classes it returns.
 Admissibility is hereditary under facet-subset inclusion (restricting the
 stored witness certifies every subset), so such a partition exists exactly
 when k admissible sets cover the facets.  For k = 1, 2, ... a depth-first
-search assigns the facets in index order to an open class or to one new
-class, backing off as soon as a class fails.  Undecided classes pass in
-this one search: the first k that succeeds is a lower bound, proved by the
-exhausted searches for every smaller k, and the value when no verdict was
-undecided; otherwise a strict pass (undecided classes fail) runs from that
-k up.  maximal_admissible_sets and min_cover (enumerate every maximal
-admissible set, then set-cover them) remain as standalone tools: the first
-takes the same verdict-only facet-mask check and returns facet-index sets,
-the second the indices of a smallest covering subfamily.
+search assigns the facets to an open class or to one new class, backing
+off as soon as a class fails.  The Admissibility gives the order: for TC
+the facets F x G of K^2 nearest the diagonal come first (least 1-skeleton
+distance d(u, v) over the vertices of F x G, then the sum of those
+distances, then F and G in a depth-first walk over K's facets), for scat
+index order.  Undecided classes pass in this one search, which also lets
+heredity decide a class with no checker call: inside a checked "yes" it is
+a "yes", holding a checked "no" it is a "no" (_Heredity keeps both
+inclusion antichains).  The first k that succeeds is a lower bound, proved
+by the exhausted searches for every smaller k, and the value when no
+verdict was undecided; otherwise a strict pass (undecided classes fail,
+heredity unused) runs from that k up.  `checks` counts checker calls.
+maximal_admissible_sets and min_cover (enumerate every maximal admissible
+set, then set-cover them) remain as standalone tools: the first takes the
+same verdict-only facet-mask check and the same _Heredity and returns
+facet-index sets, the second the indices of a smallest covering subfamily.
 
 A Farber subcomplex of K^2 is one whose two projection restrictions lie in
 a single contiguity class; the class witness is converted into the defining
@@ -79,6 +86,8 @@ from .maps import (
     Verdict,
     check_budget,
     class_constant_witness,
+    restrict,
+    restrict_witness,
     same_contiguity_class,
     witness_between_constants,
 )
@@ -309,6 +318,43 @@ def is_categorical(
 # -- maximal admissible sets over the facet-subset lattice --------------------
 
 
+class _Heredity:
+    """What earlier verdicts of a hereditary check imply about later masks.
+
+    Admissibility is hereditary, so a mask inside a passing mask passes and a
+    mask containing a failing mask fails.  passing keeps the inclusion-maximal
+    masks recorded as "yes", failing the inclusion-minimal ones recorded as
+    "no"; both stay antichains.
+    """
+
+    def __init__(self) -> None:
+        self.passing: list[int] = []
+        self.failing: list[int] = []
+
+    def implied(self, m: int) -> Verdict | None:
+        """The verdict heredity gives m, or None when no recorded mask decides it."""
+        for p in self.passing:
+            if m & ~p == 0:
+                return Verdict.YES
+        for f in self.failing:
+            if f & ~m == 0:
+                return Verdict.NO
+        return None
+
+    def record(self, m: int, verdict: Verdict) -> None:
+        """Add a checked verdict for m, which implied(m) left undecided."""
+        if verdict is Verdict.YES:
+            self.passing[:] = [p for p in self.passing if p & ~m != 0]
+            self.passing.append(m)
+        elif verdict is Verdict.NO:
+            self.failing[:] = [f for f in self.failing if m & ~f != 0]
+            self.failing.append(m)
+
+    def container(self, m: int) -> int:
+        """A recorded passing mask holding m; implied(m) must be YES."""
+        return next(p for p in self.passing if m & ~p == 0)
+
+
 def maximal_admissible_sets(
     n_facets: int, check: Callable[[int], Verdict]
 ) -> tuple[list[frozenset[int]], list[frozenset[int]], int]:
@@ -316,43 +362,28 @@ def maximal_admissible_sets(
 
     check takes a facet mask (bit i is facet i), as in _cover_invariant.
     Top-down lattice walk: the full set is tried first; every failing (or
-    undecided) set expands to its one-smaller subsets.  Monotonicity gives two
-    memo shortcuts, kept as inclusion antichains of masks: a subset of a
-    passing set passes, a superset of a failing set fails.
+    undecided) set expands to its one-smaller subsets.  Monotonicity decides
+    a set without a check when it lies inside a passing set or contains a
+    failing one (_Heredity).
 
     Returns (the maximal passing sets in sorted order, the subsets whose
     verdict was "unknown", the number of masks checked).
     """
     full = (1 << n_facets) - 1
-    max_passing: list[int] = []  # antichain of maximal known-passing masks
-    min_failing: list[int] = []  # antichain of minimal known-failing masks
+    known = _Heredity()
     unknown: list[int] = []
     checks = 0
-
-    def dominance(m: int) -> Verdict | None:
-        for p in max_passing:
-            if m & ~p == 0:
-                return Verdict.YES
-        for f in min_failing:
-            if f & ~m == 0:
-                return Verdict.NO
-        return None
 
     stack: list[int] = [full]
     seen: set[int] = {full}
     while stack:
         m = stack.pop()
-        verdict = dominance(m)
+        verdict = known.implied(m)
         if verdict is None:
             verdict = check(m)
             checks += 1
-            if verdict is Verdict.YES:
-                max_passing[:] = [p for p in max_passing if p & ~m != 0]
-                max_passing.append(m)
-            elif verdict is Verdict.NO:
-                min_failing[:] = [f for f in min_failing if m & ~f != 0]
-                min_failing.append(m)
-            else:
+            known.record(m, verdict)
+            if verdict is Verdict.UNKNOWN:
                 unknown.append(m)
         if verdict is Verdict.YES or m.bit_count() <= 1:
             continue
@@ -365,7 +396,7 @@ def maximal_admissible_sets(
                 seen.add(child)
                 stack.append(child)
 
-    maximal = sorted((frozenset(ids_from_mask(m)) for m in max_passing), key=sorted)
+    maximal = sorted((frozenset(ids_from_mask(m)) for m in known.passing), key=sorted)
     return maximal, [frozenset(ids_from_mask(m)) for m in unknown], checks
 
 
@@ -413,35 +444,45 @@ def min_cover(n_elements: int, sets: Sequence[frozenset[int]]) -> list[int] | No
 def _cover_invariant(
     n_facets: int,
     check: Callable[[int], Verdict],
-    certify: Callable[[int], AdmissibleSet],
+    certify: Callable[[int, int], AdmissibleSet],
+    order: Callable[[], Sequence[int]],
 ) -> InvariantResult:
     """Smallest k for which the facets split into k admissible classes, minus one.
 
     Admissibility is hereditary, so a cover by k admissible sets exists
     exactly when some partition of the facets into k classes has every class
-    admissible.  For k = 1, 2, ... a depth-first search assigns the facets in
-    index order to one of the open classes, or opens one new class while
-    fewer than k are open (so classes are numbered by their lowest facet and
-    no relabelled copy of a partition is visited twice), and backs off as
-    soon as a class fails; it keeps the class chosen for each placed facet
-    on an explicit stack, so thousands of facets need no deep recursion.
-    check and certify take a facet mask (bit i is facet i).  Verdicts are
-    memoised by facet mask for this one call; `checks` counts the masks
-    actually checked.  Only the k returned classes are certified.
+    admissible.  For k = 1 that is one check of the full set.  For k = 2, 3,
+    ... a depth-first search places the facets one at a time, in the order
+    order() gives (a permutation of the facet indices, asked for only once
+    the search reaches k = 2), into one of the open classes, or opens one new
+    class while fewer than k are open (so classes are numbered by their first
+    placed facet and no relabelled copy of a partition is visited twice), and
+    backs off as soon as a class fails; it keeps the class chosen for each
+    placed facet on an explicit stack, so thousands of facets need no deep
+    recursion.  check takes a facet mask (bit i is facet i); certify takes a
+    class's mask and a mask the checker answered "yes" that contains it (the
+    class itself when it was checked), and certifies the class.  Checker
+    verdicts are memoised by facet mask for this one call, and `checks`
+    counts checker calls.  Only the k returned classes are certified.
 
     A facet whose singleton class is "no" lies in no admissible set, so the
     complex is not coverable.  Otherwise one optimistic pass, where undecided
     ("unknown") classes pass, finds the smallest k that succeeds: every
-    smaller k was searched exhaustively, the lower-bound proof.  With no
-    verdict undecided its classes are all "yes" and k gives the value.  Else
-    the result is budget-exhausted, and a strict pass (undecided classes
-    fail) runs from that k up for the upper bound and cover (None if none).
+    smaller k was searched exhaustively, the lower-bound proof.  This pass
+    first asks heredity (_Heredity): a class inside a checked "yes" is a
+    "yes" and a class holding a checked "no" is a "no", with no checker call.
+    With no verdict undecided its classes are all "yes" and k gives the
+    value.  Else the result is budget-exhausted, and a strict pass (only
+    checker "yes" classes pass, heredity unused, so undecided verdicts keep
+    cutting partial partitions) runs from that k up for the upper bound and
+    cover (None if none).
     """
     memo: dict[int, Verdict] = {}
+    known = _Heredity()
     unknown: list[int] = []
     full = (1 << n_facets) - 1
 
-    def verdict(mask: int) -> Verdict:
+    def checked(mask: int) -> Verdict:
         v = memo.get(mask)
         if v is None:
             v = check(mask)
@@ -450,27 +491,40 @@ def _cover_invariant(
                 unknown.append(mask)
         return v
 
-    def partition(k: int, passing: tuple[Verdict, ...]) -> list[int] | None:
+    def optimistic(mask: int) -> bool:
+        v = memo.get(mask)
+        if v is None and (v := known.implied(mask)) is None:
+            v = checked(mask)
+            known.record(mask, v)
+        return v is not Verdict.NO
+
+    def strict(mask: int) -> bool:
+        return checked(mask) is Verdict.YES
+
+    placement: list[int] = []  # 1 << facet, in placement order; filled at the first k >= 2
+
+    def partition(k: int, passes: Callable[[int], bool]) -> list[int] | None:
         if k == 1:  # one candidate, the full set: one check decides it
-            return [full] if verdict(full) in passing else None
+            return [full] if passes(full) else None
+        if not placement:
+            placement.extend(1 << i for i in order())
         classes: list[int] = []
-        chosen: list[int] = []  # the class each placed facet joined, by facet index
-        j = 0  # the next class to try for facet len(chosen); len(classes) opens one
+        chosen: list[int] = []  # the class each placed facet joined, in placement order
+        j = 0  # the next class to try for the next facet; len(classes) opens one
         while len(chosen) < n_facets:
-            i = len(chosen)
-            bit = 1 << i
-            while j < len(classes) and verdict(classes[j] | bit) not in passing:
+            bit = placement[len(chosen)]
+            while j < len(classes) and not passes(classes[j] | bit):
                 j += 1
             if j < len(classes):
                 classes[j] |= bit
             elif j == len(classes) < k:
                 classes.append(bit)
-            else:  # no class left for facet i: move facet i - 1 on to its next class
+            else:  # no class left for this facet: move the previous one on to its next class
                 if not chosen:
                     return None
                 j = chosen.pop()
-                prev = bit >> 1
-                if classes[j] == prev:  # facet i - 1 opened that class
+                prev = placement[len(chosen)]
+                if classes[j] == prev:  # the previous facet opened that class
                     classes.pop()
                 else:
                     classes[j] ^= prev
@@ -483,27 +537,55 @@ def _cover_invariant(
     def result(status: Status, lower=None, upper=None, classes=None) -> InvariantResult:
         cover = None
         if classes is not None:
-            cover = tuple(certify(m) for m in classes)
+            cover = tuple(
+                certify(m, m if memo.get(m) is Verdict.YES else known.container(m)) for m in classes
+            )
         value = lower if status is Status.EXACT else None
         unknown_sets = tuple(frozenset(ids_from_mask(m)) for m in unknown)
         return InvariantResult(value, lower, upper, status, cover, (), unknown_sets, len(memo))
 
-    if verdict(full) is not Verdict.YES and any(  # a "yes" full set has "yes" singletons
-        verdict(1 << i) is Verdict.NO for i in range(n_facets)
+    # These checks bypass heredity: no later mask lies inside a singleton or
+    # holds the full set, and "yes" singletons would only lengthen the
+    # antichain every later verdict scans.
+    if checked(full) is not Verdict.YES and any(  # a "yes" full set has "yes" singletons
+        checked(1 << i) is Verdict.NO for i in range(n_facets)
     ):
         return result(Status.NOT_COVERABLE)
     # Every singleton passes optimistically, so k = n_facets succeeds; an
     # optimistic k that fails also fails strictly.
     lower_k = 1
-    while (classes := partition(lower_k, (Verdict.YES, Verdict.UNKNOWN))) is None:
+    while (classes := partition(lower_k, optimistic)) is None:
         lower_k += 1
     if not unknown:  # every verdict met was decided, so every class is a "yes"
         return result(Status.EXACT, lower_k - 1, lower_k - 1, classes)
     for k in range(lower_k, n_facets + 1):
-        classes = partition(k, (Verdict.YES,))
+        classes = partition(k, strict)
         if classes is not None:
             return result(Status.BUDGET_EXHAUSTED, lower_k - 1, k - 1, classes)
     return result(Status.BUDGET_EXHAUSTED, lower_k - 1)
+
+
+def _walk_ranks(facets: Sequence[int]) -> list[int]:
+    """Each facet's place in a depth-first walk over the facets that share a vertex.
+
+    The walk starts at facet 0, or at the lowest unvisited facet for each
+    further component, and steps to neighbours in index order, so facets
+    that are close in the complex get close ranks (along a cycle, the ranks
+    go once around it).
+    """
+    rank = [-1] * len(facets)
+    walked = 0
+    for root in range(len(facets)):
+        stack = [root]
+        while stack:
+            j = stack.pop()
+            if rank[j] >= 0:
+                continue
+            rank[j] = walked
+            walked += 1
+            near = [k for k, m in enumerate(facets) if rank[k] < 0 and m & facets[j]]
+            stack.extend(reversed(near))
+    return rank
 
 
 @dataclass(frozen=True)
@@ -534,6 +616,33 @@ class Admissibility:
             return is_farber(sub, self.square, budget, want_witness=want_witness, memo=memo)
         return is_categorical(sub, self.ambient, budget, want_witness=want_witness, memo=memo)
 
+    def search_order(self) -> list[int]:
+        """The order the cover search places the ambient facets in, as facet indices.
+
+        For "farber", the facets F x G of K^2 nearest the diagonal come first:
+        the key is the least 1-skeleton distance d(u, v) over the vertices
+        (u, v) of the facet, then the sum of those distances, then the walk
+        ranks of F and G (_walk_ranks).  Nearby pairs tend to share a class,
+        so the classes of a cover are filled one after another.  The walk
+        ranks put ties in an order set by the shape of K, not by its labels:
+        with the facet index in their place, the labels decided which far
+        facets a class collected, and on some relabellings of a 10-cycle
+        those classes had cycles for cores whose class queries ran out of
+        budget.  "categorical" has no diagonal and keeps index order.
+        """
+        facets = self.ambient.facets
+        if self.square is None:
+            return list(range(len(facets)))
+        distance = self.square.pair_distances
+        r = len(self.base.facets)
+        rank = _walk_ranks(self.base.facets)
+
+        def key(i: int) -> tuple[int, int, int, int]:
+            d = [distance[q] for q in ids_from_mask(facets[i])]
+            return min(d), sum(d), rank[i // r], rank[i % r]
+
+        return sorted(range(len(facets)), key=key)
+
 
 def admissibility(kind: str, K: Complex) -> Admissibility:
     """The admissible subcomplexes of kind "farber" or "categorical" for K."""
@@ -549,21 +658,29 @@ def _admissible_cover(A: Admissibility, budget: int) -> InvariantResult:
     """The cover search over the facets of A.ambient with A's admissibility check.
 
     Checks hand A their facet mask and share one class-query memo, which
-    lives as long as this call; only the classes of the returned cover are
-    built as complexes and certified, from their masks too.
+    lives as long as this call; the search places facets in A.search_order().
+    Only the classes of the returned cover are built as complexes and
+    certified, from their masks too.  A class whose "yes" came from heredity
+    never met the checker, and under a small budget its own class query
+    could stop undecided, so it is certified by restricting the witness of
+    the checked "yes" class that holds it.
     """
     memo: dict[frozenset[int], Verdict] = {}
 
     def check(mask: int) -> Verdict:
         return A.decide(mask, budget, want_witness=False, memo=memo)[0]
 
-    def certify(mask: int) -> AdmissibleSet:
-        verdict, adm = A.decide(mask, budget)
+    def certify(mask: int, within: int) -> AdmissibleSet:
+        verdict, adm = A.decide(within, budget)
         if verdict is not Verdict.YES or adm is None:
             raise InvalidInput("certification pass disagrees with the search verdict")
-        return adm
+        if within == mask:
+            return adm
+        sub = _complex_on(A.ambient, [A.ambient.facets[i] for i in ids_from_mask(mask)])
+        section = None if adm.section is None else restrict(adm.section, sub)
+        return AdmissibleSet(adm.kind, sub, restrict_witness(adm.witness, sub), section)
 
-    return _cover_invariant(len(A.ambient.facets), check, certify)
+    return _cover_invariant(len(A.ambient.facets), check, certify, A.search_order)
 
 
 def scat(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:

@@ -63,6 +63,26 @@ class ProductComplex:
         return out
 
     @cached_property
+    def pair_distances(self) -> tuple[int, ...]:
+        """Edge-path distance in K between u and v, indexed by the vertex u*n + v of the square.
+
+        Pairs in different components get n, longer than any path.
+        """
+        n, K = self.n, self.base
+        near = [union_mask(K.facets[j] for j in K.vertex_facets[v]) for v in range(n)]
+        out = [n] * (n * n)
+        for u in range(n):
+            seen = frontier = 1 << u
+            d = 0
+            while frontier:
+                for v in ids_from_mask(frontier):
+                    out[u * n + v] = d
+                frontier = union_mask(near[v] for v in ids_from_mask(frontier)) & ~seen
+                seen |= frontier
+                d += 1
+        return tuple(out)
+
+    @cached_property
     def _coverage_words(self) -> dict[int, int]:
         """coverage_word's memo, keyed by simplex mask; lives as long as this square."""
         return {}

@@ -1,25 +1,35 @@
-"""The enumerate-then-cover pipeline, kept as a reference for tc and scat.
+"""Reference searches for tc and scat, kept as oracles for the library's cover search.
 
-It lists every inclusion-maximal admissible facet set with
-maximal_admissible_sets and solves a minimum set cover over them with
-min_cover.  Its one check is admissibility(kind, K).decide on a facet mask,
-verdict only: the same call tc and scat make, so a disagreement points at
-the cover search, not at the checks.
+Two references live here.
+
+The enumerate-then-cover pipeline lists every inclusion-maximal admissible
+facet set with maximal_admissible_sets and solves a minimum set cover over
+them with min_cover.
+
+index_order_cover is the partition search as it was before the library's
+search placed facets by distance from the diagonal and asked heredity
+before the checker: facets in index order, every verdict from the checker.
+Its status, value and bounds are what the library's search must reproduce.
+
+Both take admissibility(kind, K).decide on a facet mask, verdict only: the
+same call tc and scat make, so a disagreement points at the search, not at
+the checks.
 """
 
 from __future__ import annotations
 
-from simplicial_tc import Status, maximal_admissible_sets, min_cover
+from simplicial_tc import InvariantResult, Status, Verdict, maximal_admissible_sets, min_cover
+from simplicial_tc.complexes import ids_from_mask
 from simplicial_tc.invariants import admissibility
 from simplicial_tc.maps import DEFAULT_BUDGET
 
 
-def checker(kind: str, K):
+def checker(kind: str, K, budget: int = DEFAULT_BUDGET):
     """(facet count, verdict-only facet-mask check) of tc ("farber") or scat ("categorical")."""
     A = admissibility(kind, K)
 
     def check(mask):
-        return A.decide(mask, DEFAULT_BUDGET, want_witness=False)[0]
+        return A.decide(mask, budget, want_witness=False)[0]
 
     return len(A.ambient.facets), check
 
@@ -38,3 +48,84 @@ def reference_invariant(kind: str, K) -> tuple[Status, int | None]:
     if chosen is None:
         return Status.NOT_COVERABLE, None
     return Status.EXACT, len(chosen) - 1
+
+
+def index_order_invariant(kind: str, K, budget: int = DEFAULT_BUDGET) -> InvariantResult:
+    """tc ("farber") or scat ("categorical") of K by index_order_cover, at this budget."""
+    return index_order_cover(*checker(kind, K, budget))
+
+
+def index_order_cover(n_facets: int, check) -> InvariantResult:
+    """The index-order partition search; cover holds the classes as facet-index sets.
+
+    For k = 1, 2, ... a depth-first search assigns the facets in index order
+    to an open class or opens one new class while fewer than k are open, and
+    backs off as soon as a class fails.  Verdicts are memoised by facet mask;
+    `checks` counts the masks checked.  A "no" singleton makes the facets
+    not coverable.  One optimistic pass (undecided classes pass) finds the
+    smallest k, exact when no verdict met was undecided; otherwise a strict
+    pass (undecided classes fail) runs from that k up for the upper bound.
+    """
+    memo: dict[int, Verdict] = {}
+    unknown: list[int] = []
+    full = (1 << n_facets) - 1
+
+    def verdict(mask: int) -> Verdict:
+        v = memo.get(mask)
+        if v is None:
+            v = check(mask)
+            memo[mask] = v
+            if v is Verdict.UNKNOWN:
+                unknown.append(mask)
+        return v
+
+    def partition(k: int, passing: tuple[Verdict, ...]) -> list[int] | None:
+        if k == 1:
+            return [full] if verdict(full) in passing else None
+        classes: list[int] = []
+        chosen: list[int] = []
+        j = 0
+        while len(chosen) < n_facets:
+            i = len(chosen)
+            bit = 1 << i
+            while j < len(classes) and verdict(classes[j] | bit) not in passing:
+                j += 1
+            if j < len(classes):
+                classes[j] |= bit
+            elif j == len(classes) < k:
+                classes.append(bit)
+            else:
+                if not chosen:
+                    return None
+                j = chosen.pop()
+                prev = bit >> 1
+                if classes[j] == prev:
+                    classes.pop()
+                else:
+                    classes[j] ^= prev
+                j += 1
+                continue
+            chosen.append(j)
+            j = 0
+        return classes
+
+    def result(status: Status, lower=None, upper=None, classes=None) -> InvariantResult:
+        cover = None if classes is None else tuple(frozenset(ids_from_mask(m)) for m in classes)
+        value = lower if status is Status.EXACT else None
+        unknown_sets = tuple(frozenset(ids_from_mask(m)) for m in unknown)
+        return InvariantResult(value, lower, upper, status, cover, (), unknown_sets, len(memo))
+
+    if verdict(full) is not Verdict.YES and any(
+        verdict(1 << i) is Verdict.NO for i in range(n_facets)
+    ):
+        return result(Status.NOT_COVERABLE)
+    lower_k = 1
+    while (classes := partition(lower_k, (Verdict.YES, Verdict.UNKNOWN))) is None:
+        lower_k += 1
+    if not unknown:
+        return result(Status.EXACT, lower_k - 1, lower_k - 1, classes)
+    for k in range(lower_k, n_facets + 1):
+        classes = partition(k, (Verdict.YES,))
+        if classes is not None:
+            return result(Status.BUDGET_EXHAUSTED, lower_k - 1, k - 1, classes)
+    return result(Status.BUDGET_EXHAUSTED, lower_k - 1)

@@ -159,23 +159,24 @@ class TestDeterminism:
         assert dumps(scat_cert(boundary_triangle)) == dumps(scat_cert(boundary_triangle))
 
     # (tc value, checks, sha256 of the tc certificate, scat value, checks, sha256),
-    # recorded before the search checks moved onto facet masks: the mask path
-    # must take the same search steps and emit the same bytes.
+    # recorded when the tc search began placing K^2 facets by distance from the
+    # diagonal and `checks` began counting checker calls only (heredity decides
+    # the rest); every value and the scat pins were unchanged by that.
     PINNED = {
         "C3": (
-            2, 72, "a21ed3294bd52ef8530001a38fb3ed42390626bb29eaa431d201686372857c6a",
+            2, 44, "d7168c0727ef7ef82da6275d026ea447adf7dad5b5e4cedb4d46832ad3b8370b",
             1, 5, "5df5b11e1b9dbd93b4df12eec2fde0e25148663a210c5cd66c704fe9882c1ecf",
         ),
         "C4": (
-            2, 2432, "ec07f23ff5c98653ea81255affe3544403cf546e7da3798b2926c214ef057e28",
+            2, 605, "926b001cb76e58430f8d79693446aec2050c502a6135d10e440e124894ef7ca3",
             1, 7, "0bf9479ad90192b04d17c69cff4762e754a42810ad194eb731abeed46d453700",
         ),
         "boundary-tetrahedron": (
-            2, 1792, "62e03aa88cfc8f2b60a364674bf4b02ac6ae20fc9a0992d9dfb0df95b2af0341",
+            2, 291, "a54853452009e92871d55a25bde5f1f42117c02615af600e5534c3dbec17eab3",
             1, 7, "5cd6b4e176e8b082c3f1e17f24a091701445ca466e625988976dacd5a3e4a0cd",
         ),
         "C5": (
-            1, 1854, "a710f54866c65e01df37ade2b7919bd40661f97e4f5648154e8d08f9518df5b1",
+            1, 59, "5ccd309034e7b04ea618644334807bd0f812e50432e825d3eb75541fcb65219b",
             1, 9, "a7edaa47230d27540fe67bc839a279992eed5ec72ad3b9f0974423aae65987ad",
         ),
     }
@@ -198,25 +199,29 @@ class TestDeterminism:
         assert tuple(got) == self.PINNED[name]
 
     # (invariant, complex, budget) -> (status, lower, upper, checks, number of
-    # unknown subsets, sha256 of the certificate), recorded before the cover
-    # search dropped its exact-only pass: budget-exhausted searches must take
-    # the same steps too.
+    # unknown subsets, sha256 of the certificate), recorded with the pins above.
+    # tc of C5 at budget 32 became exact there (the distance order meets no
+    # undecided class); the torus entry keeps four budget-exhausted pins.
     BUDGET_PINNED = {
         ("tc", "C4", 1): (
-            "budget-exhausted", 2, 2, 2463, 159,
-            "cff1e42043e7f2f4841fb2b047ce302c3c9314761f684ffea90086dedcdfb5a2",
+            "budget-exhausted", 2, 2, 607, 24,
+            "a27f4bb64ca8e24d49b5cac2fcdb859da7fa84cadf21d9373302a0ba651f3ab4",
         ),
         ("tc", "C4", 8): (
-            "budget-exhausted", 2, 2, 2442, 70,
-            "e5567a27bd3c4b221fcd375555ec4fa10bf0c47c7dd891e8e8f6a6439d3bce45",
+            "budget-exhausted", 2, 2, 607, 17,
+            "3897f898c5738a6eac81de863579bf0f9f7920b81a0cc1f6d38328985961fdc5",
         ),
         ("tc", "C5", 32): (
-            "budget-exhausted", 1, 1, 1872, 35,
-            "5461c1a99ac05c64af11b5f10932f60bb4cb6eee64e8bb9b874ad0bc7a8a9c4f",
+            "exact", 1, 1, 59, 0,
+            "8f8337745bef0a4334f440ff3c39016569b6fc58fc2263df4495bbddf074feb7",
         ),
         ("scat", "C3-square", 1): (
             "budget-exhausted", 1, 2, 78, 31,
             "f2109eb18e53205a1640c460476c5ffbded6bcde2ab0211399943df76031c0ef",
+        ),
+        ("scat", "torus", 1): (
+            "budget-exhausted", 1, 2, 401, 176,
+            "c7809c47ea09f9698d58476628843f953b8ddd752f42e8580e22639b365e6b23",
         ),
     }
 
@@ -225,20 +230,21 @@ class TestDeterminism:
         if name == "C3-square":
             K = categorical_square(build_complex(corpusgen.CYCLE3)).product
         else:
-            K = build_complex(self.FACETS[name])
+            K = build_complex({**self.FACETS, **self.SURFACES}[name])
         invariant, emit = (tc, emit_tc) if kind == "tc" else (scat, emit_scat)
         r = invariant(K, budget=budget)
         digest = hashlib.sha256(dumps(emit(K, r, budget)).encode()).hexdigest()
         got = (r.status.value, r.lower_bound, r.upper_bound, r.checks, len(r.unknown_sets), digest)
         assert got == self.BUDGET_PINNED[kind, name, budget]
 
-    # (value, checks, sha256 of the scat certificate), recorded before class
-    # queries read the strong-collapse record of maps._retraction_chain: both
-    # surfaces make BFS queries whose domain and codomain cores have several
-    # vertices, so the lifted witnesses go through both retractions.
+    # (value, checks, sha256 of the scat certificate).  Both surfaces make BFS
+    # queries whose domain and codomain cores have several vertices, so the
+    # lifted witnesses go through both retractions.  Re-recorded when heredity
+    # began deciding classes without a checker call: the covers stayed, only
+    # `checks` (torus 213 -> 108, RP2 123 -> 68) and so the bytes moved.
     SCAT_PINNED = {
-        "torus": (2, 213, "5e5d5a0b2c503af080351f5a0ccd3931c2526fb1db99e918d6ab0cde8f4cad67"),
-        "RP2": (2, 123, "dc4af5a7f92a02d1fa3482aaeaaffa69e03413ce378ea390f6ece4c5d8ee8b45"),
+        "torus": (2, 108, "15285c0bd9380b7597e6a40093f76b266700f3f2f7e849182aabdd6a05e01d67"),
+        "RP2": (2, 68, "f7b0b5957faaf58066359d083b3d299f02f27cd26e44bbb910052f57acc9e632"),
     }
     SURFACES = {"torus": corpusgen.TORUS7, "RP2": corpusgen.RP2_6}
 
@@ -250,7 +256,8 @@ class TestDeterminism:
         digest = hashlib.sha256(dumps(emit_scat(K, r, DEFAULT_BUDGET)).encode()).hexdigest()
         assert (r.value, r.checks, digest) == self.SCAT_PINNED[name]
 
-    # sha256 of the core certificate, recorded with the scat pins above.
+    # sha256 of the core certificate, recorded with the first scat pins of the
+    # surfaces; the cover search does not reach it.
     CORE_PINNED = {
         "torus": "eb6a6c5b8ed8c0baec6557fdb1481523fc23701d5d0624aa76463251b1121f65",
         "cone": "685b10c28b146aa442940183caa2483c894a75f54653ceebb734975599a21e19",

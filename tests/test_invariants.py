@@ -31,7 +31,7 @@ from simplicial_tc import (
 )
 from simplicial_tc import invariants
 from simplicial_tc.collapse import _greedy_collapse, core
-from simplicial_tc.complexes import ids_from_mask
+from simplicial_tc.complexes import ids_from_mask, mask_from_ids
 from simplicial_tc.invariants import _cover_invariant, admissibility
 from simplicial_tc.maps import DEFAULT_BUDGET
 
@@ -714,7 +714,8 @@ class TestPartitionSearch:
         return check
 
     @staticmethod
-    def certify(mask):
+    def certify(mask, within):
+        assert mask & ~within == 0  # the checked "yes" that vouches for the class holds it
         return frozenset(ids_from_mask(mask))
 
     @staticmethod
@@ -727,7 +728,7 @@ class TestPartitionSearch:
         for _ in range(200):
             n = rng.randint(1, 7)
             maximal = self.random_family(rng, n, 5)
-            res = _cover_invariant(n, self.family_check(maximal), self.certify)
+            res = _cover_invariant(n, self.family_check(maximal), self.certify, _index_order(n))
             chosen = min_cover(n, maximal)
             assert res.maximal == () and res.unknown_sets == ()
             if chosen is None:
@@ -750,7 +751,9 @@ class TestPartitionSearch:
                 frozenset(c) for r in range(2, n + 1) for c in itertools.combinations(range(n), r)
             ]
             undecided = frozenset(rng.sample(subsets, rng.randint(0, len(subsets) // 2)))
-            res = _cover_invariant(n, self.family_check(maximal, undecided), self.certify)
+            res = _cover_invariant(
+                n, self.family_check(maximal, undecided), self.certify, _index_order(n)
+            )
             assert (res.status is Status.BUDGET_EXHAUSTED) == bool(res.unknown_sets)
             assert set(res.unknown_sets) <= undecided
             if res.status is Status.EXACT:
@@ -767,14 +770,14 @@ class TestPartitionSearch:
         def check(mask):  # facets 0 and 1 never share a class
             return Verdict.NO if mask & 3 == 3 else Verdict.YES
 
-        res = _cover_invariant(3000, check, self.certify)
+        res = _cover_invariant(3000, check, self.certify, _index_order(3000))
         assert res.status is Status.EXACT and res.value == 1
         assert res.checks == 6000  # full set, 3000 singletons, {0, 1}, then 2998 joins
         assert res.cover == (frozenset({0} | set(range(2, 3000))), frozenset({1}))
 
     def test_singleton_no_is_not_coverable(self):
         maximal = [frozenset({0, 1}), frozenset({1, 2})]  # facet 3 lies in no set
-        res = _cover_invariant(4, self.family_check(maximal), self.certify)
+        res = _cover_invariant(4, self.family_check(maximal), self.certify, _index_order(4))
         assert res.status is Status.NOT_COVERABLE
         assert res.value is None and res.lower_bound is None and res.cover is None
 
@@ -788,6 +791,7 @@ class TestPartitionSearch:
             ):
                 res = invariant(K)
                 assert (res.status, res.value) == reference.reference_invariant(kind, K)
+                assert _bounds(res) == _bounds(reference.index_order_invariant(kind, K))
                 ok, msgs = verify_certificate(emit(K, res, DEFAULT_BUDGET))
                 assert ok, msgs
 
@@ -798,6 +802,186 @@ class TestPartitionSearch:
         a, b = tc(K), tc(K)
         assert a.checks == b.checks
         assert dumps(emit_tc(K, a, DEFAULT_BUDGET)) == dumps(emit_tc(K, b, DEFAULT_BUDGET))
+
+
+def _index_order(n):
+    return lambda: range(n)
+
+
+def _bounds(res):
+    return res.status, res.value, res.lower_bound, res.upper_bound
+
+
+def _relabelled_cycle(n, seed):
+    rng = random.Random(seed)
+    names = rng.sample(range(10**4), n)
+    edges = [(f"v{names[i]}", f"v{names[(i + 1) % n]}") for i in range(n)]
+    rng.shuffle(edges)
+    return build_complex(edges)
+
+
+class TestIndexOrderOracle:
+    """The distance order and heredity change which masks are checked, not the answer.
+
+    reference.index_order_cover is the search with facets in index order and
+    every verdict from the checker.
+    """
+
+    @staticmethod
+    def banded_check(yes_sets, maybe_sets):
+        """YES inside a yes set, else UNKNOWN inside a maybe set, else NO.
+
+        Both families are hereditary, so the verdicts are monotone: nothing
+        inside a "yes" is undecided or "no", and nothing holding a "no" is
+        undecided or "yes", and heredity answers what the check would.  (A
+        real checker under a small budget can leave a subset of a "yes"
+        undecided; TestPartitionSearch asks only for sound bounds there.)
+        Singletons are decided, as one facet always is: it spans a simplex.
+        """
+
+        def check(mask):
+            S = frozenset(ids_from_mask(mask))
+            if any(S <= M for M in yes_sets):
+                return Verdict.YES
+            if any(S <= M for M in maybe_sets):
+                return Verdict.YES if len(S) == 1 else Verdict.UNKNOWN
+            return Verdict.NO
+
+        return check
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_hereditary_families_with_undecided_sets(self, rng):
+        n = rng.randint(1, 7)
+        yes_sets = TestPartitionSearch.random_family(rng, n, 4)
+        maybe_sets = TestPartitionSearch.random_family(rng, n, 4)
+        if rng.random() < 0.7:  # mostly coverable
+            maybe_sets += [frozenset({i}) for i in range(n)]
+        check = self.banded_check(yes_sets, maybe_sets)
+        certify = TestPartitionSearch.certify
+        expected = reference.index_order_cover(n, check)
+        # In index order heredity only skips checker calls: the same masks
+        # meet the same verdicts.
+        res = _cover_invariant(n, check, certify, _index_order(n))
+        assert _bounds(res) == _bounds(expected)
+        assert res.unknown_sets == expected.unknown_sets
+        assert res.checks <= expected.checks
+        # Another order can meet other undecided masks, so only whether one
+        # was met may change, and then both searches bracket one value.
+        order = rng.sample(range(n), n)
+        res = _cover_invariant(n, check, certify, lambda: order)
+        if res.status is expected.status:
+            assert _bounds(res) == _bounds(expected)
+        else:
+            assert Status.NOT_COVERABLE not in (res.status, expected.status)
+            assert res.lower_bound == res.upper_bound
+            assert (expected.lower_bound, expected.upper_bound) == (res.lower_bound,) * 2
+        if res.cover is not None:
+            assert sorted(i for S in res.cover for i in S) == list(range(n))
+            assert all(check(mask_from_ids(S)) is Verdict.YES for S in res.cover)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=30)
+    def test_tiny_complexes(self, rng):
+        from simplicial_tc import emit_scat, emit_tc, verify_certificate
+
+        K = corpusgen.random_complex(rng, max_vertices=4, max_facets=4)
+        for kind, invariant, emit in (("farber", tc, emit_tc), ("categorical", scat, emit_scat)):
+            res = invariant(K)
+            assert _bounds(res) == _bounds(reference.index_order_invariant(kind, K))
+            ok, msgs = verify_certificate(emit(K, res, DEFAULT_BUDGET))
+            assert ok, msgs
+
+    def test_every_seed_one_workload_case(self):
+        import sys
+        from pathlib import Path
+
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "e2ebench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        from simplicial_tc import parse_complex
+
+        for name in workloads.WORKLOADS:
+            for case in workloads.build(name, 1):
+                K = parse_complex(case.text)
+                runs = [("categorical", scat)] + [("farber", tc)] * case.run_tc
+                for kind, invariant in runs:
+                    expected = reference.index_order_invariant(kind, K)
+                    assert _bounds(invariant(K)) == _bounds(expected), (name, case.name, kind)
+
+    def test_the_order_is_asked_for_only_from_k_two(self):
+        asked = []
+
+        def order(n):
+            return lambda: asked.append(n) or range(n)
+
+        family_check = TestPartitionSearch.family_check
+        certify = TestPartitionSearch.certify
+        _cover_invariant(3, family_check([frozenset({0, 1, 2})]), certify, order(3))
+        _cover_invariant(3, family_check([frozenset({0, 1})]), certify, order(3))  # facet 2 in none
+        assert asked == []
+        _cover_invariant(3, family_check([frozenset({0, 1}), frozenset({2})]), certify, order(3))
+        assert asked == [3]
+
+    def test_search_order_sorts_square_facets_by_distance_from_the_diagonal(self):
+        from simplicial_tc.complexes import edge_path
+
+        for K in (build_complex(corpusgen.BOUNDARY_TETRAHEDRON), _relabelled_cycle(6, seed=1)):
+            A = admissibility("farber", K)
+            n, r = K.n_vertices, len(K.facets)
+            rank = invariants._walk_ranks(K.facets)
+
+            def key(i):
+                pairs = [divmod(q, n) for q in ids_from_mask(A.ambient.facets[i])]
+                d = [len(edge_path(K, u, v)) - 1 for u, v in pairs]
+                return min(d), sum(d), rank[i // r], rank[i % r]
+
+            order = A.search_order()
+            assert order == sorted(range(r * r), key=key)
+            assert order[:r] == sorted((i * r + i for i in range(r)), key=key)  # the F x F first
+            assert admissibility("categorical", K).search_order() == list(range(r))
+
+    def test_walk_ranks_go_around_a_cycle_and_through_each_component(self):
+        K = _relabelled_cycle(9, seed=2)
+        rank = invariants._walk_ranks(K.facets)
+        walk = sorted(range(9), key=rank.__getitem__)
+        assert all(K.facets[a] & K.facets[b] for a, b in zip(walk, walk[1:] + walk[:1]))
+        # two components, facets interleaved by index: each is walked in one piece
+        assert invariants._walk_ranks([0b000011, 0b011000, 0b000110, 0b110000]) == [0, 2, 1, 3]
+
+    @pytest.mark.parametrize(
+        "facets, budget",
+        [
+            ([("a", "b", "d"), ("a", "b", "e"), ("c", "d"), ("c", "e")], DEFAULT_BUDGET),
+            ([("a", "b"), ("a", "c", "d"), ("b", "c"), ("b", "d")], DEFAULT_BUDGET),
+            ([("a", "b"), ("a", "c", "d"), ("b", "c"), ("b", "d")], 1),
+        ],
+    )
+    def test_a_class_decided_by_heredity_certifies_by_restriction(
+        self, monkeypatch, facets, budget
+    ):
+        """On these squares a cover class lies inside a checked "yes" and was never checked."""
+        from simplicial_tc import emit_tc, verify_certificate
+
+        restricted = []
+        search = invariants._cover_invariant
+
+        def spy(n_facets, check, certify, order):
+            def spied(mask, within):
+                restricted.append(mask != within)
+                return certify(mask, within)
+
+            return search(n_facets, check, spied, order)
+
+        monkeypatch.setattr(invariants, "_cover_invariant", spy)
+        K = build_complex(facets)
+        res = tc(K, budget=budget)
+        assert any(restricted)
+        assert _bounds(res) == _bounds(reference.index_order_invariant("farber", K, budget))
+        ok, msgs = verify_certificate(emit_tc(K, res, budget))
+        assert ok, msgs
 
 
 class TestFiveCycle:
@@ -818,7 +1002,30 @@ class TestFiveCycle:
         r_scat = scat(K)
         assert r_scat.status is Status.EXACT and r_scat.value == 1
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_tc_of_longer_cycles_is_one(self, n):
+        """C8 and C10 under a seeded relabelling: the distance order reaches a cover at once."""
+        import time
 
+        from simplicial_tc import emit_tc, verify_certificate
+
+        K = _relabelled_cycle(n, seed=n)
+        t0 = time.monotonic()
+        res = tc(K)
+        assert res.status is Status.EXACT and res.value == 1
+        ok, msgs = verify_certificate(emit_tc(K, res, DEFAULT_BUDGET))
+        assert ok, msgs
+        assert time.monotonic() - t0 < 60.0
+
+
+_NAMED = {
+    "C3": corpusgen.CYCLE3,
+    "C4": corpusgen.CYCLE4,
+    "boundary-tetrahedron": corpusgen.BOUNDARY_TETRAHEDRON,
+    "C5": corpusgen.CYCLE5,
+    "torus": corpusgen.TORUS7,
+    "RP2": corpusgen.RP2_6,
+}
 _C3 = build_complex(corpusgen.CYCLE3)
 _P3 = categorical_square(_C3)
 # Each call is decided without a BFS (equal maps, a cone class, a full-slice
@@ -875,3 +1082,34 @@ class TestBudgetBounds:
                 ok, msgs = verify_certificate(emit(K, res, budget))
                 assert ok, (budget, msgs)
         assert degraded
+
+    # tc of C5 is left to the next test: at budgets 2 to 8 it takes 5 to 14 s each.
+    @pytest.mark.parametrize(
+        "kind, name",
+        [(kind, name) for name in ("C3", "C4", "boundary-tetrahedron") for kind in ("tc", "scat")]
+        + [("scat", "C5"), ("scat", "torus"), ("scat", "RP2")],
+    )
+    def test_budgets_one_to_eight_certify_every_class(self, kind, name):
+        """A "yes" that came from heredity never met the checker; it certifies all the same."""
+        K = build_complex(_NAMED[name])
+        invariant = tc if kind == "tc" else scat
+        exact = invariant(K)
+        for budget in range(1, 9):
+            res = invariant(K, budget=budget)
+            _assert_bracket_and_certificate(kind, K, res, budget, exact.value)
+
+    def test_small_budget_search_on_c5_stays_below_the_index_order_search(self):
+        """At budget 1 the index-order search made 60,693 checks; heredity and the order cut it."""
+        K = build_complex(corpusgen.CYCLE5)
+        res = tc(K, budget=1)
+        assert (res.status, res.lower_bound, res.upper_bound) == (Status.BUDGET_EXHAUSTED, 1, 2)
+        assert res.checks < 60_693
+        _assert_bracket_and_certificate("tc", K, res, 1, 1)
+
+
+def _assert_bracket_and_certificate(kind, K, res, budget, exact_value):
+    from simplicial_tc import emit_scat, emit_tc, verify_certificate
+
+    assert res.lower_bound <= exact_value <= res.upper_bound
+    ok, msgs = verify_certificate((emit_tc if kind == "tc" else emit_scat)(K, res, budget))
+    assert ok, (budget, msgs)
