@@ -274,6 +274,54 @@ class TestDeterminism:
         digest = hashlib.sha256(dumps(emit_core(K, *core(K))).encode()).hexdigest()
         assert digest == self.CORE_PINNED[name]
 
+    # sha256 of certificates of strongly collapsible complexes, whose class
+    # queries have a one-vertex codomain core and so never walk the domain's
+    # retraction chain.  (name, certificate kind) -> digest.
+    COLLAPSIBLE = {
+        "point": [("a",)],
+        "edge": [("a", "b")],
+        "triangle": [("a", "b", "c")],
+        "abc-cd-def": [("a", "b", "c"), ("c", "d"), ("d", "e", "f")],
+        "cone-C3": [(*e, "x") for e in corpusgen.CYCLE3],
+    }
+    COLLAPSIBLE_PINNED = {
+        ("point", "tc"): "2d9fb4fff71c4dcccd5ab75164572080af918d5e1adf5d635c0ddb92b8382ecd",
+        ("point", "scat"): "b9670b5d6ce4ea1f56713663d8fbf4ad0a6b79438538ece78728c0c672bb9094",
+        ("edge", "tc"): "595e200f7a5bbfcea0e2e5023e3355746ec6b672238dadb1ef2f59a2276ccc80",
+        ("edge", "scat"): "6b08235ae564f80c2fe2dcf543dc0ede56895e978e9859b9ac96a404c90b17a9",
+        ("triangle", "tc"): "2137549cfdd7813912cb28b5eb5725be1c679e5aa05c19a20ed39c985450a177",
+        ("triangle", "scat"): "8df7b282471be01928b8398e902a2efe2b17d36ab088c8fccf6be7721bbad681",
+        ("abc-cd-def", "tc"): "65b55a44dd0aacd49d8c2d803d920c5bf240f4e0574dfa886b1f0fe52b0a4416",
+        ("abc-cd-def", "scat"): "8449130146370946d1ecc4c8c97ba3867a1537f6107c01067a77b7fa8ce0119e",
+        ("cone-C3", "tc"): "435764f492abc2aa2fff235ac7b0ddaddb1d94c8be91da1178edb214c8cfe414",
+        ("cone-C3", "scat"): "87289a4864025b48f4aa4f660620525d995cda6bfd988a2d3fc41752a4bc38fd",
+        ("triangle", "is-farber"): "a3e76a6ab0c56b91a5a814a41be23ced65178b5b35c7adb10a983b9dbc645a44",
+        ("triangle", "is-categorical"): "83acf5319fe2b8fb9cdc288ebe5469afbfb76044d81f30da2b96368af397eb9a",
+        ("triangle", "plan"): "56861e8eaf02295f7818fe7819607af9c563c4d88cc35c559e1ff47acd987f43",
+    }
+
+    @staticmethod
+    def _collapsible_cert(K, kind):
+        if kind == "tc":
+            return tc_cert(K)
+        if kind == "scat":
+            return scat_cert(K)
+        if kind == "is-farber":
+            P = categorical_square(K)
+            return emit_membership("farber", K, P.product, *is_farber(P.product, P), DEFAULT_BUDGET)
+        if kind == "is-categorical":
+            L = subcomplex(K, [K.simplex_mask({"a", "b"})])
+            return emit_membership("categorical", K, L, *is_categorical(L, K), DEFAULT_BUDGET)
+        return plan_cert(K, "a", "c")
+
+    @pytest.mark.parametrize("name, kind", list(COLLAPSIBLE_PINNED))
+    def test_collapsible_certificate_bytes_pinned(self, name, kind):
+        K = build_complex(self.COLLAPSIBLE[name])
+        cert = self._collapsible_cert(K, kind)
+        assert verify_certificate(cert)[0]
+        digest = hashlib.sha256(dumps(cert).encode()).hexdigest()
+        assert digest == self.COLLAPSIBLE_PINNED[name, kind]
+
 
 def _join_rows(rows):
     return ["".join(row) for row in rows]
