@@ -29,7 +29,14 @@ from .invariants import (
     scat,
     tc,
 )
-from .maps import DEFAULT_BUDGET, ContiguityWitness, SimplicialMap, Verdict, check_budget
+from .maps import (
+    DEFAULT_BUDGET,
+    ContiguityWitness,
+    SimplicialMap,
+    Verdict,
+    _unchecked_map,
+    check_budget,
+)
 
 # Unused here since invariants.admissibility builds the square; e2ebench/tracing.py patches it.
 from .product import categorical_square  # noqa: F401
@@ -41,7 +48,58 @@ _COVER_KINDS = {"tc": ("farber", tc), "scat": ("categorical", scat)}
 
 
 def dumps(cert: dict) -> str:
-    return json.dumps(cert, indent=2, sort_keys=True)
+    """cert as JSON text, byte for byte json.dumps(cert, indent=2, sort_keys=True).
+
+    Certificate bytes are pinned, so this contract is exact.  With an indent,
+    json.dumps takes CPython's pure-Python encoder, which yields one small
+    piece per token; this writer encodes strings with the same C function
+    (ensure_ascii) and joins each container's pieces, a list of strings
+    such as a witness row in one call.  It writes dicts, lists, tuples,
+    strings, ints, bools and None; on anything else (a float, a non-str
+    key, a subclass of dict, list or int, a cycle) it raises, and then the
+    whole certificate goes through json.dumps.
+    """
+    try:
+        return _encode(cert, "\n")
+    except Exception:  # noqa: BLE001 - json.dumps gives the answer, or its own error
+        return json.dumps(cert, indent=2, sort_keys=True)
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
+
+
+def _encode(x: Any, newline: str) -> str:
+    """x as json.dumps(indent=2, sort_keys=True) writes it; newline breaks a line and indents to x."""
+    t = type(x)
+    if t is str:
+        return _encode_str(x)
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = newline + "  "
+        # str keys sort as json.dumps sorts them; a non-str key raises in _encode_str
+        items = [_encode_str(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = newline + "  "
+        if type(x[0]) is str:
+            try:
+                return "[" + inner + ("," + inner).join(map(_encode_str, x)) + newline + "]"
+            except TypeError:  # not all strings
+                pass
+        items = [_encode(item, inner) for item in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if t is int:
+        return int.__repr__(x)
+    raise TypeError(f"{t.__name__} is left to json.dumps")
 
 
 def _facet_lists(K: Complex) -> list[list[str]]:
@@ -170,7 +228,8 @@ def _rebuild_admissible(entry: Any, A: Admissibility) -> AdmissibleSet:
     steps = []
     for row in _label_lists(entry["witness"], "witness"):
         _need(len(row) == omega.n_vertices, "witness step has wrong length")
-        steps.append(SimplicialMap(omega, ambient, tuple(ambient.id(lab) for lab in row)))
+        # ContiguityWitness checks each step, so the step skips its own check
+        steps.append(_unchecked_map(omega, ambient, tuple(ambient.id(lab) for lab in row)))
     witness = ContiguityWitness(tuple(steps))
     emb = embedding_ids(omega, ambient)
     if base is not None:

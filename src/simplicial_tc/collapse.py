@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .complexes import Complex, _assemble_complex, _check_label, _complex_on, ids_from_mask
 from .errors import InvalidInput
-from .maps import ContiguityWitness, SimplicialMap, _retraction_chain
+from .maps import ContiguityWitness, _retraction_chain, _unchecked_map
 
 
 def dominated_vertices(K: Complex) -> list[tuple[int, int]]:
@@ -195,4 +195,4 @@ def contraction_witness(K: Complex) -> ContiguityWitness | None:
     r = _retraction_chain(K)
     if r.core.n_vertices != 1:
         return None
-    return ContiguityWitness(tuple(SimplicialMap(K, K, rho) for rho in r.chain))
+    return ContiguityWitness(tuple(_unchecked_map(K, K, rho) for rho in r.chain))

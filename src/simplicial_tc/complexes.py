@@ -133,7 +133,10 @@ class Complex:
     def is_simplex(self, mask: Mask) -> bool:
         if mask == 0:
             return False
-        return any(mask & ~f == 0 for f in self.facets)
+        for f in self.facets:  # a plain loop: any() over a generator costs more on a few facets
+            if mask & ~f == 0:
+                return True
+        return False
 
     @cached_property
     def facet_vertex_ids(self) -> tuple[tuple[int, ...], ...]:

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Callable, Sequence
 
 # contraction_witness and witness_between_constants are unused here; e2ebench/tracing.py patches them.
@@ -84,6 +85,7 @@ from .maps import (
     ContiguityWitness,
     SimplicialMap,
     Verdict,
+    _unchecked_map,
     check_budget,
     class_constant_witness,
     restrict,
@@ -209,11 +211,14 @@ def _diagonal_witness(
     composed with the section sigma = pi1|omega and ends at the inclusion emb.
     """
     section = proj_witness.first
-    steps = [
-        SimplicialMap(omega, P.product, tuple(map(P.pair_id, section.assignment, h.assignment)))
-        for h in proj_witness.steps
-    ]
-    witness = ContiguityWitness(tuple(steps))
+    n = P.n
+    rows = [u * n for u in section.assignment]  # P.pair_id(u, v) is u * n + v
+    witness = ContiguityWitness(
+        tuple(
+            _unchecked_map(omega, P.product, tuple(map(add, rows, h.assignment)))
+            for h in proj_witness.steps
+        )
+    )
     if witness.last.assignment != tuple(emb):
         raise InvalidInput("derived witness does not end at the inclusion")
     return AdmissibleSet("farber", omega, witness, section=section)

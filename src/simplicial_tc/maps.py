@@ -21,6 +21,19 @@ cores is lifted back through the retraction chains of domain and codomain
 (_ClassQuery.build_witness) and validated once.  Both chains, the cores and
 their vertex ids come from one record per complex (_retraction_chain), which
 collapse.core, is_strongly_collapsible and contraction_witness read too.
+When the codomain's core is one vertex, every map into it lies in one
+class, so the domain is not reduced at all: its chain, composed with the
+constant retraction, would add only constant steps, which the witness drops
+as repeats anyway.
+
+A witness is checked once, by the ContiguityWitness constructor, in one
+pass: one domain and codomain for all steps, each step's length and value
+range, contiguity of each consecutive pair, and simpliciality of a lone
+step.  Contiguity gives simpliciality for free (f(F) lies inside the simplex
+f(F) | g(F)), so the steps that class queries, restrictions, the Farber
+certificate and the certificate verifier build only to go into a witness
+skip their own check (_unchecked_map); a public SimplicialMap(...) still
+checks itself.
 
 BFS states are bytes (one codomain id per domain vertex), which caps the
 codomain at 255 vertices; orders of magnitude beyond the intended desk scale.
@@ -55,6 +68,39 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
+def _check_assignment(domain: Complex, codomain: Complex, assignment: tuple[int, ...]) -> None:
+    """One codomain id per domain vertex, each inside the codomain's vertex table."""
+    if len(assignment) != domain.n_vertices:
+        raise InvalidInput("assignment must cover every domain vertex")
+    n_cod = codomain.n_vertices
+    for c in assignment:  # a plain loop: any() over a generator costs more on a few vertices
+        if not 0 <= c < n_cod:
+            raise InvalidInput("assignment image outside the codomain vertex table")
+
+
+def _check_simplicial(domain: Complex, codomain: Complex, assignment: tuple[int, ...]) -> None:
+    """Every facet image is a simplex of the codomain."""
+    for verts in domain.facet_vertex_ids:
+        img = 0
+        for v in verts:
+            img |= 1 << assignment[v]
+        if not codomain.is_simplex(img):
+            labs = tuple(sorted(domain.labels[v] for v in verts))
+            raise NotSimplicial(f"facet {labs} maps outside the codomain", labs)
+
+
+def _contiguous(domain: Complex, codomain: Complex, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """f(F) | g(F) is a simplex for every facet F; so f and g are simplicial too."""
+    is_simplex = codomain.is_simplex
+    for verts in domain.facet_vertex_ids:
+        joint = 0
+        for v in verts:
+            joint |= (1 << a[v]) | (1 << b[v])
+        if not is_simplex(joint):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class SimplicialMap:
     """Vertex assignment between two complexes; facet images must be simplices."""
@@ -64,19 +110,8 @@ class SimplicialMap:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.assignment) != self.domain.n_vertices:
-            raise InvalidInput("assignment must cover every domain vertex")
-        n_cod = self.codomain.n_vertices
-        if any(not (0 <= c < n_cod) for c in self.assignment):
-            raise InvalidInput("assignment image outside the codomain vertex table")
-        asg = self.assignment
-        for verts in self.domain.facet_vertex_ids:
-            img = 0
-            for v in verts:
-                img |= 1 << asg[v]
-            if not self.codomain.is_simplex(img):
-                labs = tuple(sorted(self.domain.labels[v] for v in verts))
-                raise NotSimplicial(f"facet {labs} maps outside the codomain", labs)
+        _check_assignment(self.domain, self.codomain, self.assignment)
+        _check_simplicial(self.domain, self.codomain, self.assignment)
 
     def image_mask(self, mask: int) -> int:
         out = 0
@@ -136,31 +171,52 @@ def _require_parallel(f: SimplicialMap, g: SimplicialMap) -> None:
 def are_contiguous(f: SimplicialMap, g: SimplicialMap) -> bool:
     """Facet-level contiguity test: f(F) | g(F) a simplex for every facet F."""
     _require_parallel(f, g)
-    fa, ga = f.assignment, g.assignment
-    for verts in f.domain.facet_vertex_ids:
-        joint = 0
-        for v in verts:
-            joint |= (1 << fa[v]) | (1 << ga[v])
-        if not f.codomain.is_simplex(joint):
-            return False
-    return True
+    return _contiguous(f.domain, f.codomain, f.assignment, g.assignment)
+
+
+def _unchecked_map(domain: Complex, codomain: Complex, assignment: tuple[int, ...]) -> SimplicialMap:
+    """A SimplicialMap built without its own check, as a step for a ContiguityWitness.
+
+    The witness checks every step it is given, so such a step is checked once
+    there and not twice.  Anything else builds maps through SimplicialMap(...).
+    """
+    f = object.__new__(SimplicialMap)
+    object.__setattr__(f, "domain", domain)
+    object.__setattr__(f, "codomain", codomain)
+    object.__setattr__(f, "assignment", assignment)
+    return f
 
 
 @dataclass(frozen=True)
 class ContiguityWitness:
-    """A chain of simplicial maps with every consecutive pair contiguous."""
+    """A chain of simplicial maps with every consecutive pair contiguous.
+
+    The constructor checks the whole chain in one pass and trusts nothing
+    its steps were built with: the steps share one domain and one codomain,
+    each assignment has one codomain id per domain vertex, each consecutive
+    pair is contiguous, and a lone step is simplicial.  Contiguity proves
+    both maps of the pair simplicial (f(F) lies inside the simplex
+    f(F) | g(F)), so a step is not checked again on its own, and steps built
+    only to go into a witness skip their own check (_unchecked_map).
+    """
 
     steps: tuple[SimplicialMap, ...]
 
     def __post_init__(self):
-        if not self.steps:
+        steps = self.steps
+        if not steps:
             raise InvalidInput("a witness needs at least one step")
-        first = self.steps[0]
-        for s in self.steps[1:]:
-            if s.domain != first.domain or s.codomain != first.codomain:
+        dom, cod = steps[0].domain, steps[0].codomain
+        for s in steps:
+            if (s.domain is not dom and s.domain != dom) or (
+                s.codomain is not cod and s.codomain != cod
+            ):
                 raise DomainMismatch("witness steps must share domain and codomain")
-        for a, b in zip(self.steps, self.steps[1:]):
-            if not are_contiguous(a, b):
+            _check_assignment(dom, cod, s.assignment)
+        if len(steps) == 1:
+            _check_simplicial(dom, cod, steps[0].assignment)
+        for a, b in zip(steps, steps[1:]):
+            if not _contiguous(dom, cod, a.assignment, b.assignment):
                 raise InvalidInput("consecutive witness steps are not contiguous")
 
     @property
@@ -182,7 +238,13 @@ class ContiguityWitness:
 
 def restrict_witness(w: ContiguityWitness, sub: Complex) -> ContiguityWitness:
     """Step-by-step restriction; contiguity is preserved under restriction."""
-    return ContiguityWitness(tuple(restrict(s, sub) for s in w.steps))
+    domain, codomain = w.first.domain, w.first.codomain
+    if not is_subcomplex(sub, domain):
+        raise DomainMismatch("restrict: not a subcomplex of the domain")
+    emb = embedding_ids(sub, domain)
+    return ContiguityWitness(
+        tuple(_unchecked_map(sub, codomain, tuple(s.assignment[p] for p in emb)) for s in w.steps)
+    )
 
 
 @dataclass(frozen=True)
@@ -292,6 +354,12 @@ def _retraction_chain(K: Complex) -> Reduction:
     return Reduction(c, steps, tuple(chain), ids_from_mask(union), retraction)
 
 
+def _unreduced(K: Complex) -> Reduction:
+    """K as its own core: no steps, and the identity as chain and retraction."""
+    ids = tuple(range(K.n_vertices))
+    return Reduction(K, (), (ids,), ids, ids)
+
+
 @lru_cache(maxsize=1024)
 def _class_query(domain: Complex, codomain: Complex) -> "_ClassQuery":
     return _ClassQuery(domain, codomain)
@@ -303,8 +371,11 @@ class _ClassQuery:
     def __init__(self, domain: Complex, codomain: Complex):
         self.domain = domain
         self.codomain = codomain
-        self.dom = _retraction_chain(domain)
         self.cod = _retraction_chain(codomain)
+        # Into a point every map lies in one class, so the domain is not reduced:
+        # its retraction chain would add only constant steps to a witness.
+        point = self.cod.core.n_vertices == 1
+        self.dom = _unreduced(domain) if point else _retraction_chain(domain)
         self.ctx = _context(self.dom.core, self.cod.core)
 
     def reduce(self, assignment: tuple[int, ...]) -> bytes:
@@ -331,7 +402,7 @@ class _ClassQuery:
             if a != deduped[-1]:
                 deduped.append(a)
         return ContiguityWitness(
-            tuple(SimplicialMap(self.domain, self.codomain, a) for a in deduped)
+            tuple(_unchecked_map(self.domain, self.codomain, a) for a in deduped)
         )
 
 
@@ -441,4 +512,5 @@ def witness_between_constants(
     path = edge_path(codomain, u, v)
     if path is None:
         return None
-    return ContiguityWitness(tuple(constant_map(domain, codomain, w) for w in path))
+    n = domain.n_vertices
+    return ContiguityWitness(tuple(_unchecked_map(domain, codomain, (w,) * n) for w in path))

@@ -3,9 +3,11 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from simplicial_tc import (
     InvariantResult,
+    SimplicialTCError,
     Status,
     Verdict,
     add_cone_facet,
@@ -26,7 +28,7 @@ from simplicial_tc import (
     tc,
     verify_certificate,
 )
-from simplicial_tc.maps import DEFAULT_BUDGET
+from simplicial_tc.maps import DEFAULT_BUDGET, ContiguityWitness, _unchecked_map
 
 import corpusgen
 
@@ -640,3 +642,161 @@ class TestMembershipVerdictConsistency:
     def test_yes_verdict_needs_an_admissible_set(self, boundary_triangle):
         for cert in self.certs(boundary_triangle):
             assert "admissible set" in self.message(cert, admissible=None)
+
+
+def _json_or_error(encode, x):
+    """What encode(x) returns, or the type of what it raises."""
+    try:
+        return encode(x)
+    except Exception as exc:  # noqa: BLE001 - compared with the reference's
+        return type(exc)
+
+
+def _reference_dumps(x):
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.just(10**40)
+    | st.text()  # unicode, control characters, quotes and backslashes
+    | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9\u2603\U0001f600", "a|b"])
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=25,
+)
+# values dumps leaves to json.dumps: floats and non-str keys
+_fallback_values = st.recursive(
+    _json_scalars | st.floats(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+        | st.dictionaries(st.integers(), inner, min_size=1, max_size=3)
+        | st.dictionaries(st.none() | st.booleans(), inner, min_size=1, max_size=2)
+    ),
+    max_leaves=20,
+)
+
+
+class TestWriterContract:
+    """dumps(x) is byte for byte json.dumps(x, indent=2, sort_keys=True)."""
+
+    @given(_json_values)
+    def test_json_values(self, x):
+        assert dumps(x) == _reference_dumps(x)
+
+    @given(_fallback_values)
+    def test_fallback_values(self, x):
+        assert _json_or_error(dumps, x) == _json_or_error(_reference_dumps, x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            {},
+            [],
+            (),
+            {"a": [], "b": {}, "c": [[]], "d": [{}]},
+            ["x", 1],  # a list of strings and more
+            [1, "x"],
+            {"b": 1, "a": 2, "A": 3, "": 4, "\u00e9": 5},
+            [True, False, None, 0, -1, 2**64],
+            1.5,
+            {1: "x"},
+            {"a": 1.0},
+            [float("nan"), float("inf")],
+        ],
+    )
+    def test_edge_values(self, x):
+        assert dumps(x) == _reference_dumps(x)
+
+    def test_errors_are_those_of_json_dumps(self):
+        cycle = []
+        cycle.append(cycle)
+        for x in (cycle, {1: 2, "a": 3}, {"a": object()}, 10**5000):
+            assert _json_or_error(dumps, x) == _json_or_error(_reference_dumps, x)
+            assert isinstance(_json_or_error(dumps, x), type)
+
+    @staticmethod
+    def corpus_certificates(K):
+        """Every certificate kind of K, budget-exhausted ones included where budget 1 leaves some."""
+        yield tc_cert(K)
+        yield scat_cert(K)
+        yield emit_tc(K, tc(K, budget=1), 1)
+        yield emit_scat(K, scat(K, budget=1), 1)
+        yield emit_core(K, *core(K))
+        P = categorical_square(K)
+        omega = subcomplex(P.product, [P.product.facets[0]])
+        yield emit_membership("farber", K, omega, *is_farber(omega, P), DEFAULT_BUDGET)
+        L = subcomplex(K, [K.facets[0]])
+        yield emit_membership("categorical", K, L, *is_categorical(L, K), DEFAULT_BUDGET)
+        res = tc(K)
+        if res.cover is not None:
+            adm = res.cover[0]
+            x, y = adm.omega.labels[-1].split("|")
+            yield emit_plan(K, adm, motion_plan(adm, K.id(x), K.id(y)), DEFAULT_BUDGET)
+
+    def test_acceptance_corpus_certificates(self):
+        kinds = set()
+        for K in corpusgen.acceptance_corpus(corpusgen.ACCEPTANCE_SEED):
+            for cert in self.corpus_certificates(K):
+                kinds.add((cert["kind"], cert.get("status")))
+                assert dumps(cert) == _reference_dumps(cert)
+        assert {"tc", "scat", "core", "farber", "categorical", "plan"} <= {k for k, _ in kinds}
+        assert ("tc", "budget-exhausted") in kinds and ("tc", "not-coverable") in kinds
+
+
+# Witnesses of the categorical edge {a, b} of the 4-cycle, as label rows over
+# its vertices (a, b); "zz" names no vertex.  Each row but the valid one has
+# one fault that only the witness check finds in one pass.
+ONE_PASS_WITNESSES = {
+    "valid": [["a", "b"], ["b", "b"]],
+    "lone-step-not-simplicial": [["a", "c"]],
+    "bad-entry": [["a", "b"], ["a", "zz"], ["b", "b"]],
+    "row-of-wrong-length": [["a", "b"], ["a"], ["b", "b"]],
+    "non-simplicial-middle-step": [["a", "b"], ["a", "c"], ["b", "b"]],
+    "non-contiguous-pair": [["a", "b"], ["c", "d"], ["d", "d"]],
+}
+
+
+class TestOnePassWitnessCheck:
+    """ContiguityWitness and verify_certificate reject every fault of a chain
+    whose steps were not checked on their own."""
+
+    @staticmethod
+    def setting():
+        K = build_complex(corpusgen.CYCLE4)
+        L = subcomplex(K, [K.simplex_mask({"a", "b"})])
+        cert = emit_membership("categorical", K, L, *is_categorical(L, K), DEFAULT_BUDGET)
+        assert cert["admissible"]["vertices"] == ["a", "b"]
+        return K, L, cert
+
+    @pytest.mark.parametrize("name", list(ONE_PASS_WITNESSES))
+    def test_witness_constructor(self, name):
+        K, L, _ = self.setting()
+        ids = {lab: i for i, lab in enumerate(K.labels)}
+        steps = tuple(
+            _unchecked_map(L, K, tuple(ids.get(lab, K.n_vertices) for lab in row))
+            for row in ONE_PASS_WITNESSES[name]
+        )
+        if name == "valid":
+            assert len(ContiguityWitness(steps)) == 2
+        else:
+            with pytest.raises(SimplicialTCError):
+                ContiguityWitness(steps)
+
+    @pytest.mark.parametrize("name", list(ONE_PASS_WITNESSES))
+    def test_verifier(self, name):
+        cert = copy.deepcopy(self.setting()[2])
+        cert["admissible"]["witness"] = ONE_PASS_WITNESSES[name]
+        ok, msgs = verify_certificate(cert)
+        assert ok == (name == "valid"), msgs
+        if not ok:
+            assert "does not start" not in msgs[0] and "does not end" not in msgs[0], msgs
