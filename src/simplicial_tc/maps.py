@@ -24,7 +24,9 @@ collapse.core, is_strongly_collapsible and contraction_witness read too.
 When the codomain's core is one vertex, every map into it lies in one
 class, so the domain is not reduced at all: its chain, composed with the
 constant retraction, would add only constant steps, which the witness drops
-as repeats anyway.
+as repeats anyway.  Such a query, like any whose two maps reduce to one
+core-space map, ends where a search would start, so the kernel context is
+built only when a search has to take a step.
 
 A witness is checked once, by the ContiguityWitness constructor, in one
 pass: one domain and codomain for all steps, each step's length and value
@@ -44,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 from ._kernels import pure
@@ -264,13 +266,15 @@ class ContiguityResult:
 # either way; the reduction only shrinks the graph it walks.
 
 
-def _context(domain: Complex, codomain: Complex) -> pure.Context:
-    """Kernel context for maps domain -> codomain.
-
-    States are bytes, so the codomain may have at most 255 vertices.
-    """
+def _check_codomain(codomain: Complex) -> None:
+    """States are bytes, so a searched codomain may have at most 255 vertices."""
     if codomain.n_vertices > 255:
         raise InvalidInput("class search supports codomains with at most 255 vertices")
+
+
+def _context(domain: Complex, codomain: Complex) -> pure.Context:
+    """Kernel context for maps domain -> codomain (see _check_codomain)."""
+    _check_codomain(codomain)
     return pure.Context(domain.facet_vertex_ids, domain.vertex_facets, codomain.facets)
 
 
@@ -376,7 +380,12 @@ class _ClassQuery:
         # its retraction chain would add only constant steps to a witness.
         point = self.cod.core.n_vertices == 1
         self.dom = _unreduced(domain) if point else _retraction_chain(domain)
-        self.ctx = _context(self.dom.core, self.cod.core)
+        _check_codomain(self.cod.core)
+
+    @cached_property
+    def ctx(self) -> pure.Context:
+        """The kernel context, built by the first search that leaves its start."""
+        return _context(self.dom.core, self.cod.core)
 
     def reduce(self, assignment: tuple[int, ...]) -> bytes:
         return bytes(self.cod.retraction[assignment[e]] for e in self.dom.core_ids)
@@ -425,6 +434,8 @@ def same_contiguity_class(
         return ContiguityResult(Verdict.YES, ContiguityWitness((f,)), 1)
     rq = _class_query(f.domain, f.codomain)
     fa, ga = rq.reduce(f.assignment), rq.reduce(g.assignment)
+    if fa == ga:  # as a search from fa would find at its start: always so into a point
+        return ContiguityResult(Verdict.YES, rq.build_witness(f.assignment, [fa], g.assignment), 1)
     if rq.dom.core.n_vertices == 1:
         path = edge_path(rq.cod.core, fa[0], ga[0])
         if path is None:
@@ -454,7 +465,10 @@ def class_constant_witness(f: SimplicialMap, budget: int = DEFAULT_BUDGET) -> Co
     def is_const(a: bytes) -> bool:
         return a.count(a[0]) == n
 
-    hit, parents, complete = _bfs(rq.ctx, fa, is_const, budget)
+    if is_const(fa):  # as a search from fa would find at its start: always so into a point
+        hit, parents, complete = fa, {fa: None}, True
+    else:
+        hit, parents, complete = _bfs(rq.ctx, fa, is_const, budget)
     if hit is not None:
         w = rq.build_witness(f.assignment, _path_from_parents(parents, hit), None)
         if not w.last.is_constant:
