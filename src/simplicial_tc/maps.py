@@ -434,7 +434,7 @@ def same_contiguity_class(
         return ContiguityResult(Verdict.YES, ContiguityWitness((f,)), 1)
     rq = _class_query(f.domain, f.codomain)
     fa, ga = rq.reduce(f.assignment), rq.reduce(g.assignment)
-    if fa == ga:  # as a search from fa would find at its start: always so into a point
+    if fa == ga:  # a search would stop at its start, as every query into a point does
         return ContiguityResult(Verdict.YES, rq.build_witness(f.assignment, [fa], g.assignment), 1)
     if rq.dom.core.n_vertices == 1:
         path = edge_path(rq.cod.core, fa[0], ga[0])
@@ -465,7 +465,7 @@ def class_constant_witness(f: SimplicialMap, budget: int = DEFAULT_BUDGET) -> Co
     def is_const(a: bytes) -> bool:
         return a.count(a[0]) == n
 
-    if is_const(fa):  # as a search from fa would find at its start: always so into a point
+    if is_const(fa):  # a search would stop at its start, as every query into a point does
         hit, parents, complete = fa, {fa: None}, True
     else:
         hit, parents, complete = _bfs(rq.ctx, fa, is_const, budget)
