@@ -157,9 +157,12 @@ def core(K: Complex) -> tuple[Complex, CollapseSequence]:
     return r.core, CollapseSequence(K, r.core, r.steps)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=64)
 def is_strongly_collapsible(K: Complex) -> bool:
-    """True iff the core of K is a single vertex."""
+    """True iff the core of K is a single vertex.
+
+    Asked of K by every Farber check, so recent answers are the ones reused.
+    """
     return _retraction_chain(K).core.n_vertices == 1
 
 

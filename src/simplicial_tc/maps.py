@@ -334,7 +334,7 @@ class Reduction:
     retraction: tuple[int, ...]  # chain[-1] in core ids
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=64)
 def _retraction_chain(K: Complex) -> Reduction:
     """The one record of K's strong-collapse reduction, from one greedy collapse.
 
@@ -342,6 +342,9 @@ def _retraction_chain(K: Complex) -> Reduction:
     deleted vertex to its dominator), so consecutive maps are contiguous.
     The function keeps the name of the chain it once returned, and its
     cache, because the benchmark (e2ebench/sweep.py) clears it by name.
+    A record is reused while its complex is worked on (the class queries of
+    one tc or scat call keep asking for K's), so a few recent ones suffice;
+    a larger cache gains no hits on the benchmark workloads.
     """
     from .collapse import _greedy_collapse
 
