@@ -226,11 +226,16 @@ def _rebuild_admissible(entry: Any, A: Admissibility) -> AdmissibleSet:
     omega = subcomplex(ambient, [ambient.simplex_mask(f) for f in facets])
     vertices = _labels(entry["vertices"], "vertices")
     _need(list(omega.labels) == vertices, "vertex table mismatch in admissible set")
+    index = ambient._label_index
     steps = []
     for row in _label_lists(entry["witness"], "witness"):
         _need(len(row) == omega.n_vertices, "witness step has wrong length")
+        try:
+            ids = tuple(map(index.__getitem__, row))
+        except KeyError:
+            ids = tuple(map(ambient.id, row))  # raises on the unknown label
         # ContiguityWitness checks each step, so the step skips its own check
-        steps.append(_unchecked_map(omega, ambient, tuple(ambient.id(lab) for lab in row)))
+        steps.append(_unchecked_map(omega, ambient, ids))
     witness = ContiguityWitness(tuple(steps))
     emb = embedding_ids(omega, ambient)
     if base is not None:
@@ -339,10 +344,8 @@ def verify_certificate(cert: dict[str, Any], recompute: bool = False) -> tuple[b
             _need(verdict in [v.value for v in Verdict], f"unknown verdict {verdict!r}")
             if verdict == Verdict.YES.value:
                 adm = _rebuild_admissible(entry, A)
-                _need(
-                    sorted(adm.omega.facet_label_sets()) == sorted(omega.facet_label_sets()),
-                    "admissible set does not match the queried subcomplex",
-                )
+                # both are subcomplex(A.ambient, ...): equal exactly when their facets are
+                _need(adm.omega == omega, "admissible set does not match the queried subcomplex")
             else:
                 _need(entry is None, f"{verdict!r} verdict carries an admissible set")
             if recompute:

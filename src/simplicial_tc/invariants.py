@@ -41,22 +41,23 @@ space.
 
 The checkers take a subcomplex or a facet mask and turn either into facet
 bitmasks in the ambient complex's vertex ids (for K^2, q = u*n + v), so one
-code path decides both.  The component rule is one AND of the facets'
-union with a mask of the pairs that split components; the slice rule is one
-OR of the facets' coverage words (ProductComplex.coverage_word: which
-placed copies {a} x F and F x {b} of K's facets each simplex holds) and one
-test for an all-ones block.  For a verdict only, a class whose facets share
-a vertex is a cone and so a "yes" at once; otherwise a greedy strong
-collapse of the masks answers "yes" when one vertex survives, and else the
-class query runs on the core it leaves (collapses preserve contiguity
-classes; Barmak & Minian 2012), the only place a Complex is built.  The
-search passes a memo that lives for one tc/scat call and maps each core's
-facet set to its class-query verdict, so checks with one core share one
-query.  Witnesses are built only for the classes of the cover that is
-returned, for certificates, and for the membership and plan commands, and
-all by one route: the class query in maps lifts its answer on the cores
-(for a strongly collapsible subcomplex, an edge path or the constant it
-reduces to) back through the strong-collapse retraction chains.
+code path decides both.  The component rule is one AND of the facets' union
+with a mask of the pairs that split components; the slice rule
+(ProductComplex.has_full_slice) looks for a row or column of K^2 whose
+placed copies {a} x F or F x {b} of K's facets each lie in one of the
+facets, skipping the slices with a vertex outside their union.  For a
+verdict only, a class whose facets share a vertex is a cone and so a "yes"
+at once; otherwise a greedy strong collapse of the masks answers "yes" when
+one vertex survives, and else the class query runs on the core it leaves
+(collapses preserve contiguity classes; Barmak & Minian 2012), the only
+place a Complex is built.  The search passes a memo that lives for one
+tc/scat call and maps each core's facet set to its class-query verdict, so
+checks with one core share one query.  Witnesses are built only for the
+classes of the cover that is returned, for certificates, and for the
+membership and plan commands, and all by one route: the class query in maps
+lifts its answer on the cores (for a strongly collapsible subcomplex, an
+edge path or the constant it reduces to) back through the strong-collapse
+retraction chains.
 """
 
 from __future__ import annotations
@@ -236,16 +237,16 @@ def is_farber(
 
     omega is a subcomplex of K^2, or a facet mask of K^2 (bit i is facet i
     of P.product).  Two sound "no" rules run first: a vertex pair of omega
-    split across components of K, and a full row or column slice (read off
-    the coverage words of omega's facets) when K is not strongly
-    collapsible.  Then the decision is projection contiguity:
-    the two restricted projections lie in one contiguity class (the class
-    query, exact without search when omega strongly collapses to a point).
-    Its witness becomes the defining certificate, with the first projection
-    as the section.  With want_witness=False only the verdict is computed,
-    on the greedy core of omega, and memo (see _core_verdict) may carry the
-    class-query verdicts of earlier checks; search layers use this and
-    re-certify the sets they keep.
+    split across components of K, and a full row or column slice (every
+    placed facet {a} x F or F x {a} of the slice lies in a facet of omega)
+    when K is not strongly collapsible.  Then the decision is projection
+    contiguity: the two restricted projections lie in one contiguity class
+    (the class query, exact without search when omega strongly collapses to
+    a point).  Its witness becomes the defining certificate, with the first
+    projection as the section.  With want_witness=False only the verdict is
+    computed, on the greedy core of omega, and memo (see _core_verdict) may
+    carry the class-query verdicts of earlier checks; search layers use this
+    and re-certify the sets they keep.
     """
     check_budget(budget)
     facets, emb = _ambient_facets(omega, P.product, "omega is not a subcomplex of the product")

@@ -506,18 +506,11 @@ def neighbors(f: SimplicialMap) -> Iterator[SimplicialMap]:
     """
     ctx = _context(f.domain, f.codomain)
     start = bytes(f.assignment)
-
-    def contiguous(a: bytes) -> bool:
-        return all(
-            f.codomain.is_simplex(union_mask((1 << start[v]) | (1 << a[v]) for v in verts))
-            for verts in ctx.facet_vertices
-        )
-
     seen = {start}
     queue = deque([start])
     while queue:
         for b in pure.neighbors(ctx, queue.popleft()):
-            if b not in seen and contiguous(b):
+            if b not in seen and _contiguous(f.domain, f.codomain, start, b):
                 seen.add(b)
                 queue.append(b)
     seen.remove(start)

@@ -8,20 +8,17 @@ and a product of facets satisfies the rule and is maximal).  Tests validate
 this facet characterization against the projection rule by brute force.
 
 The slice rule of the Farber check asks whether a subcomplex of K^2 holds a
-whole row {a} x K or column K x {b}.  Each simplex of K^2 gets a coverage
-word, one block of bits per row and per column and one bit per facet of K
-in each block, saying which placed copies of K's facets it contains; a
-subcomplex holds a slice exactly when some block of the OR of its facets'
-words is all ones.  Words are memoised per simplex mask on the square, so
-the facet masks of the cover search and the facets of a `Complex`
-subcomplex go through the same function.
+whole row {a} x K or column K x {b}, that is, whether every copy {a} x F
+or F x {b} of a facet F of K placed in that slice lies in one of the
+subcomplex's facets.  The facet masks of the cover search and the facets of
+a `Complex` subcomplex go through the same test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Sequence
 
 from .complexes import (
     Complex,
@@ -83,52 +80,35 @@ class ProductComplex:
         return tuple(out)
 
     @cached_property
-    def _coverage_words(self) -> dict[int, int]:
-        """coverage_word's memo, keyed by simplex mask; lives as long as this square."""
-        return {}
+    def _slices(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The rows {a} x K, then the columns K x {a}: (vertex mask, placed facets of K)."""
+        n, K = self.n, self.base
+        columns = [sum(1 << (u * n) for u in ids) for ids in K.facet_vertex_ids]
+        slices = [tuple(f << (a * n) for f in K.facets) for a in range(n)]
+        slices += [tuple(c << a for c in columns) for a in range(n)]
+        return tuple((union_mask(placed), placed) for placed in slices)
 
-    @cached_property
-    def _block_bits(self) -> tuple[int, int]:
-        """(lowest bit, guard bit) of every block of a coverage word, OR-ed together."""
-        stride = len(self.base.facets) + 1
-        low = sum(1 << (a * stride) for a in range(2 * self.n))
-        return low, low << (stride - 1)
-
-    def coverage_word(self, m: int) -> int:
-        """Which placed copies of K's facets the simplex m of K^2 contains.
-
-        With F_0 .. F_{r-1} the facets of K, bit k of block a (a < n) says
-        {a} x F_k lies in m, and bit k of block n + b says F_k x {b} does.
-        Block j takes bits j*(r+1) .. j*(r+1) + r - 1; bit j*(r+1) + r is a
-        zero guard.  For a product facet F_i x F_j this is bit j of block a
-        for a in F_i and bit i of block n + b for b in F_j.
-        """
-        word = self._coverage_words.get(m)
-        if word is None:
-            n, facets = self.n, self.base.facets
-            stride = len(facets) + 1
-            columns = [sum(1 << (u * n) for u in ids_from_mask(f)) for f in facets]
-            word = 0
-            for a in range(n):
-                for k, f in enumerate(facets):
-                    if (f << (a * n)) & ~m == 0:
-                        word |= 1 << (a * stride + k)
-                    if (columns[k] << a) & ~m == 0:
-                        word |= 1 << ((n + a) * stride + k)
-            self._coverage_words[m] = word
-        return word
-
-    def has_full_slice(self, facets: Iterable[int]) -> bool:
+    def has_full_slice(self, facets: Sequence[int]) -> bool:
         """Whether the subcomplex the simplices facets generate contains a whole slice.
 
-        A row {a} x K (column K x {b}) lies in the subcomplex exactly when
-        each of its facets {a} x F_k (F_k x {b}) lies in one of facets, that
-        is when its block of the OR of the coverage words is all ones.
-        Adding the blocks' lowest bits carries into a block's guard bit
-        exactly then.
+        A row {a} x K (column K x {a}) lies in the subcomplex exactly when
+        each of its placed facets {a} x F (F x {a}) lies in one of facets;
+        a slice with a vertex outside all of facets is skipped at once.
         """
-        low, guard = self._block_bits
-        return (union_mask(map(self.coverage_word, facets)) + low) & guard != 0
+        union = union_mask(facets)
+        # plain loops, as in Complex.is_simplex: all(any(...)) costs more here
+        for vertices, placed in self._slices:
+            if vertices & ~union:
+                continue
+            for t in placed:
+                for m in facets:
+                    if t & m == t:
+                        break
+                else:  # no facet holds t
+                    break
+            else:
+                return True
+        return False
 
 
 def categorical_square(K: Complex) -> ProductComplex:

@@ -362,6 +362,30 @@ class TestMutationsRejected:
         ok, msgs = verify_certificate(cert)
         assert not ok
 
+    def test_unknown_witness_label(self, boundary_triangle):
+        cert = copy.deepcopy(tc_cert(boundary_triangle))
+        cert["cover"][0]["witness"][0][0] = "zz"
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert msgs == ["unknown vertex label 'zz'"]
+
+    def test_membership_entry_for_another_subcomplex(self, boundary_triangle):
+        K = boundary_triangle
+        P = categorical_square(K)
+        first, second = P.product.facets[:2]
+        omega = subcomplex(P.product, [first, second])
+        cert = emit_membership("farber", K, omega, *is_farber(omega, P), DEFAULT_BUDGET)
+        assert cert["verdict"] == "yes"
+        ok, msgs = verify_certificate(cert)
+        assert ok, msgs
+        cert["omega"] = cert["omega"][::-1]  # facet order is not part of the subcomplex
+        ok, msgs = verify_certificate(cert)
+        assert ok, msgs
+        cert["omega"] = cert["omega"][:1]
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert msgs == ["admissible set does not match the queried subcomplex"]
+
     def test_dropped_cover_member(self, boundary_triangle):
         cert = copy.deepcopy(tc_cert(boundary_triangle))
         cert["cover"] = cert["cover"][:-1]

@@ -24,6 +24,7 @@ from simplicial_tc import (
     Verdict,
 )
 from simplicial_tc import invariants
+from simplicial_tc.complexes import union_mask
 
 import corpusgen
 import oracles
@@ -229,10 +230,26 @@ SQUARED = {
     "boundary-tetrahedron": corpusgen.BOUNDARY_TETRAHEDRON,
     "C5": corpusgen.CYCLE5,
 }
+SURFACES = {"torus": corpusgen.TORUS7, "RP2": corpusgen.RP2_6}
+
+
+def placed_slices(K):
+    """The placed facets {a} x F of every row, then F x {a} of every column, of K^2."""
+    n = K.n_vertices
+    column = [sum(1 << (u * n) for u in ids) for ids in K.facet_vertex_ids]
+    rows = [[f << (a * n) for f in K.facets] for a in range(n)]
+    return rows + [[c << a for c in column] for a in range(n)]
+
+
+def ambient_masks(P, gens):
+    """The facets of subcomplex(P.product, gens), as masks in the square's ids."""
+    omega = subcomplex(P.product, gens)
+    return invariants._ambient_facets(omega, P.product, "not a subcomplex")[0]
 
 
 class TestCoverageWords:
-    """ProductComplex.has_full_slice against the placed-facet scan in oracles."""
+    """ProductComplex.has_full_slice: the placed facets of a whole slice, and
+    agreement with the placed-facet scan in oracles."""
 
     @staticmethod
     def agree(P, facets) -> bool:
@@ -240,17 +257,19 @@ class TestCoverageWords:
         assert got == oracles.oracle_full_slice(P.base, facets), facets
         return got
 
-    def test_product_facet_words(self):
-        # F_i x F_j: bit j of block a for a in F_i, bit i of block n + b for b in F_j
-        for facets in SQUARED.values():
-            K = build_complex(facets)
-            P = categorical_square(K)
-            n, r = P.n, len(K.facets)
-            for q, m in enumerate(P.product.facets):
-                i, j = divmod(q, r)
-                expected = sum(1 << (a * (r + 1) + j) for a in K.facet_vertex_ids[i])
-                expected += sum(1 << ((n + b) * (r + 1) + i) for b in K.facet_vertex_ids[j])
-                assert P.coverage_word(m) == expected
+    @pytest.mark.parametrize("name", ["C3", *SQUARED, *SURFACES])
+    def test_placed_facets_of_every_slice(self, name):
+        K = build_complex({"C3": corpusgen.CYCLE3, **SQUARED, **SURFACES}[name])
+        P = categorical_square(K)
+        slices = placed_slices(K)
+        assert len(slices) == 2 * P.n
+        for placed in slices:
+            assert P.has_full_slice(placed)
+            assert P.has_full_slice(ambient_masks(P, placed))
+            for i in range(len(placed)):
+                rest = placed[:i] + placed[i + 1 :]
+                assert not P.has_full_slice(rest)
+                assert not P.has_full_slice(ambient_masks(P, rest))
 
     def test_every_facet_subset_of_the_C3_square(self):
         P = categorical_square(build_complex(corpusgen.CYCLE3))
@@ -262,13 +281,19 @@ class TestCoverageWords:
         assert len(full) == 511
         assert 0 < sum(full) < len(full)
 
-    @pytest.mark.parametrize("name", list(SQUARED))
+    @pytest.mark.parametrize("name", [*SQUARED, *SURFACES])
     def test_seeded_facet_subsets(self, name):
-        P = categorical_square(build_complex(SQUARED[name]))
+        P = categorical_square(build_complex({**SQUARED, **SURFACES}[name]))
         facets = P.product.facets
-        masks = corpusgen.random_facet_masks(len(facets), 300, seed=8)
-        full = [self.agree(P, [f for i, f in enumerate(facets) if m >> i & 1]) for m in masks]
-        assert 0 < sum(full) < len(full)
+        every_vertex = (1 << P.product.n_vertices) - 1
+        full = all_vertices_no_slice = 0
+        for m in corpusgen.random_facet_masks(len(facets), 300, seed=8):
+            chosen = [f for i, f in enumerate(facets) if m >> i & 1]
+            has = self.agree(P, chosen)
+            full += has
+            all_vertices_no_slice += not has and union_mask(chosen) == every_vertex
+        assert 0 < full < 300
+        assert all_vertices_no_slice > 0  # the vertex prefilter alone does not decide
 
     @pytest.mark.parametrize("name", list(SQUARED))
     def test_subcomplexes_with_faces_for_facets(self, name):
@@ -277,9 +302,7 @@ class TestCoverageWords:
         K = build_complex(SQUARED[name])
         P = categorical_square(K)
         n = P.n
-        column = [sum(1 << (u * n) for u in ids) for ids in K.facet_vertex_ids]
-        slices = [[f << (a * n) for f in K.facets] for a in range(n)]
-        slices += [[c << a for c in column] for a in range(n)]
+        slices = placed_slices(K)
         rng = random.Random(5)
         full = non_product = 0
         for _ in range(200):
