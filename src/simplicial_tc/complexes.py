@@ -249,6 +249,120 @@ def is_subcomplex(sub: Complex, K: Complex) -> bool:
     )
 
 
+# -- symmetry ---------------------------------------------------------------
+
+
+def _refined_colours(K: Complex) -> list[int]:
+    """A colour per vertex that every automorphism of K keeps (colour refinement).
+
+    Each round colours a vertex by its old colour and the multiset of the
+    colour multisets of the facets holding it; colours are ranks among the
+    distinct signatures, so they do not depend on the labels.  Rounds stop
+    when no colour class splits.
+    """
+    n = K.n_vertices
+    colour = [0] * n
+    classes = 1
+    while True:
+        signature = []
+        for v in range(n):
+            held = (sorted(colour[u] for u in K.facet_vertex_ids[j]) for j in K.vertex_facets[v])
+            signature.append((colour[v], tuple(sorted(map(tuple, held)))))
+        rank = {s: i for i, s in enumerate(sorted(set(signature)))}
+        colour = [rank[s] for s in signature]
+        if len(rank) == classes:
+            return colour
+        classes = len(rank)
+
+
+def automorphisms(K: Complex, limit: int) -> list[tuple[int, ...]]:
+    """Up to limit vertex permutations of K that map its facets onto its facets.
+
+    Entry v of each is the image of vertex v.  A backtracking search assigns
+    the vertices in breadth-first order from a vertex of the rarest colour
+    (_refined_colours), each to an unused vertex of its colour, and backs
+    off as soon as an edge or non-edge among the assigned vertices is not
+    kept, or a facet whose vertices are all assigned does not map to a
+    facet.  A vertex bijection that maps every facet to a facet maps the
+    facets onto the facets, since there are as many of each.  Returns the
+    automorphisms in the order found, the first limit of them when there
+    are more.
+    """
+    n = K.n_vertices
+    colour = _refined_colours(K)
+    same = [[w for w in range(n) if colour[w] == c] for c in colour]
+    adjacent = [union_mask(K.facets[j] for j in K.vertex_facets[v]) & ~(1 << v) for v in range(n)]
+
+    def rarity(v: int) -> tuple[int, int]:
+        return len(same[v]), v
+
+    order: list[int] = []
+    seen = 0
+    for root in sorted(range(n), key=rarity):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        start = len(order)
+        order.append(root)
+        while start < len(order):  # breadth-first through root's component
+            near = sorted(ids_from_mask(adjacent[order[start]] & ~seen), key=rarity)
+            seen |= mask_from_ids(near)
+            order += near
+            start += 1
+    place = {v: t for t, v in enumerate(order)}
+    completes: list[list[Mask]] = [[] for _ in range(n)]  # facets whose last vertex is order[t]
+    for m, ids in zip(K.facets, K.facet_vertex_ids):
+        completes[max(place[v] for v in ids)].append(m)
+    facets = frozenset(K.facets)
+    before = [mask_from_ids(order[:t]) for t in range(n)]
+
+    image = [0] * n
+    tried = [0] * n  # how many candidates depth t has tried
+    used = 0
+    found: list[tuple[int, ...]] = []
+    t = 0
+    while t >= 0:
+        if t == n:
+            found.append(tuple(image))
+            if len(found) == limit:
+                break
+            t -= 1
+            used ^= 1 << image[order[t]]
+            continue
+        v = order[t]
+        candidates = same[v]
+        i = tried[t]
+        while i < len(candidates):
+            w = candidates[i]
+            i += 1
+            if used >> w & 1:
+                continue
+            mapped = 0
+            for u in ids_from_mask(adjacent[v] & before[t]):
+                mapped |= 1 << image[u]
+            if mapped != adjacent[w] & used:
+                continue
+            image[v] = w
+            for m in completes[t]:
+                img = 0
+                for u in ids_from_mask(m):
+                    img |= 1 << image[u]
+                if img not in facets:
+                    break
+            else:
+                break
+        else:  # no candidate left: back off
+            tried[t] = 0
+            t -= 1
+            if t >= 0:
+                used ^= 1 << image[order[t]]
+            continue
+        tried[t] = i
+        used |= 1 << w
+        t += 1
+    return found
+
+
 # -- connectivity ---------------------------------------------------------
 
 

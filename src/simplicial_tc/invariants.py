@@ -22,10 +22,18 @@ distances, then F and G in a depth-first walk over K's facets), for scat
 index order.  Undecided classes pass in this one search, which also lets
 heredity decide a class with no checker call: inside a checked "yes" it is
 a "yes", holding a checked "no" it is a "no" (_Heredity keeps both
-inclusion antichains).  The first k that succeeds is a lower bound, proved
-by the exhausted searches for every smaller k, and the value when no
+inclusion antichains).  It also visits only lex-leaders (_LexLeader).  The
+Admissibility gives facet permutations that keep admissibility: for TC
+sigma x sigma for the automorphisms sigma of K (complexes.automorphisms),
+each also composed with the swap (u, v) -> (v, u); for scat none.  A
+partial partition that one of them maps to a smaller one, in the order the
+search visits partitions, is cut before its class is checked.  The first k
+that succeeds is a lower bound, proved by the searches for every smaller
+k, exhausted up to symmetry: a partition into k admissible classes has a
+least image, which is one too and is never cut.  It is the value when no
 verdict was undecided; otherwise a strict pass (undecided classes fail,
-heredity unused) runs from that k up.  `checks` counts checker calls.
+heredity and symmetry unused) runs from that k up.  `checks` counts
+checker calls.
 maximal_admissible_sets and min_cover (enumerate every maximal admissible
 set, then set-cover them) remain as standalone tools: the first takes the
 same verdict-only facet-mask check and the same _Heredity and returns
@@ -72,6 +80,7 @@ from .collapse import _greedy_collapse, contraction_witness, is_strongly_collaps
 from .complexes import (
     Complex,
     _complex_on,
+    automorphisms,
     embedding_ids,
     ids_from_mask,
     is_subcomplex,
@@ -95,6 +104,9 @@ from .maps import (
     witness_between_constants,
 )
 from .product import ProductComplex, categorical_square
+
+# Automorphisms of K the tc search prunes by, at most; any subset of the group keeps it exact.
+_AUTOMORPHISM_LIMIT = 128
 
 
 class Status(Enum):
@@ -447,41 +459,150 @@ def min_cover(n_elements: int, sets: Sequence[frozenset[int]]) -> list[int] | No
 # -- the two invariants --------------------------------------------------------
 
 
+class _LexLeader:
+    """The lex-leader test of the cover search's partial partitions.
+
+    The search writes a partition as a word, the class of each facet in
+    placement order with classes numbered by first appearance, and visits
+    the words in lexicographic order.  A permutation g of the facets that
+    keeps admissibility maps a partition to one with the same verdicts.  At
+    position t the word of that image holds the class of g^-1 of the facet
+    placed at t, renumbered by first appearance; that facet is placed at
+    sources[g][t].  A partition whose image under some g has a smaller word
+    is not the least of its symmetry class (its lex-leader), and neither is
+    any partition that shares the prefix deciding it, so the search prunes
+    it (Crawford, Ginsberg, Luks and Roy, KR 1996).
+
+    The test is incremental.  For each g it keeps how long a prefix of the
+    two words is known to agree (compared), the renumbering that prefix
+    fixes, and the one position it waits on, the later of the two it must
+    read next.  Placing position d advances only the permutations waiting on
+    d: each goes on to wait on a later position, drops out for this subtree
+    (its word is larger there, or equal throughout), or shows that no
+    completion leads.  A log per position undoes a placement when the
+    search backs off.
+    """
+
+    def __init__(self, order: Sequence[int], symmetries: Sequence[Sequence[int]]) -> None:
+        self.n = n = len(order)
+        position = [0] * n
+        for t, i in enumerate(order):
+            position[i] = t
+        identity = list(range(n))
+        self.sources: list[list[int]] = []
+        for g in symmetries:
+            src = [0] * n
+            for i, gi in enumerate(g):  # g^-1 of the facet gi is i
+                src[position[gi]] = position[i]
+            if src != identity:
+                self.sources.append(src)
+
+    def reset(self, k: int) -> _LexLeader:
+        """Start a search for partitions into at most k classes, nothing placed."""
+        n = self.n
+        self.compared = [0] * len(self.sources)
+        self.renumber = [[-1] * k for _ in self.sources]
+        self.renumbered: list[list[int]] = [[] for _ in self.sources]  # classes, in new numbering
+        self.waiting: list[list[int]] = [[] for _ in range(n)]
+        for g, src in enumerate(self.sources):
+            self.waiting[src[0]].append(g)
+        self.logs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+        return self
+
+    def place(self, d: int, j: int, word: list[int]) -> bool:
+        """Put the facet at position d in class j, word holding the classes of positions < d.
+
+        Returns False, with every change undone, when some permutation maps
+        every partition with this prefix to a smaller word.
+        """
+        n = self.n
+        log = self.logs[d] = []
+        compared, waiting = self.compared, self.waiting
+        for g in waiting[d]:
+            src, to, renumbered = self.sources[g], self.renumber[g], self.renumbered[g]
+            t, before, wait, smaller = compared[g], len(renumbered), -1, False
+            while t < n:
+                s = src[t]
+                if t > d or s > d:
+                    wait = t if t > s else s
+                    waiting[wait].append(g)
+                    break
+                c = j if s == d else word[s]
+                b = to[c]
+                if b < 0:
+                    b = to[c] = len(renumbered)
+                    renumbered.append(c)
+                a = j if t == d else word[t]
+                if b != a:
+                    smaller = b < a
+                    break
+                t += 1
+            log.append((g, compared[g], before, wait))
+            compared[g] = t
+            if smaller:
+                self.undo(d)
+                return False
+        return True
+
+    def undo(self, d: int) -> None:
+        """Take back the last place(d, ...), which returned True."""
+        for g, t, before, wait in reversed(self.logs[d]):
+            if wait >= 0:
+                self.waiting[wait].pop()  # the last one added there: the search backs off in order
+            self.compared[g] = t
+            to, renumbered = self.renumber[g], self.renumbered[g]
+            for c in renumbered[before:]:
+                to[c] = -1
+            del renumbered[before:]
+
+
 def _cover_invariant(
     n_facets: int,
     check: Callable[[int], Verdict],
     certify: Callable[[int, int], AdmissibleSet],
-    order: Callable[[], Sequence[int]],
+    plan: Callable[[], tuple[Sequence[int], Sequence[Sequence[int]]]],
 ) -> InvariantResult:
     """Smallest k for which the facets split into k admissible classes, minus one.
 
     Admissibility is hereditary, so a cover by k admissible sets exists
     exactly when some partition of the facets into k classes has every class
     admissible.  For k = 1 that is one check of the full set.  For k = 2, 3,
-    ... a depth-first search places the facets one at a time, in the order
-    order() gives (a permutation of the facet indices, asked for only once
-    the search reaches k = 2), into one of the open classes, or opens one new
-    class while fewer than k are open (so classes are numbered by their first
-    placed facet and no relabelled copy of a partition is visited twice), and
-    backs off as soon as a class fails; it keeps the class chosen for each
-    placed facet on an explicit stack, so thousands of facets need no deep
-    recursion.  check takes a facet mask (bit i is facet i); certify takes a
-    class's mask and a mask the checker answered "yes" that contains it (the
-    class itself when it was checked), and certifies the class.  Checker
-    verdicts are memoised by facet mask for this one call, and `checks`
-    counts checker calls.  Only the k returned classes are certified.
+    ... a depth-first search places the facets one at a time into one of
+    the open classes, or opens one new class while fewer than k are open (so
+    classes are numbered by their first placed facet and no relabelled copy
+    of a partition is visited twice), and backs off as soon as a class
+    fails; it keeps the class chosen for each placed facet on an explicit
+    stack, so thousands of facets need no deep recursion.  plan() gives the
+    placement order (a permutation of the facet indices) and a set of facet
+    permutations that keep every class's admissibility (entry i is the image
+    of facet i); it is asked for only once the search reaches k = 2.  check
+    takes a facet mask (bit i is facet i); certify takes a class's mask and
+    a mask the checker answered "yes" that contains it (the class itself
+    when it was checked), and certifies the class.  Checker verdicts are
+    memoised by facet mask for this one call, and `checks` counts checker
+    calls.  Only the k returned classes are certified.
 
     A facet whose singleton class is "no" lies in no admissible set, so the
     complex is not coverable.  Otherwise one optimistic pass, where undecided
     ("unknown") classes pass, finds the smallest k that succeeds: every
-    smaller k was searched exhaustively, the lower-bound proof.  This pass
-    first asks heredity (_Heredity): a class inside a checked "yes" is a
-    "yes" and a class holding a checked "no" is a "no", with no checker call.
-    With no verdict undecided its classes are all "yes" and k gives the
-    value.  Else the result is budget-exhausted, and a strict pass (only
-    checker "yes" classes pass, heredity unused, so undecided verdicts keep
-    cutting partial partitions) runs from that k up for the upper bound and
-    cover (None if none).
+    smaller k was searched exhaustively up to symmetry, the lower-bound
+    proof.  This pass first asks heredity (_Heredity): a class inside a
+    checked "yes" is a "yes" and a class holding a checked "no" is a "no",
+    with no checker call.  It also visits only lex-leaders (_LexLeader):
+    before a class is checked, a partial partition that a permutation from
+    plan() maps to a smaller one in the search's own order is cut.  That
+    keeps the proof: if the facets split into k truly admissible classes,
+    the least of that partition's images is such a split too, and it is
+    never cut, neither as a leader nor by a verdict (a sound "no", checked
+    or by heredity, never falls on an admissible class).  Any subset of the
+    symmetries would do.  With no verdict undecided its classes are all
+    "yes" and k gives the value; since verdicts then agree on symmetric
+    classes, the least partition that passes is itself a leader, and it is
+    the cover the unpruned search returns.  Else the result is
+    budget-exhausted, and a strict pass (only checker "yes" classes pass,
+    heredity and symmetry unused, so undecided verdicts keep cutting
+    partial partitions, which need not be symmetric) runs from that k up
+    for the upper bound and cover (None if none).
     """
     memo: dict[int, Verdict] = {}
     known = _Heredity()
@@ -508,28 +629,43 @@ def _cover_invariant(
         return checked(mask) is Verdict.YES
 
     placement: list[int] = []  # 1 << facet, in placement order; filled at the first k >= 2
+    leader: _LexLeader | None = None  # made with placement
 
-    def partition(k: int, passes: Callable[[int], bool]) -> list[int] | None:
+    def partition(k: int, passes: Callable[[int], bool], prune: bool) -> list[int] | None:
+        nonlocal leader
         if k == 1:  # one candidate, the full set: one check decides it
             return [full] if passes(full) else None
-        if not placement:
-            placement.extend(1 << i for i in order())
+        if leader is None:
+            order, symmetries = plan()
+            placement.extend(1 << i for i in order)
+            leader = _LexLeader(order, symmetries)
+        lead = leader.reset(k) if prune and leader.sources else None
         classes: list[int] = []
         chosen: list[int] = []  # the class each placed facet joined, in placement order
         j = 0  # the next class to try for the next facet; len(classes) opens one
         while len(chosen) < n_facets:
-            bit = placement[len(chosen)]
-            while j < len(classes) and not passes(classes[j] | bit):
+            d = len(chosen)
+            bit = placement[d]
+            while j < len(classes):
+                if lead is None:
+                    if passes(classes[j] | bit):
+                        break
+                elif lead.place(d, j, chosen):
+                    if passes(classes[j] | bit):
+                        break
+                    lead.undo(d)
                 j += 1
             if j < len(classes):
                 classes[j] |= bit
-            elif j == len(classes) < k:
+            elif j == len(classes) < k and (lead is None or lead.place(d, j, chosen)):
                 classes.append(bit)
             else:  # no class left for this facet: move the previous one on to its next class
                 if not chosen:
                     return None
                 j = chosen.pop()
-                prev = placement[len(chosen)]
+                if lead is not None:
+                    lead.undo(d - 1)
+                prev = placement[d - 1]
                 if classes[j] == prev:  # the previous facet opened that class
                     classes.pop()
                 else:
@@ -560,12 +696,12 @@ def _cover_invariant(
     # Every singleton passes optimistically, so k = n_facets succeeds; an
     # optimistic k that fails also fails strictly.
     lower_k = 1
-    while (classes := partition(lower_k, optimistic)) is None:
+    while (classes := partition(lower_k, optimistic, True)) is None:
         lower_k += 1
     if not unknown:  # every verdict met was decided, so every class is a "yes"
         return result(Status.EXACT, lower_k - 1, lower_k - 1, classes)
     for k in range(lower_k, n_facets + 1):
-        classes = partition(k, strict)
+        classes = partition(k, strict, False)
         if classes is not None:
             return result(Status.BUDGET_EXHAUSTED, lower_k - 1, k - 1, classes)
     return result(Status.BUDGET_EXHAUSTED, lower_k - 1)
@@ -649,6 +785,31 @@ class Admissibility:
 
         return sorted(range(len(facets)), key=key)
 
+    def symmetries(self) -> list[tuple[int, ...]]:
+        """Permutations of the ambient facets that keep admissibility; entry i is the image of facet i.
+
+        For "farber": sigma x sigma for each automorphism sigma of K (the
+        first _AUTOMORPHISM_LIMIT that complexes.automorphisms finds), each
+        also composed with the swap (u, v) -> (v, u), so the identity and
+        the swap are always there.  Both keep Farber-ness: the two
+        projections restricted to the image are sigma after the two
+        restricted to the class, or the same two in the other order, and
+        contiguity classes are kept by composing with an isomorphism.  Facet
+        a * r + b of K^2 is F_a x F_b (categorical_square).  "categorical"
+        has none: scat keeps its unpruned search.
+        """
+        if self.square is None:
+            return []
+        K = self.base
+        r = len(K.facets)
+        index = {m: a for a, m in enumerate(K.facets)}
+        out = []
+        for sigma in automorphisms(K, _AUTOMORPHISM_LIMIT):
+            s = [index[mask_from_ids(sigma[v] for v in ids)] for ids in K.facet_vertex_ids]
+            out.append(tuple(s[a] * r + s[b] for a in range(r) for b in range(r)))
+            out.append(tuple(s[b] * r + s[a] for a in range(r) for b in range(r)))
+        return out
+
 
 def admissibility(kind: str, K: Complex) -> Admissibility:
     """The admissible subcomplexes of kind "farber" or "categorical" for K."""
@@ -686,7 +847,10 @@ def _admissible_cover(A: Admissibility, budget: int) -> InvariantResult:
         section = None if adm.section is None else restrict(adm.section, sub)
         return AdmissibleSet(adm.kind, sub, restrict_witness(adm.witness, sub), section)
 
-    return _cover_invariant(len(A.ambient.facets), check, certify, A.search_order)
+    def plan() -> tuple[list[int], list[tuple[int, ...]]]:
+        return A.search_order(), A.symmetries()
+
+    return _cover_invariant(len(A.ambient.facets), check, certify, plan)
 
 
 def scat(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:

@@ -106,6 +106,16 @@ def complexes_isomorphic(A: Complex, B: Complex) -> bool:
     return False
 
 
+def oracle_automorphisms(K: Complex) -> set[tuple[int, ...]]:
+    """Every vertex permutation of K that maps its facet sets onto its facet sets, by brute force."""
+    facets = set(facet_sets(K))
+    return {
+        perm
+        for perm in itertools.permutations(range(K.n_vertices))
+        if {frozenset(perm[v] for v in f) for f in facets} == facets
+    }
+
+
 # -- the object-level strong-collapse loop -------------------------------------
 #
 # The reference for the library's bitmask collapse loop: list every dominated

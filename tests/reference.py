@@ -1,6 +1,6 @@
 """Reference searches for tc and scat, kept as oracles for the library's cover search.
 
-Two references live here.
+Three references live here.
 
 The enumerate-then-cover pipeline lists every inclusion-maximal admissible
 facet set with maximal_admissible_sets and solves a minimum set cover over
@@ -11,16 +11,35 @@ search placed facets by distance from the diagonal and asked heredity
 before the checker: facets in index order, every verdict from the checker.
 Its status, value and bounds are what the library's search must reproduce.
 
-Both take admissibility(kind, K).decide on a facet mask, verdict only: the
-same call tc and scat make, so a disagreement points at the search, not at
-the checks.
+The first two take admissibility(kind, K).decide on a facet mask, verdict
+only: the same call tc and scat make, so a disagreement points at the
+search, not at the checks.
+
+unpruned_cover is the library's search as it was before its first pass
+visited only lex-leaders under the symmetries of the square: the same
+placement order and heredity, every partial partition visited.  At the
+default budget the library's cover (classes, witnesses and all) must be
+the one it returns.
 """
 
 from __future__ import annotations
 
-from simplicial_tc import InvariantResult, Status, Verdict, maximal_admissible_sets, min_cover
+from typing import Callable, Sequence
+from unittest import mock
+
+from simplicial_tc import (
+    AdmissibleSet,
+    InvariantResult,
+    Status,
+    Verdict,
+    maximal_admissible_sets,
+    min_cover,
+    scat,
+    tc,
+)
+from simplicial_tc import invariants
 from simplicial_tc.complexes import ids_from_mask
-from simplicial_tc.invariants import admissibility
+from simplicial_tc.invariants import _Heredity, admissibility
 from simplicial_tc.maps import DEFAULT_BUDGET
 
 
@@ -126,6 +145,120 @@ def index_order_cover(n_facets: int, check) -> InvariantResult:
         return result(Status.EXACT, lower_k - 1, lower_k - 1, classes)
     for k in range(lower_k, n_facets + 1):
         classes = partition(k, (Verdict.YES,))
+        if classes is not None:
+            return result(Status.BUDGET_EXHAUSTED, lower_k - 1, k - 1, classes)
+    return result(Status.BUDGET_EXHAUSTED, lower_k - 1)
+
+
+def unpruned_invariant(kind: str, K, budget: int = DEFAULT_BUDGET) -> InvariantResult:
+    """tc ("farber") or scat ("categorical") of K with unpruned_cover as the cover search.
+
+    Everything else is the library's own: the checks, the placement order
+    and the certification of the cover.
+    """
+
+    def search(n_facets, check, certify, plan):
+        return unpruned_cover(n_facets, check, certify, lambda: plan()[0])
+
+    with mock.patch.object(invariants, "_cover_invariant", search):
+        return (tc if kind == "farber" else scat)(K, budget)
+
+
+def unpruned_cover(
+    n_facets: int,
+    check: Callable[[int], Verdict],
+    certify: Callable[[int, int], AdmissibleSet],
+    order: Callable[[], Sequence[int]],
+) -> InvariantResult:
+    """The cover search without symmetry pruning, in the order order() gives.
+
+    For k = 1, 2, ... a depth-first search places the facets into an open
+    class or one new class while fewer than k are open, and backs off as
+    soon as a class fails.  A "no" singleton makes the facets not
+    coverable.  One optimistic pass, in which undecided classes pass and
+    heredity decides what it can without a checker call, finds the smallest
+    k, exact when no verdict met was undecided; otherwise a strict pass
+    (checker "yes" classes only) runs from that k up for the upper bound.
+    certify gets each cover class and a checked "yes" mask holding it.
+    """
+    memo: dict[int, Verdict] = {}
+    known = _Heredity()
+    unknown: list[int] = []
+    full = (1 << n_facets) - 1
+
+    def checked(mask: int) -> Verdict:
+        v = memo.get(mask)
+        if v is None:
+            v = check(mask)
+            memo[mask] = v
+            if v is Verdict.UNKNOWN:
+                unknown.append(mask)
+        return v
+
+    def optimistic(mask: int) -> bool:
+        v = memo.get(mask)
+        if v is None and (v := known.implied(mask)) is None:
+            v = checked(mask)
+            known.record(mask, v)
+        return v is not Verdict.NO
+
+    def strict(mask: int) -> bool:
+        return checked(mask) is Verdict.YES
+
+    placement: list[int] = []
+
+    def partition(k: int, passes: Callable[[int], bool]) -> list[int] | None:
+        if k == 1:
+            return [full] if passes(full) else None
+        if not placement:
+            placement.extend(1 << i for i in order())
+        classes: list[int] = []
+        chosen: list[int] = []
+        j = 0
+        while len(chosen) < n_facets:
+            bit = placement[len(chosen)]
+            while j < len(classes) and not passes(classes[j] | bit):
+                j += 1
+            if j < len(classes):
+                classes[j] |= bit
+            elif j == len(classes) < k:
+                classes.append(bit)
+            else:
+                if not chosen:
+                    return None
+                j = chosen.pop()
+                prev = placement[len(chosen)]
+                if classes[j] == prev:
+                    classes.pop()
+                else:
+                    classes[j] ^= prev
+                j += 1
+                continue
+            chosen.append(j)
+            j = 0
+        return classes
+
+    def result(status: Status, lower=None, upper=None, classes=None) -> InvariantResult:
+        cover = None
+        if classes is not None:
+            cover = tuple(
+                certify(m, m if memo.get(m) is Verdict.YES else known.container(m)) for m in classes
+            )
+        value = lower if status is Status.EXACT else None
+        unknown_sets = tuple(frozenset(ids_from_mask(m)) for m in unknown)
+        return InvariantResult(value, lower, upper, status, cover, (), unknown_sets, len(memo))
+
+    if checked(full) is not Verdict.YES and any(
+        checked(1 << i) is Verdict.NO for i in range(n_facets)
+    ):
+        return result(Status.NOT_COVERABLE)
+    lower_k = 1
+    while (classes := partition(lower_k, optimistic)) is None:
+        lower_k += 1
+    if not unknown:
+        return result(Status.EXACT, lower_k - 1, lower_k - 1, classes)
+    for k in range(lower_k, n_facets + 1):
+        classes = partition(k, strict)
         if classes is not None:
             return result(Status.BUDGET_EXHAUSTED, lower_k - 1, k - 1, classes)
     return result(Status.BUDGET_EXHAUSTED, lower_k - 1)

@@ -14,7 +14,7 @@ from simplicial_tc import (
     serialize_complex,
     subcomplex,
 )
-from simplicial_tc.complexes import edge_path, union_mask
+from simplicial_tc.complexes import automorphisms, edge_path, union_mask
 
 import corpusgen
 import oracles
@@ -229,3 +229,60 @@ class TestComplexInvariants:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             Complex((), ())
+
+
+def _cycle(n, names=None):
+    names = names or [f"v{i}" for i in range(n)]
+    return build_complex([(names[i], names[(i + 1) % n]) for i in range(n)])
+
+
+class TestAutomorphisms:
+    """complexes.automorphisms against the brute-force permutation filter."""
+
+    NAMED = {
+        "C3": _cycle(3),
+        "C4": _cycle(4),
+        "boundary-tetrahedron": build_complex(corpusgen.BOUNDARY_TETRAHEDRON),
+        "torus": build_complex(corpusgen.TORUS7),
+        "RP2": build_complex(corpusgen.RP2_6),
+    }
+
+    @pytest.mark.parametrize(
+        "name, size", [("C3", 6), ("C4", 8), ("boundary-tetrahedron", 24), ("torus", 42), ("RP2", 60)]
+    )
+    def test_group_sizes_pinned(self, name, size):
+        K = self.NAMED[name]
+        found = automorphisms(K, 1000)
+        assert len(found) == size
+        assert set(found) == oracles.oracle_automorphisms(K)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cycles_have_the_dihedral_group(self, n):
+        K = _cycle(n)
+        found = automorphisms(K, 1000)
+        assert len(found) == len(set(found)) == 2 * n
+        assert set(found) == oracles.oracle_automorphisms(K)
+
+    def test_relabelled_and_disconnected_inputs(self):
+        rng = random.Random(5)
+        names = rng.sample(["p", "q", "r", "s", "t", "u", "w"], 7)
+        inputs = [
+            _cycle(7, names),
+            build_complex([("a", "b", "c"), ("c", "d"), ("e", "f"), ("g",)]),  # three components
+            build_complex([("a", "b"), ("c", "d"), ("e", "f")]),  # 2^3 * 3! = 48
+            build_complex([("x", "y", "z"), ("p", "q", "r")]),
+        ]
+        for K in inputs:
+            assert set(automorphisms(K, 1000)) == oracles.oracle_automorphisms(K)
+
+    def test_the_limit_keeps_the_first_ones_found(self):
+        K = self.NAMED["boundary-tetrahedron"]
+        every = automorphisms(K, 1000)
+        assert automorphisms(K, 5) == every[:5]
+
+    @given(st.randoms(use_true_random=False))
+    def test_tiny_complexes(self, rng):
+        K = corpusgen.random_complex(rng, max_vertices=5, max_facets=5)
+        found = automorphisms(K, 1000)
+        assert len(found) == len(set(found))
+        assert set(found) == oracles.oracle_automorphisms(K)

@@ -792,6 +792,8 @@ class TestPartitionSearch:
                 res = invariant(K)
                 assert (res.status, res.value) == reference.reference_invariant(kind, K)
                 assert _bounds(res) == _bounds(reference.index_order_invariant(kind, K))
+                if kind == "farber":  # scat has no symmetries to prune by
+                    assert res.cover == reference.unpruned_invariant(kind, K).cover
                 ok, msgs = verify_certificate(emit(K, res, DEFAULT_BUDGET))
                 assert ok, msgs
 
@@ -805,7 +807,8 @@ class TestPartitionSearch:
 
 
 def _index_order(n):
-    return lambda: range(n)
+    """A plan for _cover_invariant: index order, no symmetries."""
+    return lambda: (range(n), ())
 
 
 def _bounds(res):
@@ -869,7 +872,7 @@ class TestIndexOrderOracle:
         # Another order can meet other undecided masks, so only whether one
         # was met may change, and then both searches bracket one value.
         order = rng.sample(range(n), n)
-        res = _cover_invariant(n, check, certify, lambda: order)
+        res = _cover_invariant(n, check, certify, lambda: (order, ()))
         if res.status is expected.status:
             assert _bounds(res) == _bounds(expected)
         else:
@@ -889,6 +892,8 @@ class TestIndexOrderOracle:
         for kind, invariant, emit in (("farber", tc, emit_tc), ("categorical", scat, emit_scat)):
             res = invariant(K)
             assert _bounds(res) == _bounds(reference.index_order_invariant(kind, K))
+            if kind == "farber":
+                assert res.cover == reference.unpruned_invariant(kind, K).cover
             ok, msgs = verify_certificate(emit(K, res, DEFAULT_BUDGET))
             assert ok, msgs
 
@@ -909,13 +914,17 @@ class TestIndexOrderOracle:
                 runs = [("categorical", scat)] + [("farber", tc)] * case.run_tc
                 for kind, invariant in runs:
                     expected = reference.index_order_invariant(kind, K)
-                    assert _bounds(invariant(K)) == _bounds(expected), (name, case.name, kind)
+                    res = invariant(K)
+                    assert _bounds(res) == _bounds(expected), (name, case.name, kind)
+                    if kind == "farber":
+                        unpruned = reference.unpruned_invariant(kind, K)
+                        assert res.cover == unpruned.cover, (name, case.name)
 
     def test_the_order_is_asked_for_only_from_k_two(self):
         asked = []
 
         def order(n):
-            return lambda: asked.append(n) or range(n)
+            return lambda: asked.append(n) or (range(n), ())
 
         family_check = TestPartitionSearch.family_check
         certify = TestPartitionSearch.certify
@@ -982,6 +991,143 @@ class TestIndexOrderOracle:
         assert _bounds(res) == _bounds(reference.index_order_invariant("farber", K, budget))
         ok, msgs = verify_certificate(emit_tc(K, res, budget))
         assert ok, msgs
+
+
+def _rgs_words(n, k):
+    """Every word of n classes below k, numbered by first appearance."""
+    words = [()]
+    for _ in range(n):
+        words = [w + (c,) for w in words for c in range(min(max(w, default=-1) + 2, k))]
+    return words
+
+
+def _image_word(word, g, order):
+    """The word, in placement order, of the partition g makes of word's partition."""
+    cls = [0] * len(order)
+    for t, i in enumerate(order):
+        cls[g[i]] = word[t]  # facet order[t] moves to g(order[t])
+    renumber = {}
+    return tuple(renumber.setdefault(cls[i], len(renumber)) for i in order)
+
+
+class TestSymmetryPruning:
+    """The first pass visits only lex-leaders under the symmetries of the square."""
+
+    def test_the_incremental_test_keeps_exactly_the_lex_leaders(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            n, k = rng.randint(1, 7), rng.randint(2, 3)
+            order = rng.sample(range(n), n)
+            symmetries = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 4))]
+            lead = invariants._LexLeader(order, symmetries).reset(k)
+            kept, word = [], []
+
+            def walk(d):
+                if d == n:
+                    kept.append(tuple(word))
+                    return
+                for j in range(min(max(word, default=-1) + 2, k)):
+                    if lead.place(d, j, word):
+                        word.append(j)
+                        walk(d + 1)
+                        word.pop()
+                        lead.undo(d)
+
+            walk(0)
+            leaders = [
+                w for w in _rgs_words(n, k)
+                if all(_image_word(w, g, order) >= w for g in symmetries)
+            ]
+            assert kept == leaders
+            assert lead.compared == [0] * len(lead.sources)  # every placement taken back
+
+    @pytest.mark.parametrize("name", ["C4", "boundary-tetrahedron"])
+    def test_each_square_symmetry_keeps_is_farbers_verdict(self, name):
+        from simplicial_tc.complexes import automorphisms
+
+        K = build_complex(_NAMED[name])
+        A = admissibility("farber", K)
+        r = len(K.facets)
+        symmetries = A.symmetries()
+        assert tuple(b * r + a for a in range(r) for b in range(r)) in symmetries  # the swap
+        assert len(set(symmetries)) == len(symmetries) == 2 * len(automorphisms(K, 1000))
+        assert admissibility("categorical", K).symmetries() == []
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(12):
+            mask = mask_from_ids(rng.sample(range(r * r), rng.randint(1, 6)))
+            verdict = is_farber(mask, A.square, want_witness=False)[0]
+            seen.add(verdict)
+            for g in symmetries:
+                image = mask_from_ids(g[i] for i in ids_from_mask(mask))
+                assert is_farber(image, A.square, want_witness=False)[0] is verdict
+        assert seen == {Verdict.YES, Verdict.NO}
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_symmetric_families_give_the_unpruned_result(self, rng):
+        """Any subset of a family's symmetry group keeps the bounds, and the cover when exact."""
+        n = rng.randint(1, 7)
+        generators = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 2))]
+        group = {tuple(range(n))}
+        while more := {tuple(a[i] for i in g) for g in group for a in generators} - group:
+            group |= more
+
+        def orbits(family):
+            return {frozenset(g[i] for i in S) for S in family for g in group}
+
+        yes_sets = orbits(TestPartitionSearch.random_family(rng, n, 3))
+        maybe_sets = orbits(TestPartitionSearch.random_family(rng, n, 3) + [frozenset({0})])
+        check = TestIndexOrderOracle.banded_check(yes_sets, maybe_sets)
+        certify = TestPartitionSearch.certify
+        order = rng.sample(range(n), n)
+        subset = rng.sample(sorted(group), rng.randint(0, len(group)))
+        res = _cover_invariant(n, check, certify, lambda: (order, subset))
+        expected = reference.unpruned_cover(n, check, certify, lambda: order)
+        if res.status is expected.status:
+            assert _bounds(res) == _bounds(expected)
+            if res.status is Status.EXACT:
+                assert res.cover == expected.cover
+        else:  # the pruned search met no undecided class; both bracket its value
+            assert {res.status, expected.status} == {Status.EXACT, Status.BUDGET_EXHAUSTED}
+            exact = res if res.status is Status.EXACT else expected
+            assert (res.lower_bound, res.upper_bound) == (exact.value,) * 2
+            assert (expected.lower_bound, expected.upper_bound) == (exact.value,) * 2
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=30)
+    def test_random_small_budgets_bracket_the_exact_value(self, rng):
+        """Tiny complexes, or C3, C4 or the boundary relabelled, maybe with a whisker.
+
+        Tiny complexes rarely need a class search that a budget cuts; the
+        squares of the others often do.
+        """
+        from simplicial_tc import emit_tc, verify_certificate
+
+        if rng.random() < 0.5:
+            K = corpusgen.random_complex(rng, max_vertices=5, max_facets=4)
+        else:
+            facets = [list(f) for f in _NAMED[rng.choice(["C3", "C4", "boundary-tetrahedron"])]]
+            labels = sorted({v for f in facets for v in f})
+            if rng.random() < 0.5:
+                facets.append([rng.choice(labels), "w"])
+                labels.append("w")
+            names = dict(zip(labels, rng.sample("pqrstuvxyz", len(labels))))
+            K = build_complex([[names[v] for v in f] for f in facets])
+        budget = rng.randint(1, 8)
+        exact, res = tc(K), tc(K, budget=budget)
+        assert exact.status is not Status.BUDGET_EXHAUSTED
+        if exact.status is Status.NOT_COVERABLE:
+            assert res.status is Status.NOT_COVERABLE
+        else:
+            assert res.lower_bound <= exact.value <= res.upper_bound
+        ok, msgs = verify_certificate(emit_tc(K, res, budget))
+        assert ok, msgs
+
+    @pytest.mark.parametrize("name, most", [("C4", 250), ("boundary-tetrahedron", 100)])
+    def test_pruning_cuts_the_checks_of_the_square_refutations(self, name, most):
+        K = build_complex(_NAMED[name])
+        assert tc(K).checks <= most < reference.unpruned_invariant("farber", K).checks
 
 
 class TestFiveCycle:
