@@ -19,21 +19,21 @@ off as soon as a class fails.  The Admissibility gives the order: for TC
 the facets F x G of K^2 nearest the diagonal come first (least 1-skeleton
 distance d(u, v) over the vertices of F x G, then the sum of those
 distances, then F and G in a depth-first walk over K's facets), for scat
-index order.  Undecided classes pass in this one search, which also lets
-heredity decide a class with no checker call: inside a checked "yes" it is
-a "yes", holding a checked "no" it is a "no" (_Heredity keeps both
-inclusion antichains).  It also visits only lex-leaders (_LexLeader).  The
-Admissibility gives facet permutations that keep admissibility: for TC
-sigma x sigma for the automorphisms sigma of K (complexes.automorphisms),
-each also composed with the swap (u, v) -> (v, u); for scat none.  A
+index order.  The search visits only lex-leaders (_LexLeader): the
+Admissibility gives facet permutations that keep admissibility (for TC
+sigma x sigma for the automorphisms sigma of K, complexes.automorphisms,
+each also composed with the swap (u, v) -> (v, u); for scat none), and a
 partial partition that one of them maps to a smaller one, in the order the
-search visits partitions, is cut before its class is checked.  The first k
-that succeeds is a lower bound, proved by the searches for every smaller
-k, exhausted up to symmetry: a partition into k admissible classes has a
-least image, which is one too and is never cut.  It is the value when no
-verdict was undecided; otherwise a strict pass (undecided classes fail,
-heredity and symmetry unused) runs from that k up.  `checks` counts
-checker calls.
+search visits partitions, is cut before its class is checked.  Undecided
+classes pass in a first, optimistic pass, where heredity also decides a
+class with no checker call: inside a checked "yes" it is a "yes", holding
+a checked "no" it is a "no" (_Heredity keeps both inclusion antichains).
+The first k that succeeds is a lower bound, proved by the searches for
+every smaller k, exhausted up to symmetry: a partition into k admissible
+classes has a least image, which is one too and is never cut.  It is the
+value when no verdict was undecided; otherwise a strict pass (only checker
+"yes" classes pass) runs from that k up for the upper bound and a cover of
+checked "yes" classes.  `checks` counts checker calls.
 maximal_admissible_sets and min_cover (enumerate every maximal admissible
 set, then set-cover them) remain as standalone tools: the first takes the
 same verdict-only facet-mask check and the same _Heredity and returns
@@ -582,27 +582,29 @@ def _cover_invariant(
     memoised by facet mask for this one call, and `checks` counts checker
     calls.  Only the k returned classes are certified.
 
+    The search visits only lex-leaders (_LexLeader): before a class is
+    checked, a partial partition that a permutation from plan() maps to a
+    smaller one in the search's own order is cut.  Any subset of the
+    symmetries would do.
+
     A facet whose singleton class is "no" lies in no admissible set, so the
     complex is not coverable.  Otherwise one optimistic pass, where undecided
-    ("unknown") classes pass, finds the smallest k that succeeds: every
-    smaller k was searched exhaustively up to symmetry, the lower-bound
-    proof.  This pass first asks heredity (_Heredity): a class inside a
-    checked "yes" is a "yes" and a class holding a checked "no" is a "no",
-    with no checker call.  It also visits only lex-leaders (_LexLeader):
-    before a class is checked, a partial partition that a permutation from
-    plan() maps to a smaller one in the search's own order is cut.  That
-    keeps the proof: if the facets split into k truly admissible classes,
-    the least of that partition's images is such a split too, and it is
-    never cut, neither as a leader nor by a verdict (a sound "no", checked
-    or by heredity, never falls on an admissible class).  Any subset of the
-    symmetries would do.  With no verdict undecided its classes are all
-    "yes" and k gives the value; since verdicts then agree on symmetric
-    classes, the least partition that passes is itself a leader, and it is
-    the cover the unpruned search returns.  Else the result is
-    budget-exhausted, and a strict pass (only checker "yes" classes pass,
-    heredity and symmetry unused, so undecided verdicts keep cutting
-    partial partitions, which need not be symmetric) runs from that k up
-    for the upper bound and cover (None if none).
+    ("unknown") classes pass and heredity (_Heredity) decides a class inside
+    a checked "yes" or holding a checked "no" with no checker call, finds
+    the smallest k that succeeds.  Every smaller k was searched exhaustively
+    up to symmetry, the lower-bound proof: if the facets split into k truly
+    admissible classes, the least image of that partition is such a split
+    too and is never cut, neither as a leader nor by a "no" (sound, checked
+    or by heredity).  With no verdict undecided, k gives the value, and since
+    verdicts then agree on symmetric classes, the cover is the one the
+    unpruned search returns.  Else the result is budget-exhausted, and a
+    strict pass (only checker "yes" classes pass) runs from that k up for
+    the upper bound and cover (None if none).  Its verdicts need not agree on
+    symmetric classes, so its cut may skip a cover the unpruned search
+    finds; the result stays sound, as every class it keeps is a checked
+    "yes".  The all-singleton partition (the word 0, 1, ..., n - 1) is its
+    own image under every permutation, so when every facet alone is a "yes"
+    this pass ends with a cover.
     """
     memo: dict[int, Verdict] = {}
     known = _Heredity()
@@ -631,7 +633,7 @@ def _cover_invariant(
     placement: list[int] = []  # 1 << facet, in placement order; filled at the first k >= 2
     leader: _LexLeader | None = None  # made with placement
 
-    def partition(k: int, passes: Callable[[int], bool], prune: bool) -> list[int] | None:
+    def partition(k: int, passes: Callable[[int], bool]) -> list[int] | None:
         nonlocal leader
         if k == 1:  # one candidate, the full set: one check decides it
             return [full] if passes(full) else None
@@ -639,7 +641,7 @@ def _cover_invariant(
             order, symmetries = plan()
             placement.extend(1 << i for i in order)
             leader = _LexLeader(order, symmetries)
-        lead = leader.reset(k) if prune and leader.sources else None
+        lead = leader.reset(k)
         classes: list[int] = []
         chosen: list[int] = []  # the class each placed facet joined, in placement order
         j = 0  # the next class to try for the next facet; len(classes) opens one
@@ -647,24 +649,20 @@ def _cover_invariant(
             d = len(chosen)
             bit = placement[d]
             while j < len(classes):
-                if lead is None:
-                    if passes(classes[j] | bit):
-                        break
-                elif lead.place(d, j, chosen):
+                if lead.place(d, j, chosen):
                     if passes(classes[j] | bit):
                         break
                     lead.undo(d)
                 j += 1
             if j < len(classes):
                 classes[j] |= bit
-            elif j == len(classes) < k and (lead is None or lead.place(d, j, chosen)):
+            elif j == len(classes) < k and lead.place(d, j, chosen):
                 classes.append(bit)
             else:  # no class left for this facet: move the previous one on to its next class
                 if not chosen:
                     return None
                 j = chosen.pop()
-                if lead is not None:
-                    lead.undo(d - 1)
+                lead.undo(d - 1)
                 prev = placement[d - 1]
                 if classes[j] == prev:  # the previous facet opened that class
                     classes.pop()
@@ -696,12 +694,12 @@ def _cover_invariant(
     # Every singleton passes optimistically, so k = n_facets succeeds; an
     # optimistic k that fails also fails strictly.
     lower_k = 1
-    while (classes := partition(lower_k, optimistic, True)) is None:
+    while (classes := partition(lower_k, optimistic)) is None:
         lower_k += 1
     if not unknown:  # every verdict met was decided, so every class is a "yes"
         return result(Status.EXACT, lower_k - 1, lower_k - 1, classes)
     for k in range(lower_k, n_facets + 1):
-        classes = partition(k, strict, False)
+        classes = partition(k, strict)
         if classes is not None:
             return result(Status.BUDGET_EXHAUSTED, lower_k - 1, k - 1, classes)
     return result(Status.BUDGET_EXHAUSTED, lower_k - 1)
@@ -796,7 +794,7 @@ class Admissibility:
         restricted to the class, or the same two in the other order, and
         contiguity classes are kept by composing with an isomorphism.  Facet
         a * r + b of K^2 is F_a x F_b (categorical_square).  "categorical"
-        has none: scat keeps its unpruned search.
+        has none, so every partition is a lex-leader for scat.
         """
         if self.square is None:
             return []

@@ -15,11 +15,13 @@ The first two take admissibility(kind, K).decide on a facet mask, verdict
 only: the same call tc and scat make, so a disagreement points at the
 search, not at the checks.
 
-unpruned_cover is the library's search as it was before its first pass
-visited only lex-leaders under the symmetries of the square: the same
-placement order and heredity, every partial partition visited.  At the
-default budget the library's cover (classes, witnesses and all) must be
-the one it returns.
+unpruned_cover is the library's search as it was before it visited only
+lex-leaders under the symmetries of the square: the same placement order
+and heredity, every partial partition visited, in both the optimistic and
+the strict pass.  It is the oracle for both passes.  At the default budget
+the library's cover (classes, witnesses and all) must be the one it
+returns; under a small budget the strict pass may end at another cover,
+and the tests compare the bounds.
 """
 
 from __future__ import annotations

@@ -1011,7 +1011,7 @@ def _image_word(word, g, order):
 
 
 class TestSymmetryPruning:
-    """The first pass visits only lex-leaders under the symmetries of the square."""
+    """Both passes visit only lex-leaders under the symmetries of the square."""
 
     def test_the_incremental_test_keeps_exactly_the_lex_leaders(self):
         rng = random.Random(29)
@@ -1124,6 +1124,45 @@ class TestSymmetryPruning:
         ok, msgs = verify_certificate(emit_tc(K, res, budget))
         assert ok, msgs
 
+    def test_small_budgets_give_the_unpruned_bounds(self):
+        """Budget-limited verdicts need not be symmetric; on these squares the bounds agree."""
+        named = [build_complex(_NAMED[name]) for name in ("C3", "C4", "boundary-tetrahedron")]
+        corpus = corpusgen.acceptance_corpus(corpusgen.ACCEPTANCE_SEED)
+        runs = [(K, budget) for K in named for budget in range(1, 9)]
+        largest = sorted(corpus, key=lambda K: -len(K.facets))[:10]
+        runs += [(K, budget) for K in largest for budget in (1, 2, 4, 8)]
+        exhausted = 0
+        for K, budget in runs:
+            res = tc(K, budget=budget)
+            expected = reference.unpruned_invariant("farber", K, budget)
+            exhausted += res.status is Status.BUDGET_EXHAUSTED
+            if res.status is expected.status:
+                assert _bounds(res) == _bounds(expected), (K.facets, budget)
+            else:  # one search met no undecided class; both bracket its value
+                assert {res.status, expected.status} == {Status.EXACT, Status.BUDGET_EXHAUSTED}
+                value = (res if res.status is Status.EXACT else expected).value
+                assert (res.lower_bound, res.upper_bound) == (value, value)
+                assert (expected.lower_bound, expected.upper_bound) == (value, value)
+        assert exhausted > 8  # C4 at every budget, and corpus complexes too
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=40)
+    def test_the_strict_pass_ends_at_the_singletons(self, rng):
+        """The all-singleton word 0, 1, ..., n - 1 is its own image, so no permutation cuts it.
+
+        The check looks only at a class's size, so every permutation keeps it.
+        """
+        n = rng.randint(2, 8)
+
+        def check(mask):
+            return Verdict.YES if mask.bit_count() == 1 else Verdict.UNKNOWN
+
+        order = rng.sample(range(n), n)
+        symmetries = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 6))]
+        res = _cover_invariant(n, check, TestPartitionSearch.certify, lambda: (order, symmetries))
+        assert (res.status, res.lower_bound, res.upper_bound) == (Status.BUDGET_EXHAUSTED, 0, n - 1)
+        assert sorted(res.cover, key=min) == [frozenset({i}) for i in range(n)]
+
     @pytest.mark.parametrize("name, most", [("C4", 250), ("boundary-tetrahedron", 100)])
     def test_pruning_cuts_the_checks_of_the_square_refutations(self, name, most):
         K = build_complex(_NAMED[name])
@@ -1229,11 +1268,14 @@ class TestBudgetBounds:
                 assert ok, (budget, msgs)
         assert degraded
 
-    # tc of C5 is left to the next test: at budgets 2 to 8 it takes 5 to 14 s each.
     @pytest.mark.parametrize(
         "kind, name",
-        [(kind, name) for name in ("C3", "C4", "boundary-tetrahedron") for kind in ("tc", "scat")]
-        + [("scat", "C5"), ("scat", "torus"), ("scat", "RP2")],
+        [
+            (kind, name)
+            for name in ("C3", "C4", "boundary-tetrahedron", "C5")
+            for kind in ("tc", "scat")
+        ]
+        + [("scat", "torus"), ("scat", "RP2")],
     )
     def test_budgets_one_to_eight_certify_every_class(self, kind, name):
         """A "yes" that came from heredity never met the checker; it certifies all the same."""
@@ -1245,11 +1287,16 @@ class TestBudgetBounds:
             _assert_bracket_and_certificate(kind, K, res, budget, exact.value)
 
     def test_small_budget_search_on_c5_stays_below_the_index_order_search(self):
-        """At budget 1 the index-order search made 60,693 checks; heredity and the order cut it."""
+        """At budget 1 the index-order search made 60,693 checks.
+
+        Heredity and the distance order cut that to 22,178 while the strict
+        pass still visited every partition; with lex-leaders in both passes
+        it is 1,745.
+        """
         K = build_complex(corpusgen.CYCLE5)
         res = tc(K, budget=1)
         assert (res.status, res.lower_bound, res.upper_bound) == (Status.BUDGET_EXHAUSTED, 1, 2)
-        assert res.checks < 60_693
+        assert res.checks < 2_500
         _assert_bracket_and_certificate("tc", K, res, 1, 1)
 
 
