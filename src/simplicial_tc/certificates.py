@@ -2,12 +2,16 @@
 
 Every computation the CLI exposes can emit a JSON certificate that is
 self-contained: it carries the input complex, the verdict, and the witnesses
-(assignment arrays written as label lists).  verify_certificate() rebuilds
-everything from the stored complex and re-checks the defining conditions --
-witness steps are simplicial, consecutive steps contiguous, endpoints equal
-the maps being certified, covers actually cover.  It never trusts stored
-flags.  Negative verdicts (exact "no" / lower bounds) rest on exhaustive
-search, so they are re-checked only under recompute=True.
+(assignment arrays written as label lists).  Every witness is a chain of
+maps into the input complex K, so every witness row holds labels of K: a
+Farber entry's chain runs from the first projection restricted to omega to
+the second, a categorical entry's from the inclusion to a constant map.
+verify_certificate() rebuilds everything from the stored complex and
+re-checks the defining conditions -- witness steps are simplicial,
+consecutive steps contiguous, endpoints equal the maps being certified,
+covers actually cover.  It never trusts stored flags.  Negative verdicts
+(exact "no" / lower bounds) rest on exhaustive search, so they are
+re-checked only under recompute=True.  It reads only the current FORMAT.
 """
 
 from __future__ import annotations
@@ -29,19 +33,12 @@ from .invariants import (
     scat,
     tc,
 )
-from .maps import (
-    DEFAULT_BUDGET,
-    ContiguityWitness,
-    SimplicialMap,
-    Verdict,
-    _unchecked_map,
-    check_budget,
-)
+from .maps import DEFAULT_BUDGET, ContiguityWitness, Verdict, _unchecked_map, check_budget
 
 # Unused here since invariants.admissibility builds the square; e2ebench/tracing.py patches it.
 from .product import categorical_square  # noqa: F401
 
-FORMAT = "simplicial-tc/1"
+FORMAT = "simplicial-tc/2"
 
 # certificate kind of each invariant -> (admissible kind of its cover, the invariant)
 _COVER_KINDS = {"tc": ("farber", tc), "scat": ("categorical", scat)}
@@ -113,11 +110,6 @@ def _admissible_payload(adm: AdmissibleSet) -> dict[str, Any]:
         "kind": adm.kind,
         "facets": _facet_lists(adm.omega),
         "vertices": list(adm.omega.labels),
-        "section": (
-            [adm.section.codomain.labels[c] for c in adm.section.assignment]
-            if adm.section is not None
-            else None
-        ),
         "witness": [
             [codomain.labels[c] for c in step.assignment] for step in adm.witness.steps
         ],
@@ -189,8 +181,6 @@ def emit_plan(K: Complex, adm: AdmissibleSet, plan: MotionPlan, budget: int) -> 
         "admissible": _admissible_payload(adm),
         "from": labels[plan.x],
         "to": labels[plan.y],
-        "section_point": labels[plan.section_point],
-        "pairs": [[labels[a], labels[b]] for a, b in plan.pairs],
         "path": [labels[v] for v in plan.path],
     }
 
@@ -216,39 +206,43 @@ def _rebuild_complex(payload: Any) -> Complex:
 def _rebuild_admissible(entry: Any, A: Admissibility) -> AdmissibleSet:
     """Reconstruct and fully re-validate one admissible-set payload of A's kind.
 
-    A Farber entry's witness lands in A.ambient = K^2 and its section in
-    A.base = K; a categorical entry's witness lands in A.ambient = K.
+    omega is a subcomplex of A.ambient, and every witness row holds labels
+    of A.base = K.  A Farber entry's witness must run from pi1|omega to
+    pi2|omega, a categorical entry's from the inclusion to a constant map.
     """
     _need(isinstance(entry, dict), "admissible set must be a JSON object")
     _need(entry["kind"] == A.kind, f"expected a {A.kind} admissible set, got {entry['kind']!r}")
-    ambient, base = A.ambient, A.base
+    ambient, K = A.ambient, A.base
     facets = _label_lists(entry["facets"], "admissible set facets")
     omega = subcomplex(ambient, [ambient.simplex_mask(f) for f in facets])
     vertices = _labels(entry["vertices"], "vertices")
     _need(list(omega.labels) == vertices, "vertex table mismatch in admissible set")
-    index = ambient._label_index
+    index = K._label_index
     steps = []
     for row in _label_lists(entry["witness"], "witness"):
         _need(len(row) == omega.n_vertices, "witness step has wrong length")
         try:
             ids = tuple(map(index.__getitem__, row))
         except KeyError:
-            ids = tuple(map(ambient.id, row))  # raises on the unknown label
+            ids = tuple(map(K.id, row))  # raises on the unknown label
         # ContiguityWitness checks each step, so the step skips its own check
-        steps.append(_unchecked_map(omega, ambient, ids))
+        steps.append(_unchecked_map(omega, K, ids))
     witness = ContiguityWitness(tuple(steps))
     emb = embedding_ids(omega, ambient)
-    if base is not None:
-        section_labels = _labels(entry["section"], "a farber entry's section")
-        section = SimplicialMap(omega, base, tuple(base.id(lab) for lab in section_labels))
-        diag = tuple(A.square.pair_id(c, c) for c in section.assignment)
-        _need(witness.first.assignment == diag, "witness does not start at diagonal∘section")
-        _need(witness.last.assignment == emb, "witness does not end at the inclusion")
-        return AdmissibleSet("farber", omega, witness, section=section)
-    _need(entry["section"] is None, "a categorical entry carries a section")
-    _need(witness.first.assignment == emb, "witness does not start at the inclusion")
-    _need(witness.last.is_constant, "witness does not end at a constant map")
-    return AdmissibleSet("categorical", omega, witness)
+    if A.square is not None:
+        pairs = [A.square.unpair(q) for q in emb]
+        _need(
+            witness.first.assignment == tuple(u for u, _ in pairs),
+            "witness does not start at the first projection",
+        )
+        _need(
+            witness.last.assignment == tuple(v for _, v in pairs),
+            "witness does not end at the second projection",
+        )
+    else:
+        _need(witness.first.assignment == emb, "witness does not start at the inclusion")
+        _need(witness.last.is_constant, "witness does not end at a constant map")
+    return AdmissibleSet(A.kind, omega, witness)
 
 
 def _is_count(x: Any) -> bool:
@@ -358,11 +352,6 @@ def verify_certificate(cert: dict[str, Any], recompute: bool = False) -> tuple[b
             _need(
                 [K.labels[v] for v in plan.path] == cert["path"], "stored path does not match witness"
             )
-            _need(
-                [[K.labels[a], K.labels[b]] for a, b in plan.pairs] == cert["pairs"],
-                "stored pairs do not match witness",
-            )
-            _need(K.labels[plan.section_point] == cert["section_point"], "section point mismatch")
         else:
             raise _Reject(f"unknown certificate kind {kind!r}")
     except SimplicialTCError as exc:

@@ -237,7 +237,7 @@ def _cmd_plan(args) -> int:
         if v != hops[-1]:
             hops.append(v)
     path = " ".join(K.labels[v] for v in hops)
-    _deliver(args, cert, [f"path: {path}", f"via section point {K.labels[plan.section_point]}"])
+    _deliver(args, cert, [f"path: {path}"])
     return _STATUS_EXIT[res.status]
 
 

@@ -1,10 +1,11 @@
 """Farber/categorical subcomplex recognition, minimum covers, TC, scat, plans.
 
 The two invariants share one code path and differ only in their
-Admissibility, the one place that pairs each kind with its ambient complex,
-checker and base: Farber subcomplexes of K^2 (is_farber, base K) for TC,
-categorical subcomplexes of K (is_categorical, no base) for scat.  The
-certificate verifier and the membership commands use the same pairing.
+Admissibility, the one place that pairs each kind with its ambient complex
+and checker: Farber subcomplexes of K^2 (is_farber) for TC, categorical
+subcomplexes of K (is_categorical) for scat.  For both, witnesses land in
+the base K.  The certificate verifier and the membership commands use the
+same pairing.
 
 Both invariants look for the smallest k for which the facets of the ambient
 complex split into k classes, each generating an admissible subcomplex.
@@ -40,12 +41,16 @@ same verdict-only facet-mask check and the same _Heredity and returns
 facet-index sets, the second the indices of a smallest covering subfamily.
 
 A Farber subcomplex of K^2 is one whose two projection restrictions lie in
-a single contiguity class; the class witness is converted into the defining
-certificate (a chain from diagonal-after-section to the inclusion) so every
-"yes" is machine-checkable.  Two sound "no" detectors run first (a vertex
-pair split across components of K, or a full row/column slice when K itself
-is not strongly collapsible) and prune the search without exploring map
-space.
+a single contiguity class, and the class query's own chain
+pi1|omega = h_0 ~ ... ~ h_m = pi2|omega of maps omega -> K is its
+certificate, as a categorical set's is the chain from its inclusion to a
+constant map: every witness is a chain of maps into K, so every "yes" is
+machine-checkable in K.  Pairing each h_j with sigma = pi1|omega gives the
+defining chain from the diagonal after the section sigma to the inclusion
+in K^2 (README, "Invariants"); the library never builds it.  Two sound "no"
+detectors run first (a vertex pair split across components of K, or a full
+row/column slice when K itself is not strongly collapsible) and prune the
+search without exploring map space.
 
 The checkers take a subcomplex or a facet mask and turn either into facet
 bitmasks in the ambient complex's vertex ids (for K^2, q = u*n + v), so one
@@ -72,7 +77,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
 from typing import Callable, Sequence
 
 # contraction_witness and witness_between_constants are unused here; e2ebench/tracing.py patches them.
@@ -95,10 +99,8 @@ from .maps import (
     ContiguityWitness,
     SimplicialMap,
     Verdict,
-    _unchecked_map,
     check_budget,
     class_constant_witness,
-    restrict,
     restrict_witness,
     same_contiguity_class,
     witness_between_constants,
@@ -117,18 +119,16 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class AdmissibleSet:
-    """A certified admissible subcomplex.
+    """A certified admissible subcomplex; its witness is a chain of maps omega -> K.
 
-    For kind "farber" the witness chains diagonal-after-section to the
-    inclusion (maps omega -> K^2) and section is the first projection
-    restricted to omega; for kind "categorical" the witness chains the
-    inclusion (maps L -> K) to a constant map and section is None.
+    For kind "farber" (omega in K^2) the witness chains the first projection
+    restricted to omega to the second; for kind "categorical" (omega in K)
+    it chains the inclusion to a constant map.
     """
 
     kind: str
     omega: Complex
     witness: ContiguityWitness
-    section: SimplicialMap | None = None
 
 
 @dataclass(frozen=True)
@@ -214,29 +214,6 @@ def _core_verdict(
     return verdict
 
 
-def _diagonal_witness(
-    omega: Complex, P: ProductComplex, emb: Sequence[int], proj_witness: ContiguityWitness
-) -> AdmissibleSet:
-    """Turn a witness pi1|omega ~ pi2|omega into the defining certificate.
-
-    Pairing each step h with the fixed first projection gives simplicial maps
-    w -> (pi1(w), h(w)) from omega into K^2; the chain starts at the diagonal
-    composed with the section sigma = pi1|omega and ends at the inclusion emb.
-    """
-    section = proj_witness.first
-    n = P.n
-    rows = [u * n for u in section.assignment]  # P.pair_id(u, v) is u * n + v
-    witness = ContiguityWitness(
-        tuple(
-            _unchecked_map(omega, P.product, tuple(map(add, rows, h.assignment)))
-            for h in proj_witness.steps
-        )
-    )
-    if witness.last.assignment != tuple(emb):
-        raise InvalidInput("derived witness does not end at the inclusion")
-    return AdmissibleSet("farber", omega, witness, section=section)
-
-
 def is_farber(
     omega: Complex | int,
     P: ProductComplex,
@@ -254,11 +231,11 @@ def is_farber(
     when K is not strongly collapsible.  Then the decision is projection
     contiguity: the two restricted projections lie in one contiguity class
     (the class query, exact without search when omega strongly collapses to
-    a point).  Its witness becomes the defining certificate, with the first
-    projection as the section.  With want_witness=False only the verdict is
-    computed, on the greedy core of omega, and memo (see _core_verdict) may
-    carry the class-query verdicts of earlier checks; search layers use this
-    and re-certify the sets they keep.
+    a point).  Its witness, pi1|omega ~ pi2|omega in K, is the certificate.
+    With want_witness=False only the verdict is computed, on the greedy
+    core of omega, and memo (see _core_verdict) may carry the class-query
+    verdicts of earlier checks; search layers use this and re-certify the
+    sets they keep.
     """
     check_budget(budget)
     facets, emb = _ambient_facets(omega, P.product, "omega is not a subcomplex of the product")
@@ -287,7 +264,7 @@ def is_farber(
         omega, emb = _complex_on(P.product, facets), ids_from_mask(union)
     result = query(omega, emb)
     if result.verdict is Verdict.YES:
-        return Verdict.YES, _diagonal_witness(omega, P, emb, result.witness)
+        return Verdict.YES, AdmissibleSet("farber", omega, result.witness)
     return result.verdict, None
 
 
@@ -733,14 +710,14 @@ class Admissibility:
     """Which subcomplexes one invariant's covers are made of.
 
     "farber" (TC): Farber subcomplexes of ambient = K^2, decided by is_farber
-    against the square, with base K (witnesses land in K^2, sections in K).
-    "categorical" (scat): categorical subcomplexes of ambient = K, decided by
-    is_categorical, with no base.
+    against the square.  "categorical" (scat): categorical subcomplexes of
+    ambient = K, decided by is_categorical, with no square.  For both, base
+    is K, the complex every witness lands in.
     """
 
     kind: str
     ambient: Complex
-    base: Complex | None
+    base: Complex
     square: ProductComplex | None
 
     def decide(
@@ -815,7 +792,7 @@ def admissibility(kind: str, K: Complex) -> Admissibility:
         P = categorical_square(K)
         return Admissibility(kind, P.product, K, P)
     if kind == "categorical":
-        return Admissibility(kind, K, None, None)
+        return Admissibility(kind, K, K, None)
     raise InvalidInput(f"unknown admissible kind {kind!r}")
 
 
@@ -842,8 +819,7 @@ def _admissible_cover(A: Admissibility, budget: int) -> InvariantResult:
         if within == mask:
             return adm
         sub = _complex_on(A.ambient, [A.ambient.facets[i] for i in ids_from_mask(mask)])
-        section = None if adm.section is None else restrict(adm.section, sub)
-        return AdmissibleSet(adm.kind, sub, restrict_witness(adm.witness, sub), section)
+        return AdmissibleSet(adm.kind, sub, restrict_witness(adm.witness, sub))
 
     def plan() -> tuple[list[int], list[tuple[int, ...]]]:
         return A.search_order(), A.symmetries()
@@ -868,58 +844,38 @@ def tc(K: Complex, budget: int = DEFAULT_BUDGET) -> InvariantResult:
 
 @dataclass(frozen=True)
 class MotionPlan:
-    """Unfolded edge path between two vertices, read off a Farber witness."""
+    """Edge path from x to y, read off a Farber witness."""
 
     x: int
     y: int
-    section_point: int
-    pairs: tuple[tuple[int, int], ...]  # h_j(x, y) for j = m .. 0
-    path: tuple[int, ...]  # x = x_m .. x_0 = sigma(x,y) = y_0 .. y_m = y
+    path: tuple[int, ...]  # h_0(x, y) = x, h_1(x, y), ..., h_m(x, y) = y
 
 
 def motion_plan(adm: AdmissibleSet, x: int, y: int) -> MotionPlan:
     """Evaluate the stored witness at the vertex (x, y) of omega.
 
-    The witness steps run from diagonal-after-section to the inclusion; each
-    step applied to (x, y) gives a pair (x_j, y_j), and contiguity of
-    consecutive steps makes consecutive pairs span simplices coordinatewise,
-    so the unfolded sequence is an edge path from x to y through sigma(x, y).
+    The witness steps h_0 = pi1|omega, ..., h_m = pi2|omega are maps
+    omega -> K, so h_j(x, y) runs from x to y, and consecutive steps are
+    contiguous, so consecutive points span a simplex of K: the sequence is
+    an edge path from x to y, with repeats.
     """
-    if adm.kind != "farber" or adm.section is None:
+    if adm.kind != "farber":
         raise InvalidInput("motion plans require a Farber admissible set")
-    K = adm.section.codomain
-    n = K.n_vertices
+    K = adm.witness.first.codomain
     label = f"{K.labels[x]}|{K.labels[y]}"
     try:
         w = adm.omega.id(label)
     except InvalidInput:
         raise InvalidInput(f"({K.labels[x]}, {K.labels[y]}) is not a vertex of omega") from None
-    pairs_desc = [divmod(step.assignment[w], n) for step in reversed(adm.witness.steps)]
-    xs = [p[0] for p in pairs_desc]
-    ys = [p[1] for p in pairs_desc]
-    path = xs + ys[::-1][1:]
-    plan = MotionPlan(
-        x=x,
-        y=y,
-        section_point=adm.section.assignment[w],
-        pairs=tuple(pairs_desc),
-        path=tuple(path),
-    )
+    plan = MotionPlan(x, y, tuple(step.assignment[w] for step in adm.witness.steps))
     validate_motion_plan(K, plan)
     return plan
 
 
 def validate_motion_plan(K: Complex, plan: MotionPlan) -> None:
-    """Independent checks: endpoints, midpoint, consecutive simplex spans."""
-    m = len(plan.pairs) - 1
+    """Independent checks: endpoints and consecutive simplex spans."""
     if plan.path[0] != plan.x or plan.path[-1] != plan.y:
         raise InvalidInput("motion plan endpoints do not match the query")
-    if plan.path[m] != plan.section_point:
-        raise InvalidInput("motion plan midpoint is not the section value")
-    if plan.pairs[0] != (plan.x, plan.y):
-        raise InvalidInput("motion plan does not start at the queried pair")
-    if plan.pairs[-1] != (plan.section_point, plan.section_point):
-        raise InvalidInput("motion plan does not reach the diagonal")
     for a, b in zip(plan.path, plan.path[1:]):
         if a != b and not K.is_simplex((1 << a) | (1 << b)):
             raise InvalidInput("consecutive motion plan points do not span a simplex")

@@ -32,10 +32,9 @@ A witness is checked once, by the ContiguityWitness constructor, in one
 pass: one domain and codomain for all steps, each step's length and value
 range, contiguity of each consecutive pair, and simpliciality of a lone
 step.  Contiguity gives simpliciality for free (f(F) lies inside the simplex
-f(F) | g(F)), so the steps that class queries, restrictions, the Farber
-certificate and the certificate verifier build only to go into a witness
-skip their own check (_unchecked_map); a public SimplicialMap(...) still
-checks itself.
+f(F) | g(F)), so the steps that class queries, restrictions and the
+certificate verifier build only to go into a witness skip their own check
+(_unchecked_map); a public SimplicialMap(...) still checks itself.
 
 BFS states are bytes (one codomain id per domain vertex), which caps the
 codomain at 255 vertices; orders of magnitude beyond the intended desk scale.

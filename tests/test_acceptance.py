@@ -44,6 +44,7 @@ from simplicial_tc.errors import NotSimplicial
 from simplicial_tc.maps import DEFAULT_BUDGET
 
 import corpusgen
+import definition
 import oracles
 import reference
 
@@ -72,15 +73,14 @@ class TestCriterion1:
         assert res.status is Status.EXACT
         assert len(res.cover) == 3
 
-        # the cover is a genuine certificate: witnesses chain the diagonal
-        # composed with the section to the inclusion, and the three members
-        # cover all nine facets of the square
+        # the cover is a genuine certificate: each witness, paired with the
+        # section sigma = its first step, chains the diagonal composed with
+        # sigma to the inclusion, and the three members cover all nine facets
+        # of the square
         P = categorical_square(K)
         covered = set()
-        d = diagonal(P)
         for adm in res.cover:
-            assert adm.witness.first == compose(d, adm.section)
-            assert adm.witness.last == inclusion_map(adm.omega, P.product)
+            definition.defining_chain(P, adm)
             covered.update(adm.omega.facet_label_sets())
         assert covered >= set(P.product.facet_label_sets())
 
@@ -196,6 +196,20 @@ class TestCoverWitnesses:
                 chains += 1
         assert chains >= 100
         print(f"\n[witnesses] PASS: no cover witness of the corpus repeats a step ({chains} chains)")
+
+    def test_farber_witnesses_give_the_defining_chain(self, corpus_results):
+        results, _ = corpus_results
+        classes = 0
+        for K, r_tc, _ in results:
+            P = categorical_square(K)
+            for adm in r_tc.cover or ():
+                definition.defining_chain(P, adm)
+                classes += 1
+        assert classes >= 50
+        print(
+            f"\n[witnesses] PASS: every Farber cover class of the corpus pairs into a chain "
+            f"from the diagonal after its section to the inclusion ({classes} classes)"
+        )
 
 
 class TestCriterion6:
@@ -315,11 +329,8 @@ class TestCriterion8:
         """Re-derive everything the plan claims without the library validator."""
         label = f"{K.labels[plan.x]}|{K.labels[plan.y]}"
         w = list(adm.omega.labels).index(label)
-        assert adm.section.assignment[w] == plan.section_point
-        m = len(plan.pairs) - 1
-        assert len(plan.path) == 2 * m + 1
+        assert plan.path == tuple(step.assignment[w] for step in adm.witness.steps)
         assert plan.path[0] == plan.x and plan.path[-1] == plan.y
-        assert plan.path[m] == plan.section_point
         for a, b in zip(plan.path, plan.path[1:]):
             assert a == b or oracles.oracle_is_simplex(K, {a, b})
 

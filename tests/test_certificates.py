@@ -28,6 +28,7 @@ from simplicial_tc import (
     tc,
     verify_certificate,
 )
+from simplicial_tc.certificates import FORMAT
 from simplicial_tc.maps import DEFAULT_BUDGET, ContiguityWitness, _unchecked_map
 
 import corpusgen
@@ -167,22 +168,27 @@ class TestDeterminism:
     # entries were re-recorded when the tc search began visiting lex-leaders
     # only (C3 44 -> 27, C4 605 -> 200, the boundary 291 -> 78, C5 59 -> 57
     # checks): the covers and witnesses stayed, only `checks` and so the bytes moved.
+    # Every digest in this class was re-recorded for certificate format 2: the
+    # format string changed, Farber witness rows hold labels of K (the second
+    # coordinates of the old rows), categorical entries lost "section": null
+    # and plans lost "pairs" and "section_point"; values, `checks`, bounds,
+    # unknown counts and covers stayed.
     PINNED = {
         "C3": (
-            2, 27, "c63c81e473190b25301e303b5b987641f24e036088a25608e2430191d3618f1d",
-            1, 5, "5df5b11e1b9dbd93b4df12eec2fde0e25148663a210c5cd66c704fe9882c1ecf",
+            2, 27, "b0318e187610bb59efc2c9bf8801fc008b7ee185747c1843a53e9c70db9f32db",
+            1, 5, "c798992adf951ee86143e2bc24d15b1ae1be7978f093eb5372644573c63c1e89",
         ),
         "C4": (
-            2, 200, "b27e5163edadadf9de4c5eb7387b715c4be32645f5b46e32f055ed6940966652",
-            1, 7, "0bf9479ad90192b04d17c69cff4762e754a42810ad194eb731abeed46d453700",
+            2, 200, "249624abecc0f38682346ded30464a1f7e8c98a359e8eba8cb851fef7d7b12be",
+            1, 7, "cca7d76ad3a852ef6eb631d6b8c64e7b21961685dd0d0e58551f74abe0602942",
         ),
         "boundary-tetrahedron": (
-            2, 78, "cc998550c4f6359eecb2d3cf0cbe1bd470257a9c6eb51b1d39f5b2319ffb97c0",
-            1, 7, "5cd6b4e176e8b082c3f1e17f24a091701445ca466e625988976dacd5a3e4a0cd",
+            2, 78, "e34ad556c695e423c7e1565a353e909e80e19e338204abe4770f8a67ca5b266e",
+            1, 7, "a459efc556b1f296f80efceacd1e4fe6b5e1d48ca746cf2720b2f21205ffd265",
         ),
         "C5": (
-            1, 57, "0aeb975c61b26c719ff30c22281fd35645ee10cba35e30d6ee83b1e12d5632e2",
-            1, 9, "a7edaa47230d27540fe67bc839a279992eed5ec72ad3b9f0974423aae65987ad",
+            1, 57, "a55c70b6a14da45ebb934b8b9c40c03506203e87e3b92921e0c6b84d315f1b2b",
+            1, 9, "1eea63c877e32eab691c73d06d6735a90a1c561fb67d2c1e090d06bf347d5815",
         ),
     }
     FACETS = {
@@ -216,23 +222,23 @@ class TestDeterminism:
     BUDGET_PINNED = {
         ("tc", "C4", 1): (
             "budget-exhausted", 2, 2, 203, 25,
-            "c1b982cac7b8a442d59574e6ee947522f7cea95fea548bebc77376485f20a195",
+            "8da793b23658b0024bfbfb5629273dfcc6c78ead0e961ca4f0f4148f2c00cad9",
         ),
         ("tc", "C4", 8): (
             "budget-exhausted", 2, 2, 200, 12,
-            "4f49d2649857ac38671f53b6433c3fdc7fc45a130f452dc9609cc7947f23bcf1",
+            "8b1483feff669404f5914e6bc1b47cb5f13073b0b33f3b075af7dcb352e8084f",
         ),
         ("tc", "C5", 32): (
             "exact", 1, 1, 57, 0,
-            "d52887148d8b2d6456b8d952b91395ed1360bb0852359d3b373e35b500fd35b6",
+            "f36051cf28848ff1c5216d73e531ab6081dc490d4d79122c64e6a2804bfa36ad",
         ),
         ("scat", "C3-square", 1): (
             "budget-exhausted", 1, 2, 78, 31,
-            "f2109eb18e53205a1640c460476c5ffbded6bcde2ab0211399943df76031c0ef",
+            "b81d3d8bec32ddf2634e001b98d16b3fae6ac58739a500d1a97bb9a6684c7880",
         ),
         ("scat", "torus", 1): (
             "budget-exhausted", 1, 2, 401, 176,
-            "c7809c47ea09f9698d58476628843f953b8ddd752f42e8580e22639b365e6b23",
+            "1dec0e83b5a426d76cc2e41f3338a84d2a2526cf8d35f56d5b117a0ff8e5d071",
         ),
     }
 
@@ -254,8 +260,8 @@ class TestDeterminism:
     # began deciding classes without a checker call: the covers stayed, only
     # `checks` (torus 213 -> 108, RP2 123 -> 68) and so the bytes moved.
     SCAT_PINNED = {
-        "torus": (2, 108, "15285c0bd9380b7597e6a40093f76b266700f3f2f7e849182aabdd6a05e01d67"),
-        "RP2": (2, 68, "f7b0b5957faaf58066359d083b3d299f02f27cd26e44bbb910052f57acc9e632"),
+        "torus": (2, 108, "e4c8641e6c36c4ac7fc51b3dab285a3d777d549f590775e54f31fbdd6f7086e1"),
+        "RP2": (2, 68, "ee3b83b09649a3077b7d7cb3000806100ebc55d26c2f4972e9175036cc84a75b"),
     }
     SURFACES = {"torus": corpusgen.TORUS7, "RP2": corpusgen.RP2_6}
 
@@ -270,9 +276,9 @@ class TestDeterminism:
     # sha256 of the core certificate, recorded with the first scat pins of the
     # surfaces; the cover search does not reach it.
     CORE_PINNED = {
-        "torus": "eb6a6c5b8ed8c0baec6557fdb1481523fc23701d5d0624aa76463251b1121f65",
-        "cone": "685b10c28b146aa442940183caa2483c894a75f54653ceebb734975599a21e19",
-        "C4": "ac168d11cda76247c481dbfb4b163c9e29741822e701efc096711c5de1022795",
+        "torus": "97abada960ba5aaeb93f55581c2a7616a36923794b809a0944c74dc80fbc2511",
+        "cone": "5a6090638c7d86c2ed9ebfd8c53c1c9eb65d8955f52ee84f2c3c52d5c0f6b457",
+        "C4": "c2863848f113a581a69f3a8a0829280cb562ba00bea653a014ceda1209a24444",
     }
 
     @pytest.mark.parametrize("name", list(CORE_PINNED))
@@ -296,19 +302,19 @@ class TestDeterminism:
         "cone-C3": [(*e, "x") for e in corpusgen.CYCLE3],
     }
     COLLAPSIBLE_PINNED = {
-        ("point", "tc"): "2d9fb4fff71c4dcccd5ab75164572080af918d5e1adf5d635c0ddb92b8382ecd",
-        ("point", "scat"): "b9670b5d6ce4ea1f56713663d8fbf4ad0a6b79438538ece78728c0c672bb9094",
-        ("edge", "tc"): "595e200f7a5bbfcea0e2e5023e3355746ec6b672238dadb1ef2f59a2276ccc80",
-        ("edge", "scat"): "6b08235ae564f80c2fe2dcf543dc0ede56895e978e9859b9ac96a404c90b17a9",
-        ("triangle", "tc"): "2137549cfdd7813912cb28b5eb5725be1c679e5aa05c19a20ed39c985450a177",
-        ("triangle", "scat"): "8df7b282471be01928b8398e902a2efe2b17d36ab088c8fccf6be7721bbad681",
-        ("abc-cd-def", "tc"): "65b55a44dd0aacd49d8c2d803d920c5bf240f4e0574dfa886b1f0fe52b0a4416",
-        ("abc-cd-def", "scat"): "8449130146370946d1ecc4c8c97ba3867a1537f6107c01067a77b7fa8ce0119e",
-        ("cone-C3", "tc"): "435764f492abc2aa2fff235ac7b0ddaddb1d94c8be91da1178edb214c8cfe414",
-        ("cone-C3", "scat"): "87289a4864025b48f4aa4f660620525d995cda6bfd988a2d3fc41752a4bc38fd",
-        ("triangle", "is-farber"): "a3e76a6ab0c56b91a5a814a41be23ced65178b5b35c7adb10a983b9dbc645a44",
-        ("triangle", "is-categorical"): "83acf5319fe2b8fb9cdc288ebe5469afbfb76044d81f30da2b96368af397eb9a",
-        ("triangle", "plan"): "56861e8eaf02295f7818fe7819607af9c563c4d88cc35c559e1ff47acd987f43",
+        ("point", "tc"): "fa6d24c62d52fa80ded653e7e6825daf76af28fa61114b4316cae15c31b19423",
+        ("point", "scat"): "41a9f964907091c15f4c3b185f76d70b892351076cc6760af7800576d72dfd37",
+        ("edge", "tc"): "b2f87b5eb48c2807fc8f97be905002f54b046fc392b84068e153fd8ce55f2482",
+        ("edge", "scat"): "3bcd7b599d266159dcd4d594cec4e13224f216f2be714498dd4b65381c31bca1",
+        ("triangle", "tc"): "47ab34a79f9c0e84337ccd953800877274b06ff27753f3c9d48cc8a0d23e7204",
+        ("triangle", "scat"): "9a0461ff1ed3538bcce75ad76daf4dd59361061fdfd7521c8018117e2ad60cdf",
+        ("abc-cd-def", "tc"): "24880ffee4352950dc64530d7aaeb672d99bd7e4aed94e88c740a7742e273ed6",
+        ("abc-cd-def", "scat"): "6b71ac9d9cecc5f306355475d5f643f6279bb802fffd287a4b03096d43f73d9f",
+        ("cone-C3", "tc"): "9006b31a7518181c05ccce86a14a8f0c24e8a54542aef74c0a9572d61708cbd7",
+        ("cone-C3", "scat"): "b0e97fe32c263d3060f326b82764e0e2f62188fc3b967d707babb7f7f4a46f26",
+        ("triangle", "is-farber"): "f7120cf06e255d12858f9422f45a458e8197af3c6c70e4d2bde9595e0a83e66d",
+        ("triangle", "is-categorical"): "5dfbba17ba5ad77d0f18efe72d34c3ec0899b4fd625530bd0a8a030be41362bd",
+        ("triangle", "plan"): "d6c57a38022b234c077dac1c327b5bb325a1133913defac9e95ec1b29af3de96",
     }
 
     @staticmethod
@@ -353,7 +359,6 @@ LABEL_LISTS_AS_STRINGS = [
     pytest.param("scat", _in_cover("facets", _join_rows), id="cover-facets"),
     pytest.param("scat", _in_cover("vertices", "".join), id="vertices"),
     pytest.param("scat", _in_cover("witness", _join_rows), id="witness-rows"),
-    pytest.param("tc", _in_cover("section", "".join), id="section"),
     pytest.param("membership", lambda c: c.update(omega=_join_rows(c["omega"])), id="omega"),
     pytest.param(
         "core", lambda c: c["core"].update(facets=_join_rows(c["core"]["facets"])), id="core-facets"
@@ -436,21 +441,38 @@ class TestMutationsRejected:
         ok, _ = verify_certificate(cert)
         assert not ok
 
-    def test_section_corruption(self, boundary_triangle):
+    # Each mutation keeps a contiguous chain in K, so only the endpoint check finds it.
+    def test_farber_witness_not_starting_at_the_first_projection(self, boundary_triangle):
         cert = copy.deepcopy(tc_cert(boundary_triangle))
         entry = cert["cover"][0]
-        orig = entry["section"][0]
-        entry["section"][0] = "b" if orig != "b" else "c"
-        ok, _ = verify_certificate(cert)
-        assert not ok
-
-    def test_section_on_a_categorical_entry(self, boundary_triangle):
-        cert = copy.deepcopy(scat_cert(boundary_triangle))
-        assert cert["cover"][0]["section"] is None
-        cert["cover"][0]["section"] = ["a"]
+        entry["witness"] = entry["witness"][::-1]  # pi2|omega ~ ... ~ pi1|omega
         ok, msgs = verify_certificate(cert)
         assert not ok
-        assert any("section" in m for m in msgs)
+        assert msgs == ["witness does not start at the first projection"]
+
+    def test_farber_witness_not_ending_at_the_second_projection(self, boundary_triangle):
+        cert = copy.deepcopy(tc_cert(boundary_triangle))
+        entry = cert["cover"][0]
+        entry["witness"] = entry["witness"][:-1]
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert msgs == ["witness does not end at the second projection"]
+
+    def test_witness_row_of_square_labels(self, boundary_triangle):
+        """A row of pair labels such as a|b names vertices of K^2, not of K."""
+        cert = copy.deepcopy(tc_cert(boundary_triangle))
+        entry = cert["cover"][0]
+        entry["witness"][-1] = list(entry["vertices"])  # the inclusion into K^2
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert msgs == [f"unknown vertex label {entry['vertices'][0]!r}"]
+        assert "|" in entry["vertices"][0]
+
+    def test_format_1_certificate_rejected(self, boundary_triangle):
+        cert = {**tc_cert(boundary_triangle), "format": "simplicial-tc/1"}
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert msgs == ["unknown certificate format 'simplicial-tc/1'"]
 
     def test_unknown_kind_rejected(self, boundary_triangle):
         cert = copy.deepcopy(tc_cert(boundary_triangle))
@@ -465,7 +487,7 @@ class TestMutationsRejected:
         assert not ok
 
     def test_malformed_payload_rejected(self):
-        ok, msgs = verify_certificate({"format": "simplicial-tc/1", "kind": "tc"})
+        ok, msgs = verify_certificate({"format": FORMAT, "kind": "tc"})
         assert not ok
 
     @pytest.mark.parametrize(

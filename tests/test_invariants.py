@@ -36,6 +36,7 @@ from simplicial_tc.invariants import _cover_invariant, admissibility
 from simplicial_tc.maps import DEFAULT_BUDGET
 
 import corpusgen
+import definition
 import oracles
 import reference
 
@@ -53,9 +54,11 @@ def diagonal_subcomplex(P):
 class TestIsFarber:
     def test_diagonal_subcomplex_is_farber(self, boundary_triangle):
         P = categorical_square(boundary_triangle)
-        verdict, adm = is_farber(diagonal_subcomplex(P), P)
+        omega = diagonal_subcomplex(P)
+        verdict, adm = is_farber(omega, P)
         assert verdict is Verdict.YES
-        assert adm.section is not None
+        assert adm.witness.first == restrict(projection(P, 1), omega)
+        assert adm.witness.last == restrict(projection(P, 2), omega)
 
     def test_whole_square_of_boundary_is_not(self, boundary_triangle):
         P = categorical_square(boundary_triangle)
@@ -80,15 +83,13 @@ class TestIsFarber:
             is_farber(full_triangle, P)
 
     def test_witness_certifies_definition(self, boundary_triangle):
-        """The stored witness must chain diagonal∘section to the inclusion."""
+        """The witness, paired with the section pi1|omega, chains diagonal∘section to the inclusion."""
         P = categorical_square(boundary_triangle)
         omega = subcomplex(P.product, [P.product.facets[0], P.product.facets[1]])
         verdict, adm = is_farber(omega, P)
         assert verdict is Verdict.YES
-        d = diagonal(P)
-        first = adm.witness.first
-        assert first == compose(d, adm.section)
-        assert adm.witness.last == inclusion_map(omega, P.product)
+        sigma, _ = definition.defining_chain(P, adm)
+        assert sigma == restrict(projection(P, 1), omega)
 
 
 class TestIsCategorical:
@@ -136,11 +137,9 @@ class TestMonotonicity:
         sub_verdict, _ = is_farber(smaller, P)
         assert sub_verdict is Verdict.YES
         # the restricted witness itself certifies the subset
-        from simplicial_tc import restrict
-
         restricted = restrict_witness(adm.witness, smaller)
-        assert restricted.first == compose(diagonal(P), restrict(adm.section, smaller))
-        assert restricted.last == inclusion_map(smaller, P.product)
+        assert restricted.first == restrict(projection(P, 1), smaller)
+        assert restricted.last == restrict(projection(P, 2), smaller)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=20)
@@ -374,7 +373,8 @@ class TestTc:
         P = categorical_square(boundary_triangle)
         res = tc(boundary_triangle)
         for adm in res.cover:
-            assert adm.witness.last == inclusion_map(adm.omega, P.product)
+            assert adm.witness.first == restrict(projection(P, 1), adm.omega)
+            assert adm.witness.last == restrict(projection(P, 2), adm.omega)
 
 
 class TestMotionPlan:
@@ -404,7 +404,6 @@ class TestMotionPlan:
         verdict, adm = is_farber(omega, P)
         assert verdict is Verdict.YES
         plan = motion_plan(adm, 0, 0)
-        assert plan.section_point == 0
         assert set(plan.path) == {0}
 
     def test_pair_outside_omega_rejected(self, boundary_triangle):
