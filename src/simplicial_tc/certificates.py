@@ -12,6 +12,8 @@ consecutive steps contiguous, endpoints equal the maps being certified,
 covers actually cover.  It never trusts stored flags.  Negative verdicts
 (exact "no" / lower bounds) rest on exhaustive search, so they are
 re-checked only under recompute=True.  It reads only the current FORMAT.
+It takes the dict json.loads returns, so the layout of the text does not
+matter: dumps() writes one line, and certificates written indented verify.
 """
 
 from __future__ import annotations
@@ -45,63 +47,21 @@ _COVER_KINDS = {"tc": ("farber", tc), "scat": ("categorical", scat)}
 
 
 def dumps(cert: dict) -> str:
-    """cert as JSON text, byte for byte json.dumps(cert, indent=2, sort_keys=True).
+    """cert as JSON text: json.dumps(cert, sort_keys=True), on one line.
 
-    Certificate bytes are pinned, so this contract is exact.  With an indent,
-    json.dumps takes CPython's pure-Python encoder, which yields one small
-    piece per token; this writer encodes strings with the same C function
-    (ensure_ascii) and joins each container's pieces, a list of strings
-    such as a witness row in one call.  It writes dicts, lists, tuples,
-    strings, ints, bools and None; on anything else (a float, a non-str
-    key, a subclass of dict, list or int, an int too long for str, a cycle)
-    it raises TypeError, ValueError or RecursionError, and then the whole
-    certificate goes through json.dumps.
+    Keys are sorted and non-ASCII is escaped, so the bytes are deterministic;
+    whitespace carries no meaning (pipe through `python -m json.tool` to read).
     """
-    try:
-        return _encode(cert, "\n")
-    except (TypeError, ValueError, RecursionError):  # json.dumps answers, or raises its own error
-        return json.dumps(cert, indent=2, sort_keys=True)
-
-
-_encode_str = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
-
-
-def _encode(x: Any, newline: str) -> str:
-    """x as json.dumps(indent=2, sort_keys=True) writes it; newline breaks a line and indents to x."""
-    t = type(x)
-    if t is str:
-        return _encode_str(x)
-    if t is dict:
-        if not x:
-            return "{}"
-        inner = newline + "  "
-        # str keys sort as json.dumps sorts them; a non-str key raises in _encode_str
-        items = [_encode_str(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if t is list or t is tuple:
-        if not x:
-            return "[]"
-        inner = newline + "  "
-        if type(x[0]) is str:
-            try:
-                return "[" + inner + ("," + inner).join(map(_encode_str, x)) + newline + "]"
-            except TypeError:  # not all strings
-                pass
-        items = [_encode(item, inner) for item in x]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if t is int:
-        return int.__repr__(x)
-    raise TypeError(f"{t.__name__} is left to json.dumps")
+    return json.dumps(cert, sort_keys=True)
 
 
 def _facet_lists(K: Complex) -> list[list[str]]:
     return sorted([list(f) for f in K.facet_label_sets()])
+
+
+def _header(kind: str, K: Complex) -> dict[str, Any]:
+    """The keys every certificate carries: its format, its kind and the input complex."""
+    return {"format": FORMAT, "kind": kind, "complex": {"facets": _facet_lists(K)}}
 
 
 def _admissible_payload(adm: AdmissibleSet) -> dict[str, Any]:
@@ -118,9 +78,7 @@ def _admissible_payload(adm: AdmissibleSet) -> dict[str, Any]:
 
 def _emit_cover(kind: str, K: Complex, result: InvariantResult, budget: int) -> dict[str, Any]:
     return {
-        "format": FORMAT,
-        "kind": kind,
-        "complex": {"facets": _facet_lists(K)},
+        **_header(kind, K),
         "budget": budget,
         "status": result.status.value,
         "value": result.value,
@@ -144,9 +102,7 @@ def emit_scat(K: Complex, result: InvariantResult, budget: int) -> dict[str, Any
 
 def emit_core(K: Complex, core_complex: Complex, seq: CollapseSequence) -> dict[str, Any]:
     return {
-        "format": FORMAT,
-        "kind": "core",
-        "complex": {"facets": _facet_lists(K)},
+        **_header("core", K),
         "core": {"facets": _facet_lists(core_complex)},
         "steps": [list(pair) for pair in seq.step_labels()],
     }
@@ -161,9 +117,7 @@ def emit_membership(
     budget: int,
 ) -> dict[str, Any]:
     return {
-        "format": FORMAT,
-        "kind": kind,
-        "complex": {"facets": _facet_lists(K)},
+        **_header(kind, K),
         "omega": _facet_lists(omega),
         "verdict": verdict.value,
         "admissible": _admissible_payload(adm) if adm is not None else None,
@@ -174,9 +128,7 @@ def emit_membership(
 def emit_plan(K: Complex, adm: AdmissibleSet, plan: MotionPlan, budget: int) -> dict[str, Any]:
     labels = K.labels
     return {
-        "format": FORMAT,
-        "kind": "plan",
-        "complex": {"facets": _facet_lists(K)},
+        **_header("plan", K),
         "budget": budget,
         "admissible": _admissible_payload(adm),
         "from": labels[plan.x],

@@ -161,6 +161,18 @@ class TestDeterminism:
     def test_scat_certificate_bytes_stable(self, boundary_triangle):
         assert dumps(scat_cert(boundary_triangle)) == dumps(scat_cert(boundary_triangle))
 
+    @staticmethod
+    def digest(cert):
+        """sha256 of cert as json.dumps(cert, indent=2, sort_keys=True) writes it.
+
+        The pins below were recorded in that text, the layout certificates were
+        written in before dumps wrote one line, so they track the certificate's
+        content across writer changes.  The bytes dumps writes are pinned too:
+        they must be exactly json.dumps(cert, sort_keys=True).
+        """
+        assert dumps(cert) == json.dumps(cert, sort_keys=True)
+        return hashlib.sha256(json.dumps(cert, indent=2, sort_keys=True).encode()).hexdigest()
+
     # (tc value, checks, sha256 of the tc certificate, scat value, checks, sha256),
     # recorded when the tc search began placing K^2 facets by distance from the
     # diagonal and `checks` began counting checker calls only (heredity decides
@@ -205,7 +217,7 @@ class TestDeterminism:
         for invariant, emit in ((tc, emit_tc), (scat, emit_scat)):
             r = invariant(K)
             assert r.status is Status.EXACT
-            digest = hashlib.sha256(dumps(emit(K, r, DEFAULT_BUDGET)).encode()).hexdigest()
+            digest = self.digest(emit(K, r, DEFAULT_BUDGET))
             got += [r.value, r.checks, digest]
         assert tuple(got) == self.PINNED[name]
 
@@ -250,7 +262,7 @@ class TestDeterminism:
             K = build_complex({**self.FACETS, **self.SURFACES}[name])
         invariant, emit = (tc, emit_tc) if kind == "tc" else (scat, emit_scat)
         r = invariant(K, budget=budget)
-        digest = hashlib.sha256(dumps(emit(K, r, budget)).encode()).hexdigest()
+        digest = self.digest(emit(K, r, budget))
         got = (r.status.value, r.lower_bound, r.upper_bound, r.checks, len(r.unknown_sets), digest)
         assert got == self.BUDGET_PINNED[kind, name, budget]
 
@@ -270,7 +282,7 @@ class TestDeterminism:
         K = build_complex(self.SURFACES[name])
         r = scat(K)
         assert r.status is Status.EXACT
-        digest = hashlib.sha256(dumps(emit_scat(K, r, DEFAULT_BUDGET)).encode()).hexdigest()
+        digest = self.digest(emit_scat(K, r, DEFAULT_BUDGET))
         assert (r.value, r.checks, digest) == self.SCAT_PINNED[name]
 
     # sha256 of the core certificate, recorded with the first scat pins of the
@@ -288,7 +300,7 @@ class TestDeterminism:
             K = add_cone_facet(bd, bd.simplex_mask({"a", "b"}), "w")
         else:
             K = build_complex(corpusgen.TORUS7 if name == "torus" else corpusgen.CYCLE4)
-        digest = hashlib.sha256(dumps(emit_core(K, *core(K))).encode()).hexdigest()
+        digest = self.digest(emit_core(K, *core(K)))
         assert digest == self.CORE_PINNED[name]
 
     # sha256 of certificates of strongly collapsible complexes, whose class
@@ -336,7 +348,7 @@ class TestDeterminism:
         K = build_complex(self.COLLAPSIBLE[name])
         cert = self._collapsible_cert(K, kind)
         assert verify_certificate(cert)[0]
-        digest = hashlib.sha256(dumps(cert).encode()).hexdigest()
+        digest = self.digest(cert)
         assert digest == self.COLLAPSIBLE_PINNED[name, kind]
 
 
@@ -708,7 +720,7 @@ def _json_or_error(encode, x):
 
 
 def _reference_dumps(x):
-    return json.dumps(x, indent=2, sort_keys=True)
+    return json.dumps(x, sort_keys=True)
 
 
 _json_scalars = (
@@ -728,7 +740,7 @@ _json_values = st.recursive(
     ),
     max_leaves=25,
 )
-# values dumps leaves to json.dumps: floats and non-str keys
+# values no certificate holds: floats and non-str keys
 _fallback_values = st.recursive(
     _json_scalars | st.floats(),
     lambda inner: (
@@ -742,7 +754,12 @@ _fallback_values = st.recursive(
 
 
 class TestWriterContract:
-    """dumps(x) is byte for byte json.dumps(x, indent=2, sort_keys=True)."""
+    """dumps(x) is byte for byte json.dumps(x, sort_keys=True), errors included.
+
+    The inputs are those a hand-written writer would get wrong: unicode and
+    control characters, long ints, empty and nested containers, tuples,
+    floats, non-str keys, cycles.
+    """
 
     @given(_json_values)
     def test_json_values(self, x):
@@ -799,11 +816,15 @@ class TestWriterContract:
             yield emit_plan(K, adm, motion_plan(adm, K.id(x), K.id(y)), DEFAULT_BUDGET)
 
     def test_acceptance_corpus_certificates(self):
+        """Every certificate is written as the contract says, and reads back in
+        the indented layout certificates were written in before, too."""
         kinds = set()
         for K in corpusgen.acceptance_corpus(corpusgen.ACCEPTANCE_SEED):
             for cert in self.corpus_certificates(K):
                 kinds.add((cert["kind"], cert.get("status")))
                 assert dumps(cert) == _reference_dumps(cert)
+                indented = json.dumps(cert, indent=2, sort_keys=True)
+                assert verify_certificate(json.loads(indented)) == (True, ["certificate OK"])
         assert {"tc", "scat", "core", "farber", "categorical", "plan"} <= {k for k, _ in kinds}
         assert ("tc", "budget-exhausted") in kinds and ("tc", "not-coverable") in kinds
 

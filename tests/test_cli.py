@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from simplicial_tc import dumps, emit_tc, parse_complex, tc
 from simplicial_tc.cli import main
+from simplicial_tc.maps import DEFAULT_BUDGET
 
 BOUNDARY = "a b\nb c\na c\n"
 CONE = "a b x\nb c x\na c x\n"
@@ -14,6 +16,11 @@ def boundary_file(tmp_path):
     p = tmp_path / "boundary.txt"
     p.write_text(BOUNDARY)
     return str(p)
+
+
+def boundary_tc_cert():
+    K = parse_complex(BOUNDARY)
+    return emit_tc(K, tc(K), DEFAULT_BUDGET)
 
 
 class TestTcCommand:
@@ -31,6 +38,15 @@ class TestTcCommand:
         assert cert["kind"] == "tc"
         assert cert["value"] == 2
         assert cert["status"] == "exact"
+
+    def test_json_prints_dumps(self, boundary_file, capsys):
+        assert main(["tc", boundary_file, "--json"]) == 0
+        assert capsys.readouterr().out == dumps(boundary_tc_cert()) + "\n"
+
+    def test_output_file_is_dumps(self, boundary_file, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        assert main(["tc", boundary_file, "-o", str(cert_path)]) == 0
+        assert cert_path.read_text() == dumps(boundary_tc_cert()) + "\n"
 
     def test_json_deterministic(self, boundary_file, capsys):
         main(["tc", boundary_file, "--json"])
@@ -181,6 +197,17 @@ class TestVerifyCommand:
         assert main(["tc", boundary_file, "-o", str(cert_path)]) == 0
         capsys.readouterr()
         assert main(["verify", str(cert_path)]) == 0
+        assert "certificate OK" in capsys.readouterr().out
+
+    def test_indented_certificate_accepted(self, boundary_file, tmp_path, capsys):
+        """A certificate in the indented layout written before dumps wrote one line."""
+        cert_path = tmp_path / "cert.json"
+        assert main(["tc", boundary_file, "-o", str(cert_path)]) == 0
+        indented = tmp_path / "indented.json"
+        cert = json.loads(cert_path.read_text())
+        indented.write_text(json.dumps(cert, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(indented)]) == 0
         assert "certificate OK" in capsys.readouterr().out
 
     def test_mutated_certificate_rejected(self, boundary_file, tmp_path, capsys):
