@@ -14,6 +14,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import combinations
 from typing import Any, Iterable, Sequence
 
 from .errors import InvalidInput, ParseError
@@ -170,6 +171,59 @@ class Complex:
             for v in ids_from_mask(c):
                 per[v] = c
         return tuple(per)
+
+    @cached_property
+    def cocycles(self) -> tuple[frozenset[Mask], ...]:
+        """A basis of the F2 1-cocycles that vanish on a spanning forest of the 1-skeleton.
+
+        Each cocycle is the set of edge masks (two bits) where it is 1.  Every
+        cocycle class has exactly one member that is 0 on the forest, so there
+        is one basis cocycle per class of H^1(K; F2), and none when H^1 = 0.
+        The unknowns are the values on the other edges; each triangle (every
+        3-subset of every facet, whatever the facet's dimension) asks that
+        they sum to 0 around it.  Bitmask Gaussian elimination keeps those
+        rows in reduced form (each pivot bit in one row only), and each free
+        unknown set to 1 gives one basis cocycle.
+        """
+        facet_ids = self.facet_vertex_ids
+        edges = sorted({1 << a | 1 << b for ids in facet_ids for a, b in combinations(ids, 2)})
+        root = list(range(self.n_vertices))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        off_forest: list[Mask] = []  # edges closing a cycle of the forest grown so far
+        for e in edges:
+            a, b = ids_from_mask(e)
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                off_forest.append(e)
+            else:
+                root[ra] = rb
+        column = {e: 1 << i for i, e in enumerate(off_forest)}
+        rows: dict[int, int] = {}  # pivot bit -> its row
+        for a, b, c in {t for ids in facet_ids for t in combinations(ids, 3)}:
+            row = column.get(1 << a | 1 << b, 0) ^ column.get(1 << a | 1 << c, 0)
+            row ^= column.get(1 << b | 1 << c, 0)
+            for p, r in rows.items():
+                if row & p:
+                    row ^= r
+            if row:
+                p = row & -row
+                for q, r in rows.items():
+                    if r & p:
+                        rows[q] = r ^ row
+                rows[p] = row
+        basis = []
+        for i in range(len(off_forest)):
+            free = 1 << i
+            if free in rows:
+                continue
+            vector = free | union_mask(p for p, r in rows.items() if r & free)
+            basis.append(frozenset(e for j, e in enumerate(off_forest) if vector >> j & 1))
+        return tuple(basis)
 
 
 # -- constructors ---------------------------------------------------------

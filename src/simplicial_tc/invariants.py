@@ -47,10 +47,11 @@ certificate, as a categorical set's is the chain from its inclusion to a
 constant map: every witness is a chain of maps into K, so every "yes" is
 machine-checkable in K.  Pairing each h_j with sigma = pi1|omega gives the
 defining chain from the diagonal after the section sigma to the inclusion
-in K^2 (README, "Invariants"); the library never builds it.  Two sound "no"
-detectors run first (a vertex pair split across components of K, or a full
-row/column slice when K itself is not strongly collapsible) and prune the
-search without exploring map space.
+in K^2 (README, "Invariants"); the library never builds it.  Sound "no"
+rules run first (a vertex pair split across components of K, a full
+row/column slice when K itself is not strongly collapsible, and on the
+verdict-only path the homology rule below) and prune the search without
+exploring map space.
 
 The checkers take a subcomplex or a facet mask and turn either into facet
 bitmasks in the ambient complex's vertex ids (for K^2, q = u*n + v), so one
@@ -61,13 +62,18 @@ placed copies {a} x F or F x {b} of K's facets each lie in one of the
 facets, skipping the slices with a vertex outside their union.  For a
 verdict only, a class whose facets share a vertex is a cone and so a "yes"
 at once; otherwise a greedy strong collapse of the masks answers "yes" when
-one vertex survives, and else the class query runs on the core it leaves
-(collapses preserve contiguity classes; Barmak & Minian 2012), the only
-place a Complex is built.  The search passes a memo that lives for one
-tc/scat call and maps each core's facet set to its class-query verdict, so
-checks with one core share one query.  Witnesses are built only for the
-classes of the cover that is returned, for certificates, and for the
-membership and plan commands, and all by one route: the class query in maps
+one vertex survives, and else the core it leaves (collapses preserve
+contiguity classes; Barmak & Minian 2012) meets a third sound "no" rule,
+the homology rule: contiguous maps induce one map on H^1(-; F2), so a cycle
+of the core whose images under the two maps pair differently with a
+cocycle of K (Complex.cocycles) rules the class out with a few bitmask
+operations (_differs_on_homology).  The class query runs only on the cores
+that rule leaves, the only place a Complex is built.  The search passes a
+memo that lives for one tc/scat call and maps each core's facet set to its
+verdict, so checks with one core share one verdict.  The homology rule
+decides verdicts only: witnesses are built only for the classes of the
+cover that is returned, for certificates, and for the membership and plan
+commands, and all by one route: the class query in maps
 lifts its answer on the cores (for a strongly collapsible subcomplex, an
 edge path or the constant it reduces to) back through the strong-collapse
 retraction chains.
@@ -179,23 +185,74 @@ def _ambient_facets(
     return out, None
 
 
+def _differs_on_homology(
+    core: list[int], cocycles: Sequence[frozenset[int]], images: Callable[[int], tuple[int, int]]
+) -> bool:
+    """Whether some cycle z of core has <c, f(z)> != <c, g(z)> for a cocycle c of K.
+
+    core holds facet masks; images(v) is (f(v), g(v)) for each of its
+    vertices v, in K's ids.  The pullback d = c o f - c o g, with c read as
+    0 on a collapsed edge, is a cocycle of the core, and a coboundary there
+    when f and g lie in one contiguity class: their realisations are then
+    homotopic and induce one map on H^1(-; F2).  So each vertex gets a
+    potential, one bit per cocycle, from the edges joining the first vertex
+    of each facet to the others; every cycle of the core is a sum of those
+    edges' cycles and triangle boundaries, where d is 0.  An edge whose two
+    ends already have potentials that d contradicts closes such a cycle z.
+    """
+    if not cocycles:  # H^1(K; F2) = 0: d is a coboundary whatever f and g are
+        return False
+    up: dict[int, tuple[int, int]] = {}  # vertex -> (a vertex nearer its root, d from there)
+
+    def find(v: int) -> tuple[int, int]:
+        bits = 0
+        while v in up:
+            v, b = up[v]
+            bits ^= b
+        return v, bits
+
+    for m in core:
+        x, *rest = ids_from_mask(m)
+        fx, gx = images(x)
+        rx, px = find(x)
+        for y in rest:
+            fy, gy = images(y)
+            image_f, image_g = 1 << fx | 1 << fy, 1 << gx | 1 << gy
+            d = 0
+            for i, c in enumerate(cocycles):
+                if (image_f in c) != (image_g in c):
+                    d |= 1 << i
+            ry, py = find(y)
+            if ry != rx:
+                up[ry] = (rx, px ^ py ^ d)
+            elif px ^ py != d:
+                return True
+    return False
+
+
 def _core_verdict(
     facets: list[int],
     ambient: Complex,
     memo: dict[frozenset[int], Verdict] | None,
     query: Callable[[Complex, tuple[int, ...]], ContiguityResult],
+    K: Complex,
+    images: Callable[[int], tuple[int, int]],
 ) -> Verdict:
-    """The class query's verdict, asked on the greedy core of facets (ambient ids).
+    """The verdict on the greedy core of facets (ambient ids): a homology "no", or the class query's.
 
     Facets with a common vertex span a cone, which strongly collapses to its
     apex, so that is a "yes" before any collapse runs.  Otherwise the core is
     a strong deformation retract, so restricting the maps to it keeps their
     contiguity class, and the class query would reduce the subcomplex to
-    this same core anyway.  A one-vertex core is a "yes"; any
-    other core is built as a Complex and handed to query with the ambient id
-    of each of its vertices.  memo, when given, maps a core's facet set to
-    the verdict found for it, so checks that reduce to one core share one
-    class query.
+    this same core anyway.  A one-vertex core is a "yes".  Any other core
+    first meets the homology rule: images(v) gives the two maps' images in K
+    of each ambient vertex v, and a cycle of the core on which they differ
+    against a cocycle of K (K.cocycles, built at the first core that gets
+    here) is a sound "no" (_differs_on_homology).  Otherwise the core is
+    built as a Complex and handed to query with the ambient id of each of
+    its vertices.  memo, when given, maps a core's facet set to the verdict
+    found for it by either route, so checks that reduce to one core share
+    one verdict.
     """
     common = -1
     for m in facets:
@@ -208,7 +265,10 @@ def _core_verdict(
     key = frozenset(core)
     verdict = memo.get(key) if memo is not None else None
     if verdict is None:
-        verdict = query(_complex_on(ambient, core), ids_from_mask(union_mask(core))).verdict
+        if _differs_on_homology(core, K.cocycles, images):
+            verdict = Verdict.NO
+        else:
+            verdict = query(_complex_on(ambient, core), ids_from_mask(union_mask(core))).verdict
         if memo is not None:
             memo[key] = verdict
     return verdict
@@ -233,9 +293,9 @@ def is_farber(
     (the class query, exact without search when omega strongly collapses to
     a point).  Its witness, pi1|omega ~ pi2|omega in K, is the certificate.
     With want_witness=False only the verdict is computed, on the greedy
-    core of omega, and memo (see _core_verdict) may carry the class-query
-    verdicts of earlier checks; search layers use this and re-certify the
-    sets they keep.
+    core of omega, where the homology rule (see _core_verdict) may answer
+    "no" before the class query, and memo may carry the verdicts of earlier
+    checks; search layers use this and re-certify the sets they keep.
     """
     check_budget(budget)
     facets, emb = _ambient_facets(omega, P.product, "omega is not a subcomplex of the product")
@@ -259,7 +319,7 @@ def is_farber(
         return same_contiguity_class(p1, p2, budget)
 
     if not want_witness:
-        return _core_verdict(facets, P.product, memo, query), None
+        return _core_verdict(facets, P.product, memo, query, K, P.unpair), None
     if emb is None:
         omega, emb = _complex_on(P.product, facets), ids_from_mask(union)
     result = query(omega, emb)
@@ -286,7 +346,7 @@ def is_categorical(
     for a constant map; when sub strongly collapses to a point the reduced
     inclusion is already constant, and the witness is the lifted retraction
     chain.  With want_witness=False only the verdict is computed, on the
-    greedy core of sub, with memo as in is_farber.
+    greedy core of sub, with the homology rule and memo as in is_farber.
     """
     check_budget(budget)
     facets, emb = _ambient_facets(sub, K, "not a subcomplex of the ambient complex")
@@ -301,7 +361,8 @@ def is_categorical(
         return class_constant_witness(SimplicialMap(dom, K, ids), budget)
 
     if not want_witness:
-        return _core_verdict(facets, K, memo, query), None
+        # the inclusion against a constant, which induces 0 (any constant does)
+        return _core_verdict(facets, K, memo, query, K, lambda v: (v, 0)), None
     if emb is None:
         sub, emb = _complex_on(K, facets), ids_from_mask(union)
     result = query(sub, emb)

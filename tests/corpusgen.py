@@ -27,6 +27,19 @@ RP2_6 = [
 ]
 
 
+
+def square_facets(facets) -> list[tuple[str, ...]]:
+    """The facets F x G of K^2, the vertex (u, v) labelled u + v; K's labels must be single letters.
+
+    The result is isomorphic to categorical_square(K).product, whose pair
+    labels "u|v" build_complex and the text format do not accept.
+    """
+    return [tuple(u + v for u in F for v in G) for F in facets for G in facets]
+
+
+# The square of the boundary of the 3-simplex (S^2 x S^2): H^1 = 0, so the
+# homology rule never fires and scat at budget 1 stays budget-exhausted in [1, 2].
+TETRAHEDRON_SQUARE = square_facets(BOUNDARY_TETRAHEDRON)
 def random_complex(
     rng: random.Random,
     max_vertices: int = 6,

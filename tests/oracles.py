@@ -187,3 +187,49 @@ def oracle_full_slice(K: Complex, facets) -> bool:
         if whole & ~union == 0 and all(any(t & ~m == 0 for m in facets) for t in targets):
             return True
     return False
+
+
+# -- first cohomology over F2 ------------------------------------------------------
+#
+# The reference for Complex.cocycles: count the 1-cocycles and 1-coboundaries
+# of K by enumerating every edge function and every vertex function.
+
+
+def oracle_edges(K: Complex) -> list[frozenset[int]]:
+    return sorted((s for s in downward_closure(K) if len(s) == 2), key=sorted)
+
+
+def oracle_triangles(K: Complex) -> list[list[frozenset[int]]]:
+    """The three edges of each triangle of K."""
+    return [
+        [frozenset(e) for e in itertools.combinations(sorted(t), 2)]
+        for t in downward_closure(K)
+        if len(t) == 3
+    ]
+
+
+def oracle_is_cocycle(triangles, ones) -> bool:
+    """Whether the edge function that is 1 on the edges in ones sums to 0 around every triangle."""
+    return all(sum(e in ones for e in t) % 2 == 0 for t in triangles)
+
+
+def oracle_coboundaries(K: Complex) -> set[frozenset[frozenset[int]]]:
+    """Every coboundary of a vertex function, as the set of edges where it is 1."""
+    edges = oracle_edges(K)
+    out = set()
+    for values in itertools.product((0, 1), repeat=K.n_vertices):
+        out.add(frozenset(e for e in edges if sum(values[v] for v in e) % 2))
+    return out
+
+
+def oracle_h1_dimension(K: Complex) -> int:
+    """dim H^1(K; F2) = log2 |Z^1| - log2 |B^1|, by enumerating edge functions (at most 15 edges)."""
+    edges = oracle_edges(K)
+    if len(edges) > 15:
+        raise ValueError("the oracle enumerates 2^edges functions; keep it to 15 edges")
+    triangles = oracle_triangles(K)
+    cocycles = sum(
+        oracle_is_cocycle(triangles, {e for e, bit in zip(edges, bits) if bit})
+        for bits in itertools.product((0, 1), repeat=len(edges))
+    )
+    return (cocycles.bit_length() - 1) - (len(oracle_coboundaries(K)).bit_length() - 1)

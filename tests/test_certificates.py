@@ -92,12 +92,24 @@ class TestRoundTrip:
         ok, msgs = verify_certificate(tc_cert(boundary_triangle), recompute=True)
         assert ok, msgs
 
-    def test_budget_exhausted_certificate_round_trips(self, boundary_triangle):
-        P = categorical_square(boundary_triangle)
+    def test_budget_exhausted_certificate_round_trips(self):
+        # H^1 of the square of the boundary of the 3-simplex is 0, so the
+        # homology rule cannot decide its class queries and budget 1 starves them
+        P = categorical_square(build_complex(corpusgen.BOUNDARY_TETRAHEDRON))
         res = scat(P.product, budget=1)
         assert res.status.value == "budget-exhausted"
         cert = emit_scat(P.product, res, 1)
         ok, msgs = verify_certificate(cert)
+        assert ok, msgs
+
+    def test_hollow_triangles_square_round_trips_exact_at_budget_one(self, boundary_triangle):
+        # every "no" of this search is a cycle the two maps send apart in H_1,
+        # so budget 1 leaves nothing undecided: exact 2, as at the default budget
+        P = categorical_square(boundary_triangle)
+        res = scat(P.product, budget=1)
+        assert (res.status, res.value, res.unknown_sets) == (Status.EXACT, 2, ())
+        cert = emit_scat(P.product, res, 1)
+        ok, msgs = verify_certificate(cert, recompute=True)
         assert ok, msgs
 
     def test_not_coverable_certificate_round_trips(self):
@@ -114,8 +126,9 @@ class TestRoundTrip:
             # tc(C4, budget=1) is budget-exhausted in [2, 2]; a lower bound of 1
             # still reads consistent with the cover
             ("tc", corpusgen.CYCLE4, 1),
-            # scat of the 7-vertex torus at budget 1 is budget-exhausted in [1, 2]
-            ("scat", corpusgen.TORUS7, 2),
+            # scat of the square of the boundary of the 3-simplex at budget 1 is
+            # budget-exhausted in [1, 2]; the homology rule cannot fire there (H^1 = 0)
+            ("scat", corpusgen.TETRAHEDRON_SQUARE, 2),
         ],
     )
     def test_recompute_checks_both_bounds(self, kind, facets, lower):
@@ -135,6 +148,17 @@ class TestRoundTrip:
         ok, msgs = verify_certificate(dropped, recompute=True)
         assert not ok
         assert "upper bound changed" in msgs[0]
+
+    def test_recompute_checks_the_torus_bounds_at_budget_one(self):
+        # the homology rule decides the torus's "no" classes, so its lower bound
+        # at budget 1 is the exact value 2; a forged lower bound of 1 is caught
+        K = build_complex(corpusgen.TORUS7)
+        cert = emit_scat(K, scat(K, budget=1), 1)
+        assert (cert["status"], cert["lower"], cert["upper"]) == ("budget-exhausted", 2, 2)
+        assert verify_certificate(cert, recompute=True)[0]
+        ok, msgs = verify_certificate({**cert, "lower": 1}, recompute=True)
+        assert not ok
+        assert "lower bound changed" in msgs[0]
 
     def test_recompute_checks_membership_verdicts(self, boundary_triangle):
         from simplicial_tc import Verdict
@@ -231,6 +255,13 @@ class TestDeterminism:
     # The two C4 entries were re-recorded again when the strict pass began
     # visiting only lex-leaders too: it checks three classes fewer (206 -> 203,
     # 203 -> 200); bounds and unknown counts stayed.
+    # The two scat entries were re-recorded when the homology rule began
+    # deciding class queries before the BFS: every undecided "no" of the C3
+    # square becomes a sound "no" (budget-exhausted [1, 2] with 78 checks ->
+    # exact 2 with 54, the default budget's count), and the torus's lower
+    # bound rises to 2 (401 checks, 176 undecided -> 297, 10).  The square of
+    # the boundary of the 3-simplex has H^1 = 0, so the rule cannot fire
+    # there; its entry, added then, keeps a budget-exhausted scat pin.
     BUDGET_PINNED = {
         ("tc", "C4", 1): (
             "budget-exhausted", 2, 2, 203, 25,
@@ -245,12 +276,16 @@ class TestDeterminism:
             "f36051cf28848ff1c5216d73e531ab6081dc490d4d79122c64e6a2804bfa36ad",
         ),
         ("scat", "C3-square", 1): (
-            "budget-exhausted", 1, 2, 78, 31,
-            "b81d3d8bec32ddf2634e001b98d16b3fae6ac58739a500d1a97bb9a6684c7880",
+            "exact", 2, 2, 54, 0,
+            "cf0eb66fccd6434df9af891d2023807b132f8f73c569735489f23c94422e4659",
         ),
         ("scat", "torus", 1): (
-            "budget-exhausted", 1, 2, 401, 176,
-            "1dec0e83b5a426d76cc2e41f3338a84d2a2526cf8d35f56d5b117a0ff8e5d071",
+            "budget-exhausted", 2, 2, 297, 10,
+            "5072edc960faf82f23e03892d8486350956c4dbc2015ba042003d443a4a4e168",
+        ),
+        ("scat", "tetrahedron-square", 1): (
+            "budget-exhausted", 1, 2, 1804, 780,
+            "9738b30db33071fbe1900d3f3429c68b7f4a9c674fa6c0b11c0ce4bfc3b1da3f",
         ),
     }
 
@@ -258,6 +293,8 @@ class TestDeterminism:
     def test_budget_exhausted_results_pinned(self, kind, name, budget):
         if name == "C3-square":
             K = categorical_square(build_complex(corpusgen.CYCLE3)).product
+        elif name == "tetrahedron-square":
+            K = categorical_square(build_complex(corpusgen.BOUNDARY_TETRAHEDRON)).product
         else:
             K = build_complex({**self.FACETS, **self.SURFACES}[name])
         invariant, emit = (tc, emit_tc) if kind == "tc" else (scat, emit_scat)

@@ -6,6 +6,8 @@ from simplicial_tc import dumps, emit_tc, parse_complex, tc
 from simplicial_tc.cli import main
 from simplicial_tc.maps import DEFAULT_BUDGET
 
+import corpusgen
+
 BOUNDARY = "a b\nb c\na c\n"
 CONE = "a b x\nb c x\na c x\n"
 TWO_POINTS = "a\nb\n"
@@ -77,23 +79,32 @@ class TestScatCommand:
         assert code == 0
         assert "scat = 1 (exact)" in out
 
-    def test_budget_exhaustion_exit_two(self, tmp_path, capsys):
-        # scat of the 9-facet square genuinely needs searches; budget 1 starves them
-        import simplicial_tc as stc
-
-        K = stc.parse_complex(BOUNDARY)
-        P = stc.categorical_square(K)
-        # pair labels are outputs, not inputs, so rebuild an isomorphic copy
-        relabeled = [
-            [lab.replace("|", "_") for lab in facet]
-            for facet in P.product.facet_label_sets()
-        ]
+    @staticmethod
+    def square_file(tmp_path, facets):
         p = tmp_path / "square.txt"
-        p.write_text("\n".join(" ".join(f) for f in relabeled) + "\n")
-        code = main(["scat", str(p), "--budget", "1"])
+        p.write_text("\n".join(" ".join(f) for f in corpusgen.square_facets(facets)) + "\n")
+        return str(p)
+
+    def test_budget_exhaustion_exit_two(self, tmp_path, capsys):
+        # scat of the square of the boundary of the 3-simplex genuinely needs
+        # searches, and its H^1 is 0, so the homology rule cannot stand in for
+        # them: budget 1 starves them
+        path = self.square_file(tmp_path, corpusgen.BOUNDARY_TETRAHEDRON)
+        code = main(["scat", path, "--budget", "1"])
         out = capsys.readouterr().out
         assert code == 2
         assert "budget-exhausted" in out
+
+    def test_hollow_triangles_square_is_exact_at_budget_one(self, tmp_path, capsys):
+        # C3 x C3 with plain labels (aa ab ba bb, ...; 9 facets): every "no" its
+        # search meets is a cycle the two maps send apart in H_1(-; F2)
+        path = self.square_file(tmp_path, corpusgen.CYCLE3)
+        cert = str(tmp_path / "sq.json")
+        code = main(["scat", path, "--budget", "1", "-o", cert])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "scat = 2 (exact)" in out
+        assert main(["verify", cert, "--recompute"]) == 0
 
 
 class TestCoreCommand:

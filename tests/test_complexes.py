@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from simplicial_tc import (
     serialize_complex,
     subcomplex,
 )
-from simplicial_tc.complexes import automorphisms, edge_path, union_mask
+from simplicial_tc.complexes import automorphisms, edge_path, ids_from_mask, union_mask
 
 import corpusgen
 import oracles
@@ -286,3 +287,59 @@ class TestAutomorphisms:
         found = automorphisms(K, 1000)
         assert len(found) == len(set(found))
         assert set(found) == oracles.oracle_automorphisms(K)
+
+
+class TestCocycles:
+    """Complex.cocycles against brute-force counts of F2 1-cocycles and 1-coboundaries."""
+
+    PINNED = {
+        "point": ([("a",)], 0),
+        "triangle": ([("a", "b", "c")], 0),
+        # Delta^3 has no 2-dimensional facet: its triangles come from its one 3-dimensional facet
+        "tetrahedron": ([("a", "b", "c", "d")], 0),
+        "cone-C4": ([(a, b, "x") for a, b in corpusgen.CYCLE4], 0),
+        "hollow-triangle": (corpusgen.CYCLE3, 1),
+        "C4": (corpusgen.CYCLE4, 1),
+        "boundary-tetrahedron": (corpusgen.BOUNDARY_TETRAHEDRON, 0),
+        "torus": (corpusgen.TORUS7, 2),
+        "RP2": (corpusgen.RP2_6, 1),
+        "two-hollow-triangles": (corpusgen.CYCLE3 + [("x", "y"), ("y", "z"), ("x", "z")], 2),
+    }
+
+    @staticmethod
+    def assert_basis(K):
+        """Each member is a cocycle on edges of K, and no nonzero sum of members is a coboundary."""
+        triangles = oracles.oracle_triangles(K)
+        edges = set(oracles.oracle_edges(K))
+        basis = [frozenset(frozenset(ids_from_mask(e)) for e in c) for c in K.cocycles]
+        for c in basis:
+            assert c and c <= edges
+            assert oracles.oracle_is_cocycle(triangles, c)
+        coboundaries = oracles.oracle_coboundaries(K)
+        for r in range(1, len(basis) + 1):
+            for combo in itertools.combinations(basis, r):
+                total = frozenset()
+                for c in combo:
+                    total ^= c
+                assert total not in coboundaries
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_dimension_pinned(self, name):
+        facets, dim = self.PINNED[name]
+        K = build_complex(facets)
+        assert len(K.cocycles) == dim
+        self.assert_basis(K)
+        if len(oracles.oracle_edges(K)) <= 15:  # all but the torus (21 edges)
+            assert oracles.oracle_h1_dimension(K) == dim
+
+    # facets of up to four of five labels: at most 10 edges for the oracle, and
+    # facets of every dimension up to 3, whose triangles must all count
+    tiny = st.lists(
+        st.lists(st.sampled_from("abcde"), min_size=1, max_size=4).map(set), min_size=1, max_size=6
+    )
+
+    @given(tiny)
+    def test_tiny_complexes(self, facets):
+        K = build_complex(facets)
+        assert len(K.cocycles) == oracles.oracle_h1_dimension(K)
+        self.assert_basis(K)

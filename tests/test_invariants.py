@@ -41,10 +41,6 @@ import oracles
 import reference
 
 
-def boundary():
-    return build_complex([{"a", "b"}, {"b", "c"}, {"a", "c"}])
-
-
 def diagonal_subcomplex(P):
     d = diagonal(P)
     masks = [d.image_mask(m) for m in P.base.facets]
@@ -270,10 +266,11 @@ class TestMaximalAdmissibleSets:
             assert not any(S < T for S in sets for T in sets)
         assert seen_unknown >= 50
 
-    def test_unknown_propagates_as_incomplete(self, boundary_triangle):
-        # scat of the square needs real class searches, so a one-state budget
-        # leaves subsets undecided and the result degrades honestly
-        P = categorical_square(boundary_triangle)
+    def test_unknown_propagates_as_incomplete(self):
+        # scat of the square of the boundary of the 3-simplex needs real class
+        # searches, and its H^1 is 0, so the homology rule cannot decide them:
+        # a one-state budget leaves subsets undecided and the result degrades honestly
+        P = categorical_square(build_complex(corpusgen.BOUNDARY_TETRAHEDRON))
         res = scat(P.product, budget=1)
         assert res.status is Status.BUDGET_EXHAUSTED
         assert res.unknown_sets
@@ -282,6 +279,16 @@ class TestMaximalAdmissibleSets:
         assert res.lower_bound <= exact.value
         if res.upper_bound is not None:
             assert exact.value <= res.upper_bound
+
+    def test_homology_rule_decides_the_hollow_triangles_square(self, boundary_triangle):
+        # every "no" the search meets there is a cycle that the inclusion and a
+        # constant send apart in H_1(-; F2), so budget 1 gives the exact value
+        P = categorical_square(boundary_triangle)
+        res = scat(P.product, budget=1)
+        exact = scat(P.product)
+        assert (res.status, res.value, res.unknown_sets, res.checks) == (
+            Status.EXACT, exact.value, (), exact.checks
+        )
 
 
 class TestMinCover:
@@ -1247,8 +1254,10 @@ class TestBudgetBounds:
         corpus = corpusgen.acceptance_corpus(corpusgen.ACCEPTANCE_SEED)
         runs = [(K, tc, emit_tc) for K in random.Random(19).sample(corpus, 20)]
         runs += [(K, scat, emit_scat) for K, _, _ in runs]
-        # the square needs real class searches, so small budgets leave some undecided
-        runs.append((categorical_square(boundary()).product, scat, emit_scat))
+        # this square needs real class searches and has H^1 = 0, so the homology
+        # rule cannot decide them and small budgets leave some undecided
+        square = categorical_square(build_complex(corpusgen.BOUNDARY_TETRAHEDRON)).product
+        runs.append((square, scat, emit_scat))
         degraded = 0
         for K, invariant, emit in runs:
             exact = invariant(K)
@@ -1305,3 +1314,153 @@ def _assert_bracket_and_certificate(kind, K, res, budget, exact_value):
     assert res.lower_bound <= exact_value <= res.upper_bound
     ok, msgs = verify_certificate((emit_tc if kind == "tc" else emit_scat)(K, res, budget))
     assert ok, (budget, msgs)
+
+
+class TestHomologyRule:
+    """The H_1(-; F2) rule says "differ" only where the plain class query says "no".
+
+    Contiguous maps induce one map on H^1(K; F2), so a cycle whose two images
+    pair differently with a cocycle of K proves "no" without a BFS.  The rule
+    runs on the greedy core of a class; it is checked here on the class and
+    on its core against class_constant_witness of the inclusion (categorical)
+    or same_contiguity_class of the two restricted projections (Farber), both
+    at the default budget, so a "no" from them is an exhausted search.
+    """
+
+    @staticmethod
+    def categorical(K, mask):
+        """(rule on the class, rule on its core, the class query's verdict) for a facet mask of K."""
+        facets = [K.facets[i] for i in ids_from_mask(mask)]
+        core_facets = _greedy_collapse(facets)[1]
+        sub = corpusgen.facet_subcomplex(K, mask)
+        rule = [
+            invariants._differs_on_homology(f, K.cocycles, lambda v: (v, 0)) for f in (facets, core_facets)
+        ]
+        return rule, class_constant_witness(inclusion_map(sub, K)).verdict
+
+    @staticmethod
+    def farber(P, mask):
+        """The same for a facet mask of K^2: the two projections, restricted."""
+        facets = [P.product.facets[i] for i in ids_from_mask(mask)]
+        core_facets = _greedy_collapse(facets)[1]
+        omega = corpusgen.facet_subcomplex(P.product, mask)
+        rule = [
+            invariants._differs_on_homology(f, P.base.cocycles, P.unpair) for f in (facets, core_facets)
+        ]
+        p1, p2 = (restrict(projection(P, i), omega) for i in (1, 2))
+        return rule, same_contiguity_class(p1, p2).verdict
+
+    @staticmethod
+    def assert_sound(runs):
+        """No "differ" on a class the query does not exhaust as "no"; returns how often the rule fired."""
+        fired = 0
+        for (on_class, on_core), verdict in runs:
+            assert on_class == on_core  # the core is a deformation retract: same cycles up to homology
+            if on_class:
+                assert verdict is Verdict.NO
+                fired += 1
+        return fired
+
+    @staticmethod
+    def tiny(rng, max_vertices, cycle):
+        """A random tiny complex; with cycle, a cycle on the first vertices and up to 3 random simplices."""
+        if not cycle:
+            return corpusgen.random_complex(rng, max_vertices=max_vertices, max_facets=6)
+        n = rng.randint(3, max_vertices)
+        labels = corpusgen.LABELS[:n]
+        k = rng.randint(3, n)
+        facets = [(labels[i], labels[(i + 1) % k]) for i in range(k)]
+        for _ in range(rng.randint(0, 3)):
+            facets.append(rng.sample(labels, rng.randint(1, min(3, n))))
+        return build_complex(facets)
+
+    @given(st.randoms(use_true_random=False), st.booleans(), st.data())
+    def test_tiny_complexes_categorical(self, rng, cycle, data):
+        K = self.tiny(rng, 6, cycle)
+        masks = data.draw(st.lists(st.integers(1, (1 << len(K.facets)) - 1), min_size=1, max_size=8))
+        self.assert_sound(self.categorical(K, m) for m in masks)
+
+    @given(st.randoms(use_true_random=False), st.booleans(), st.data())
+    def test_tiny_squares_farber(self, rng, cycle, data):
+        P = categorical_square(self.tiny(rng, 4, cycle))
+        full = (1 << len(P.product.facets)) - 1
+        masks = data.draw(st.lists(st.integers(1, full), min_size=1, max_size=8))
+        self.assert_sound(self.farber(P, m) for m in masks)
+
+    def test_cycle_squares_fire_and_stay_sound(self):
+        for facets in (corpusgen.CYCLE3, corpusgen.CYCLE4):
+            P = categorical_square(build_complex(facets))
+            n = len(P.product.facets)
+            masks = range(1, 1 << n) if n == 9 else corpusgen.random_facet_masks(n, 300, seed=31)
+            assert self.assert_sound(self.farber(P, m) for m in masks)
+
+    @pytest.mark.parametrize("name", ["torus", "RP2"])
+    def test_surfaces_fire_and_stay_sound(self, name):
+        K = build_complex(_NAMED[name])
+        masks = corpusgen.random_facet_masks(len(K.facets), 200, seed=32)
+        assert self.assert_sound(self.categorical(K, m) for m in masks)
+        P = categorical_square(K)
+        rng = random.Random(33)
+        small = [sum(1 << i for i in rng.sample(range(len(P.product.facets)), 3)) for _ in range(60)]
+        self.assert_sound(self.farber(P, m) for m in small)
+
+    def test_silent_where_the_cycle_bounds(self):
+        full = build_complex([{"a", "b", "c"}])
+        hollow = [full.simplex_mask(e) for e in ({"a", "b"}, {"b", "c"}, {"a", "c"})]
+        assert not invariants._differs_on_homology(hollow, full.cocycles, lambda v: (v, 0))
+        tetra = build_complex(corpusgen.BOUNDARY_TETRAHEDRON)
+        equator = [tetra.simplex_mask(e) for e in ({"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "d"})]
+        assert not invariants._differs_on_homology(equator, tetra.cocycles, lambda v: (v, 0))
+        # the link of a vertex of the torus is a hexagon that bounds its star
+        torus = build_complex(corpusgen.TORUS7)
+        assert len(torus.cocycles) == 2
+        star = [m for m in torus.facets if m & 1]
+        link = [m & ~1 for m in star]
+        assert not invariants._differs_on_homology(link, torus.cocycles, lambda v: (v, 0))
+        link_sub = subcomplex(torus, link)
+        assert class_constant_witness(inclusion_map(link_sub, torus)).verdict is Verdict.YES
+
+    @pytest.mark.parametrize(
+        "facets",
+        [corpusgen.BOUNDARY_TETRAHEDRON, [(a, b, "x") for a, b in corpusgen.CYCLE4], [("a", "b", "c")]],
+        ids=["boundary-tetrahedron", "cone-C4", "triangle"],
+    )
+    def test_silent_on_every_class_when_h1_vanishes(self, facets):
+        K = build_complex(facets)
+        assert K.cocycles == ()
+        P = categorical_square(K)
+        for mask in range(1, 1 << len(K.facets)):
+            facet_masks = [K.facets[i] for i in ids_from_mask(mask)]
+            assert not invariants._differs_on_homology(facet_masks, K.cocycles, lambda v: (v, 0))
+        for mask in corpusgen.random_facet_masks(len(P.product.facets), 100, seed=34):
+            facet_masks = [P.product.facets[i] for i in ids_from_mask(mask)]
+            assert not invariants._differs_on_homology(facet_masks, K.cocycles, P.unpair)
+
+    def test_fires_on_a_hollow_triangle_and_a_torus_meridian(self):
+        C3 = build_complex(corpusgen.CYCLE3)
+        assert invariants._differs_on_homology(list(C3.facets), C3.cocycles, lambda v: (v, 0))
+        assert is_categorical(C3, C3)[0] is Verdict.NO
+        torus = build_complex(corpusgen.TORUS7)
+        meridian = [torus.simplex_mask({str(i), str((i + 1) % 7)}) for i in range(7)]
+        assert invariants._differs_on_homology(meridian, torus.cocycles, lambda v: (v, 0))
+        inclusion = inclusion_map(subcomplex(torus, meridian), torus)
+        assert class_constant_witness(inclusion).verdict is Verdict.NO
+
+    # maps._bfs calls and checks of one call; without the rule the BFS ran 23, 11 and 25 times
+    ROUTES = [("scat", "torus", 1, 108), ("scat", "RP2", 0, 68), ("tc", "C4", 19, 200)]
+
+    @pytest.mark.parametrize("kind, name, bfs_calls, checks", ROUTES)
+    def test_bfs_calls_pinned(self, monkeypatch, kind, name, bfs_calls, checks):
+        from simplicial_tc import maps
+
+        calls = []
+        real = maps._bfs
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(maps, "_bfs", counting)
+        res = (tc if kind == "tc" else scat)(build_complex(_NAMED[name]))
+        assert res.status is Status.EXACT
+        assert (len(calls), res.checks) == (bfs_calls, checks)
