@@ -8,10 +8,13 @@ Farber entry's chain runs from the first projection restricted to omega to
 the second, a categorical entry's from the inclusion to a constant map.
 verify_certificate() rebuilds everything from the stored complex and
 re-checks the defining conditions -- witness steps are simplicial,
-consecutive steps contiguous, endpoints equal the maps being certified,
+consecutive steps contiguous, endpoints equal the maps being certified
+(the kind's Admissibility.endpoints, which its class query joins too),
 covers actually cover.  It never trusts stored flags.  Negative verdicts
 (exact "no" / lower bounds) rest on exhaustive search, so they are
 re-checked only under recompute=True.  It reads only the current FORMAT.
+Label rows become subcomplexes through the kind's from_labels, as in the
+membership commands.
 It takes the dict json.loads returns, so the layout of the text does not
 matter: dumps() writes one line, and certificates written indented verify.
 """
@@ -37,7 +40,8 @@ from .invariants import (
 )
 from .maps import DEFAULT_BUDGET, ContiguityWitness, Verdict, _unchecked_map, check_budget
 
-# Unused here since invariants.admissibility builds the square; e2ebench/tracing.py patches it.
+# categorical_square, and subcomplex above, are unused here since invariants builds the square
+# and label-row subcomplexes; e2ebench/tracing.py patches both names.
 from .product import categorical_square  # noqa: F401
 
 FORMAT = "simplicial-tc/2"
@@ -159,14 +163,14 @@ def _rebuild_admissible(entry: Any, A: Admissibility) -> AdmissibleSet:
     """Reconstruct and fully re-validate one admissible-set payload of A's kind.
 
     omega is a subcomplex of A.ambient, and every witness row holds labels
-    of A.base = K.  A Farber entry's witness must run from pi1|omega to
-    pi2|omega, a categorical entry's from the inclusion to a constant map.
+    of A.base = K.  The witness must run between A.endpoints on omega's
+    vertices: a Farber entry's from pi1|omega to pi2|omega, a categorical
+    entry's from the inclusion to a constant map.
     """
     _need(isinstance(entry, dict), "admissible set must be a JSON object")
     _need(entry["kind"] == A.kind, f"expected a {A.kind} admissible set, got {entry['kind']!r}")
-    ambient, K = A.ambient, A.base
-    facets = _label_lists(entry["facets"], "admissible set facets")
-    omega = subcomplex(ambient, [ambient.simplex_mask(f) for f in facets])
+    K = A.base
+    omega = A.from_labels(_label_lists(entry["facets"], "admissible set facets"))
     vertices = _labels(entry["vertices"], "vertices")
     _need(list(omega.labels) == vertices, "vertex table mismatch in admissible set")
     index = K._label_index
@@ -180,20 +184,10 @@ def _rebuild_admissible(entry: Any, A: Admissibility) -> AdmissibleSet:
         # ContiguityWitness checks each step, so the step skips its own check
         steps.append(_unchecked_map(omega, K, ids))
     witness = ContiguityWitness(tuple(steps))
-    emb = embedding_ids(omega, ambient)
-    if A.square is not None:
-        pairs = [A.square.unpair(q) for q in emb]
-        _need(
-            witness.first.assignment == tuple(u for u, _ in pairs),
-            "witness does not start at the first projection",
-        )
-        _need(
-            witness.last.assignment == tuple(v for _, v in pairs),
-            "witness does not end at the second projection",
-        )
-    else:
-        _need(witness.first.assignment == emb, "witness does not start at the inclusion")
-        _need(witness.last.is_constant, "witness does not end at a constant map")
+    start, end = A.endpoints(embedding_ids(omega, A.ambient))
+    _need(witness.first.assignment == start, f"witness does not start at {A.start_name}")
+    ends = witness.last.is_constant if end is None else witness.last.assignment == end
+    _need(ends, f"witness does not end at {A.end_name}")
     return AdmissibleSet(A.kind, omega, witness)
 
 
@@ -284,8 +278,7 @@ def verify_certificate(cert: dict[str, Any], recompute: bool = False) -> tuple[b
                 _need(fresh == seq.end, "recompute: core changed")
         elif kind in ("farber", "categorical"):
             A = admissibility(kind, K)
-            facets = _label_lists(cert["omega"], "omega")
-            omega = subcomplex(A.ambient, [A.ambient.simplex_mask(f) for f in facets])
+            omega = A.from_labels(_label_lists(cert["omega"], "omega"))
             verdict, entry = cert["verdict"], cert["admissible"]
             _need(verdict in [v.value for v in Verdict], f"unknown verdict {verdict!r}")
             if verdict == Verdict.YES.value:

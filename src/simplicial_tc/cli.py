@@ -22,7 +22,7 @@ from .certificates import (
     verify_certificate,
 )
 from .collapse import core
-from .complexes import parse_complex, serialize_complex, subcomplex
+from .complexes import parse_complex, serialize_complex
 from .errors import InvalidInput, SimplicialTCError
 from .invariants import InvariantResult, Status, admissibility, motion_plan, scat, tc
 from .maps import DEFAULT_BUDGET, Verdict
@@ -204,8 +204,7 @@ def _parse_facet_arg(spec: str) -> list[list[str]]:
 def _cmd_membership(args) -> int:
     K = _load(args.file)
     A = admissibility(args.kind, K)
-    masks = [A.ambient.simplex_mask(f) for f in _parse_facet_arg(args.facets)]
-    sub = subcomplex(A.ambient, masks)
+    sub = A.from_labels(_parse_facet_arg(args.facets))
     verdict, adm = A.decide(sub, budget=args.budget)
     cert = emit_membership(args.kind, K, sub, verdict, adm, args.budget)
     detail = f" (witness length {len(adm.witness)})" if adm is not None else ""

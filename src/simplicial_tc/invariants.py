@@ -1,11 +1,16 @@
 """Farber/categorical subcomplex recognition, minimum covers, TC, scat, plans.
 
 The two invariants share one code path and differ only in their
-Admissibility, the one place that pairs each kind with its ambient complex
-and checker: Farber subcomplexes of K^2 (is_farber) for TC, categorical
-subcomplexes of K (is_categorical) for scat.  For both, witnesses land in
-the base K.  The certificate verifier and the membership commands use the
-same pairing.
+Admissibility, one frozen class per kind that holds every fact of that
+kind: FarberAdmissibility (Farber subcomplexes of K^2, checked by
+is_farber) for TC, CategoricalAdmissibility (categorical subcomplexes of K,
+checked by is_categorical) for scat.  Each gives its ambient complex and
+base K (where witnesses land), its sound "no" rules, its two vertex maps
+into K, the two ends its witnesses must join, its search order and its
+symmetries; no code picks its behaviour by testing the kind.  Both
+checkers run one decision body (_decide) for their kind.  The certificate
+verifier reads the same endpoints, and it and the membership commands turn
+label rows into subcomplexes with the kind's from_labels.
 
 Both invariants look for the smallest k for which the facets of the ambient
 complex split into k classes, each generating an admissible subcomplex.
@@ -83,7 +88,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 # contraction_witness and witness_between_constants are unused here; e2ebench/tracing.py patches them.
 from .collapse import _greedy_collapse, contraction_witness, is_strongly_collapsible
@@ -95,7 +100,7 @@ from .complexes import (
     ids_from_mask,
     is_subcomplex,
     mask_from_ids,
-    subcomplex,  # unused here; e2ebench/tracing.py patches it
+    subcomplex,
     union_mask,
 )
 from .errors import InvalidInput
@@ -115,6 +120,9 @@ from .product import ProductComplex, categorical_square
 
 # Automorphisms of K the tc search prunes by, at most; any subset of the group keeps it exact.
 _AUTOMORPHISM_LIMIT = 128
+
+# A core's facet masks -> its verdict, shared by the checks of one tc/scat call.
+_Memo = dict[frozenset[int], Verdict]
 
 
 class Status(Enum):
@@ -158,7 +166,7 @@ class InvariantResult:
     checks: int
 
 
-# -- Farber recognition ------------------------------------------------------
+# -- recognition: one decision body for both kinds ---------------------------
 
 
 def _ambient_facets(
@@ -230,29 +238,22 @@ def _differs_on_homology(
     return False
 
 
-def _core_verdict(
-    facets: list[int],
-    ambient: Complex,
-    memo: dict[frozenset[int], Verdict] | None,
-    query: Callable[[Complex, tuple[int, ...]], ContiguityResult],
-    K: Complex,
-    images: Callable[[int], tuple[int, int]],
-) -> Verdict:
-    """The verdict on the greedy core of facets (ambient ids): a homology "no", or the class query's.
+def _core_verdict(A: Admissibility, facets: list[int], budget: int, memo: _Memo | None) -> Verdict:
+    """The verdict on the greedy core of facets (A.ambient ids): homology "no", or class query.
 
     Facets with a common vertex span a cone, which strongly collapses to its
     apex, so that is a "yes" before any collapse runs.  Otherwise the core is
     a strong deformation retract, so restricting the maps to it keeps their
     contiguity class, and the class query would reduce the subcomplex to
     this same core anyway.  A one-vertex core is a "yes".  Any other core
-    first meets the homology rule: images(v) gives the two maps' images in K
-    of each ambient vertex v, and a cycle of the core on which they differ
-    against a cocycle of K (K.cocycles, built at the first core that gets
-    here) is a sound "no" (_differs_on_homology).  Otherwise the core is
-    built as a Complex and handed to query with the ambient id of each of
-    its vertices.  memo, when given, maps a core's facet set to the verdict
-    found for it by either route, so checks that reduce to one core share
-    one verdict.
+    first meets the homology rule: A.images(v) gives the two maps' images
+    in K of each ambient vertex v, and a cycle of the core on which they
+    differ against a cocycle of K (K.cocycles, built at the first core that
+    gets here) is a sound "no" (_differs_on_homology).  Otherwise the core
+    is built as a Complex and handed to A.query with the ambient id of each
+    of its vertices.  memo, when given, maps a core's facet set to the
+    verdict found for it by either route, so checks that reduce to one core
+    share one verdict.
     """
     common = -1
     for m in facets:
@@ -265,13 +266,41 @@ def _core_verdict(
     key = frozenset(core)
     verdict = memo.get(key) if memo is not None else None
     if verdict is None:
-        if _differs_on_homology(core, K.cocycles, images):
+        if _differs_on_homology(core, A.base.cocycles, A.images):
             verdict = Verdict.NO
         else:
-            verdict = query(_complex_on(ambient, core), ids_from_mask(union_mask(core))).verdict
+            dom = _complex_on(A.ambient, core)
+            verdict = A.query(dom, ids_from_mask(union_mask(core)), budget).verdict
         if memo is not None:
             memo[key] = verdict
     return verdict
+
+
+def _decide(
+    A: Admissibility, sub: Complex | int, budget: int, want_witness: bool, memo: _Memo | None
+) -> tuple[Verdict, AdmissibleSet | None]:
+    """Whether sub is admissible of A's kind: the one body of is_farber and is_categorical.
+
+    sub is a subcomplex of A.ambient, or a facet mask of it (bit i is facet
+    i).  A's sound "no" rules run first (A.rules_out).  With want_witness
+    False only the verdict is computed, on the greedy core (_core_verdict,
+    where the homology rule may answer "no" and memo may carry the verdicts
+    of earlier checks); otherwise A's class query on sub decides, and a
+    "yes" carries its witness, a chain of maps sub -> K between the two
+    ends A.endpoints gives.
+    """
+    check_budget(budget)
+    facets, emb = _ambient_facets(sub, A.ambient, A.not_sub)
+    if A.rules_out(facets, union := union_mask(facets)):
+        return Verdict.NO, None
+    if not want_witness:
+        return _core_verdict(A, facets, budget, memo), None
+    if emb is None:
+        sub, emb = _complex_on(A.ambient, facets), ids_from_mask(union)
+    result = A.query(sub, emb, budget)
+    if result.verdict is Verdict.YES:
+        return Verdict.YES, AdmissibleSet(A.kind, sub, result.witness)
+    return result.verdict, None
 
 
 def is_farber(
@@ -280,7 +309,7 @@ def is_farber(
     budget: int = DEFAULT_BUDGET,
     want_witness: bool = True,
     *,
-    memo: dict[frozenset[int], Verdict] | None = None,
+    memo: _Memo | None = None,
 ) -> tuple[Verdict, AdmissibleSet | None]:
     """Decide whether omega is a Farber subcomplex of P.product.
 
@@ -297,38 +326,7 @@ def is_farber(
     "no" before the class query, and memo may carry the verdicts of earlier
     checks; search layers use this and re-certify the sets they keep.
     """
-    check_budget(budget)
-    facets, emb = _ambient_facets(omega, P.product, "omega is not a subcomplex of the product")
-    K = P.base
-    union = union_mask(facets)
-
-    if union & P.split_pairs:
-        # A Farber witness would unfold to an edge path between the pair.
-        return Verdict.NO, None
-
-    if not is_strongly_collapsible(K) and P.has_full_slice(facets):
-        # Slices of Farber subcomplexes are categorical; all of K is
-        # categorical in itself only when K is strongly collapsible.
-        return Verdict.NO, None
-
-    def query(dom: Complex, ids: tuple[int, ...]) -> ContiguityResult:
-        # the two projections restricted to dom, whose vertex w is ids[w] in K^2
-        pairs = [P.unpair(q) for q in ids]
-        p1 = SimplicialMap(dom, K, tuple(u for u, _ in pairs))
-        p2 = SimplicialMap(dom, K, tuple(v for _, v in pairs))
-        return same_contiguity_class(p1, p2, budget)
-
-    if not want_witness:
-        return _core_verdict(facets, P.product, memo, query, K, P.unpair), None
-    if emb is None:
-        omega, emb = _complex_on(P.product, facets), ids_from_mask(union)
-    result = query(omega, emb)
-    if result.verdict is Verdict.YES:
-        return Verdict.YES, AdmissibleSet("farber", omega, result.witness)
-    return result.verdict, None
-
-
-# -- categorical recognition -------------------------------------------------
+    return _decide(FarberAdmissibility(P.product, P.base, P), omega, budget, want_witness, memo)
 
 
 def is_categorical(
@@ -337,7 +335,7 @@ def is_categorical(
     budget: int = DEFAULT_BUDGET,
     want_witness: bool = True,
     *,
-    memo: dict[frozenset[int], Verdict] | None = None,
+    memo: _Memo | None = None,
 ) -> tuple[Verdict, AdmissibleSet | None]:
     """Decide whether the inclusion of sub into K is in a constant's class.
 
@@ -348,27 +346,7 @@ def is_categorical(
     chain.  With want_witness=False only the verdict is computed, on the
     greedy core of sub, with the homology rule and memo as in is_farber.
     """
-    check_budget(budget)
-    facets, emb = _ambient_facets(sub, K, "not a subcomplex of the ambient complex")
-    union = union_mask(facets)
-
-    if union & ~K.component_masks[(union & -union).bit_length() - 1]:
-        # The witness would unfold to edge paths joining all of sub's
-        # vertices to one constant vertex.
-        return Verdict.NO, None
-
-    def query(dom: Complex, ids: tuple[int, ...]) -> ContiguityResult:
-        return class_constant_witness(SimplicialMap(dom, K, ids), budget)
-
-    if not want_witness:
-        # the inclusion against a constant, which induces 0 (any constant does)
-        return _core_verdict(facets, K, memo, query, K, lambda v: (v, 0)), None
-    if emb is None:
-        sub, emb = _complex_on(K, facets), ids_from_mask(union)
-    result = query(sub, emb)
-    if result.verdict is Verdict.YES:
-        return Verdict.YES, AdmissibleSet("categorical", sub, result.witness)
-    return result.verdict, None
+    return _decide(CategoricalAdmissibility(K, K), sub, budget, want_witness, memo)
 
 
 # -- maximal admissible sets over the facet-subset lattice --------------------
@@ -768,49 +746,100 @@ def _walk_ranks(facets: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class Admissibility:
-    """Which subcomplexes one invariant's covers are made of.
+    """Which subcomplexes one invariant's covers are made of, with every fact of that kind.
 
-    "farber" (TC): Farber subcomplexes of ambient = K^2, decided by is_farber
-    against the square.  "categorical" (scat): categorical subcomplexes of
-    ambient = K, decided by is_categorical, with no square.  For both, base
-    is K, the complex every witness lands in.
+    Each kind is one frozen subclass, FarberAdmissibility (TC) or
+    CategoricalAdmissibility (scat), returned by admissibility(kind, K).
+    It holds the ambient complex the subcomplexes live in and the base K
+    every witness lands in, and gives:
+      decide         its checker, is_farber or is_categorical;
+      rules_out      its sound "no" rules on a class's facet masks;
+      images         its two vertex maps f, g from ambient ids into K, which
+                     the homology rule compares;
+      endpoints      the two ends (start, end) a witness must join on given
+                     ambient vertices, end None for "a constant map", which
+                     the verifier checks (named start_name, end_name);
+      query          the class query joining f and g, for a verdict and witness;
+      search_order   the order the cover search places the ambient facets in
+                     (index order unless the kind sorts them);
+      symmetries     facet permutations that keep admissibility (none unless
+                     the kind has them).
+    not_sub is the checkers' error for a Complex outside the ambient complex.
     """
 
-    kind: str
+    kind: ClassVar[str]
+    not_sub: ClassVar[str]
+    start_name: ClassVar[str]
+    end_name: ClassVar[str]
     ambient: Complex
     base: Complex
-    square: ProductComplex | None
 
-    def decide(
-        self,
-        sub: Complex | int,
-        budget: int,
-        want_witness: bool = True,
-        memo: dict[frozenset[int], Verdict] | None = None,
-    ) -> tuple[Verdict, AdmissibleSet | None]:
-        # The checkers are looked up in this module on every call (not stored
-        # as fields), so a wrapper set on is_farber / is_categorical sees each check.
-        if self.square is not None:
-            return is_farber(sub, self.square, budget, want_witness=want_witness, memo=memo)
-        return is_categorical(sub, self.ambient, budget, want_witness=want_witness, memo=memo)
+    def from_labels(self, rows: Sequence[Sequence[str]]) -> Complex:
+        """The subcomplex of the ambient complex whose facets are the label rows."""
+        return subcomplex(self.ambient, [self.ambient.simplex_mask(row) for row in rows])
 
     def search_order(self) -> list[int]:
-        """The order the cover search places the ambient facets in, as facet indices.
+        """Index order."""
+        return list(range(len(self.ambient.facets)))
 
-        For "farber", the facets F x G of K^2 nearest the diagonal come first:
-        the key is the least 1-skeleton distance d(u, v) over the vertices
-        (u, v) of the facet, then the sum of those distances, then the walk
-        ranks of F and G (_walk_ranks).  Nearby pairs tend to share a class,
-        so the classes of a cover are filled one after another.  The walk
-        ranks put ties in an order set by the shape of K, not by its labels:
-        with the facet index in their place, the labels decided which far
-        facets a class collected, and on some relabellings of a 10-cycle
-        those classes had cycles for cores whose class queries ran out of
-        budget.  "categorical" has no diagonal and keeps index order.
+    def symmetries(self) -> list[tuple[int, ...]]:
+        """None, so every partition is a lex-leader."""
+        return []
+
+
+@dataclass(frozen=True)
+class FarberAdmissibility(Admissibility):
+    """Farber subcomplexes omega of ambient = K^2: pi1|omega ~ pi2|omega in base = K."""
+
+    square: ProductComplex
+    kind = "farber"
+    not_sub = "omega is not a subcomplex of the product"
+    start_name, end_name = "the first projection", "the second projection"
+
+    def decide(
+        self, sub: Complex | int, budget: int, want_witness: bool = True, memo: _Memo | None = None
+    ) -> tuple[Verdict, AdmissibleSet | None]:
+        # Looked up in this module on every call, so a wrapper set on is_farber sees each check.
+        return is_farber(sub, self.square, budget, want_witness=want_witness, memo=memo)
+
+    def rules_out(self, facets: list[int], union: int) -> bool:
+        """A vertex pair split across components of K, or a full slice (K not strongly collapsible).
+
+        A Farber witness would unfold to an edge path between a split pair.
+        Slices of Farber subcomplexes are categorical; all of K is
+        categorical in itself only when K is strongly collapsible.
+        """
+        if union & self.square.split_pairs:
+            return True
+        return not is_strongly_collapsible(self.base) and self.square.has_full_slice(facets)
+
+    def images(self, q: int) -> tuple[int, int]:
+        """The two projections at the vertex q of K^2."""
+        return self.square.unpair(q)
+
+    def endpoints(self, ids: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        start, end = zip(*map(self.images, ids))
+        return start, end
+
+    def query(self, dom: Complex, ids: tuple[int, ...], budget: int) -> ContiguityResult:
+        """Whether the projections restricted to dom, whose vertex w is ids[w], are in one class."""
+        first, last = (SimplicialMap(dom, self.base, f) for f in self.endpoints(ids))
+        return same_contiguity_class(first, last, budget)
+
+    def search_order(self) -> list[int]:
+        """The order the cover search places the facets of K^2 in, as facet indices.
+
+        The facets F x G nearest the diagonal come first: the key is the
+        least 1-skeleton distance d(u, v) over the vertices (u, v) of the
+        facet, then the sum of those distances, then the walk ranks of F and
+        G (_walk_ranks).  Nearby pairs tend to share a class, so the classes
+        of a cover are filled one after another.  The walk ranks put ties in
+        an order set by the shape of K, not by its labels: with the facet
+        index in their place, the labels decided which far facets a class
+        collected, and on some relabellings of a 10-cycle those classes had
+        cycles for cores whose class queries ran out of budget.
         """
         facets = self.ambient.facets
-        if self.square is None:
-            return list(range(len(facets)))
         distance = self.square.pair_distances
         r = len(self.base.facets)
         rank = _walk_ranks(self.base.facets)
@@ -822,20 +851,17 @@ class Admissibility:
         return sorted(range(len(facets)), key=key)
 
     def symmetries(self) -> list[tuple[int, ...]]:
-        """Permutations of the ambient facets that keep admissibility; entry i is the image of facet i.
+        """Permutations of the facets of K^2 that keep Farber-ness; entry i is the image of facet i.
 
-        For "farber": sigma x sigma for each automorphism sigma of K (the
-        first _AUTOMORPHISM_LIMIT that complexes.automorphisms finds), each
-        also composed with the swap (u, v) -> (v, u), so the identity and
-        the swap are always there.  Both keep Farber-ness: the two
-        projections restricted to the image are sigma after the two
-        restricted to the class, or the same two in the other order, and
-        contiguity classes are kept by composing with an isomorphism.  Facet
-        a * r + b of K^2 is F_a x F_b (categorical_square).  "categorical"
-        has none, so every partition is a lex-leader for scat.
+        sigma x sigma for each automorphism sigma of K (the first
+        _AUTOMORPHISM_LIMIT that complexes.automorphisms finds), each also
+        composed with the swap (u, v) -> (v, u), so the identity and the
+        swap are always there.  The two projections restricted to the image
+        are sigma after the two restricted to the class, or the same two in
+        the other order, and contiguity classes are kept by composing with
+        an isomorphism.  Facet a * r + b of K^2 is F_a x F_b
+        (categorical_square).
         """
-        if self.square is None:
-            return []
         K = self.base
         r = len(K.facets)
         index = {m: a for a, m in enumerate(K.facets)}
@@ -847,13 +873,47 @@ class Admissibility:
         return out
 
 
+@dataclass(frozen=True)
+class CategoricalAdmissibility(Admissibility):
+    """Categorical subcomplexes of ambient = base = K: the inclusion ~ a constant map."""
+
+    kind = "categorical"
+    not_sub = "not a subcomplex of the ambient complex"
+    start_name, end_name = "the inclusion", "a constant map"
+
+    def decide(
+        self, sub: Complex | int, budget: int, want_witness: bool = True, memo: _Memo | None = None
+    ) -> tuple[Verdict, AdmissibleSet | None]:
+        # Looked up in this module on every call, as in FarberAdmissibility.decide.
+        return is_categorical(sub, self.base, budget, want_witness=want_witness, memo=memo)
+
+    def rules_out(self, facets: list[int], union: int) -> bool:
+        """The component rule: the class meets two components of K.
+
+        The witness would unfold to edge paths joining all of the class's
+        vertices to one constant vertex.
+        """
+        return bool(union & ~self.base.component_masks[(union & -union).bit_length() - 1])
+
+    def images(self, v: int) -> tuple[int, int]:
+        """The inclusion and a constant at v; a constant induces 0 on H^1, whichever it is."""
+        return v, 0
+
+    def endpoints(self, ids: tuple[int, ...]) -> tuple[tuple[int, ...], None]:
+        return ids, None
+
+    def query(self, dom: Complex, ids: tuple[int, ...], budget: int) -> ContiguityResult:
+        """Whether the inclusion of dom, whose vertex w is ids[w], lies in a constant's class."""
+        return class_constant_witness(SimplicialMap(dom, self.base, ids), budget)
+
+
 def admissibility(kind: str, K: Complex) -> Admissibility:
     """The admissible subcomplexes of kind "farber" or "categorical" for K."""
     if kind == "farber":
         P = categorical_square(K)
-        return Admissibility(kind, P.product, K, P)
+        return FarberAdmissibility(P.product, K, P)
     if kind == "categorical":
-        return Admissibility(kind, K, K, None)
+        return CategoricalAdmissibility(K, K)
     raise InvalidInput(f"unknown admissible kind {kind!r}")
 
 
@@ -923,6 +983,8 @@ def motion_plan(adm: AdmissibleSet, x: int, y: int) -> MotionPlan:
     if adm.kind != "farber":
         raise InvalidInput("motion plans require a Farber admissible set")
     K = adm.witness.first.codomain
+    if min(x, y) < 0 or max(x, y) >= K.n_vertices:
+        raise InvalidInput(f"motion plan endpoints must be vertex ids in range({K.n_vertices})")
     label = f"{K.labels[x]}|{K.labels[y]}"
     try:
         w = adm.omega.id(label)

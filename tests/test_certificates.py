@@ -449,6 +449,21 @@ class TestMutationsRejected:
         assert not ok
         assert msgs == ["admissible set does not match the queried subcomplex"]
 
+    def test_categorical_membership_entry_for_another_subcomplex(self, boundary_triangle):
+        K = boundary_triangle
+        L = subcomplex(K, list(K.facets[:2]))
+        cert = emit_membership("categorical", K, L, *is_categorical(L, K), DEFAULT_BUDGET)
+        assert cert["verdict"] == "yes"
+        ok, msgs = verify_certificate(cert)
+        assert ok, msgs
+        cert["omega"] = cert["omega"][::-1]  # facet order is not part of the subcomplex
+        ok, msgs = verify_certificate(cert)
+        assert ok, msgs
+        cert["omega"] = cert["omega"][:1]
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert msgs == ["admissible set does not match the queried subcomplex"]
+
     def test_dropped_cover_member(self, boundary_triangle):
         cert = copy.deepcopy(tc_cert(boundary_triangle))
         cert["cover"] = cert["cover"][:-1]
@@ -506,6 +521,29 @@ class TestMutationsRejected:
         ok, msgs = verify_certificate(cert)
         assert not ok
         assert msgs == ["witness does not end at the second projection"]
+
+    @staticmethod
+    def scat_entry(cert):
+        """A cover entry whose witness's next-to-last step is not constant."""
+        return next(
+            e for e in cert["cover"] if len(e["witness"]) > 1 and len(set(e["witness"][-2])) > 1
+        )
+
+    def test_categorical_witness_not_starting_at_the_inclusion(self, boundary_triangle):
+        cert = copy.deepcopy(scat_cert(boundary_triangle))
+        entry = self.scat_entry(cert)
+        entry["witness"] = entry["witness"][::-1]  # a constant ~ ... ~ the inclusion
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert msgs == ["witness does not start at the inclusion"]
+
+    def test_categorical_witness_not_ending_at_a_constant_map(self, boundary_triangle):
+        cert = copy.deepcopy(scat_cert(boundary_triangle))
+        entry = self.scat_entry(cert)
+        entry["witness"] = entry["witness"][:-1]
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert msgs == ["witness does not end at a constant map"]
 
     def test_witness_row_of_square_labels(self, boundary_triangle):
         """A row of pair labels such as a|b names vertices of K^2, not of K."""

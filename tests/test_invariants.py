@@ -426,6 +426,13 @@ class TestMotionPlan:
         with pytest.raises(InvalidInput):
             motion_plan(adm, *missing)
 
+    @pytest.mark.parametrize("x, y", [(5, 0), (0, 3), (-1, 0), (0, -3)])
+    def test_vertex_ids_outside_k_rejected(self, boundary_triangle, x, y):
+        # -1 and -3 would read the label table from its end: c and a
+        _, adm = self.plan_for(boundary_triangle, "c", "a")
+        with pytest.raises(InvalidInput, match="must be vertex ids"):
+            motion_plan(adm, x, y)
+
     def test_every_cover_plan_validates(self, boundary_triangle):
         K = boundary_triangle
         res = tc(K)
@@ -680,13 +687,23 @@ class TestVerdictOnlyPath:
                 common &= m
             assert common == 0
 
-    @pytest.mark.parametrize("bad", [0, -3, True, False, 1 << 9, (1 << 9) | 1, 1.0, frozenset({0})])
-    def test_bad_facet_masks_rejected(self, bad):
+    # Ids "<mask>" run verdict-only, "<mask>-witness" with a witness.
+    BAD_MASKS = {
+        "0": 0, "-3": -3, "True": True, "False": False, "512": 1 << 9, "513": (1 << 9) | 1,
+        "1.0": 1.0, "bad7": frozenset({0}),
+    }
+
+    @pytest.mark.parametrize(
+        "bad, want_witness",
+        [pytest.param(bad, False, id=name) for name, bad in BAD_MASKS.items()]
+        + [pytest.param(bad, True, id=f"{name}-witness") for name, bad in BAD_MASKS.items()],
+    )
+    def test_bad_facet_masks_rejected(self, bad, want_witness):
         K = build_complex(corpusgen.CYCLE3)
         with pytest.raises(InvalidInput):
-            is_farber(bad, categorical_square(K), want_witness=False)
+            is_farber(bad, categorical_square(K), want_witness=want_witness)
         with pytest.raises(InvalidInput):
-            is_categorical(bad, K)
+            is_categorical(bad, K, want_witness=want_witness)
 
 
 class TestSandwichOnRandoms:
