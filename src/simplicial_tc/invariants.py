@@ -46,17 +46,16 @@ same verdict-only facet-mask check and the same _Heredity and returns
 facet-index sets, the second the indices of a smallest covering subfamily.
 
 A Farber subcomplex of K^2 is one whose two projection restrictions lie in
-a single contiguity class, and the class query's own chain
-pi1|omega = h_0 ~ ... ~ h_m = pi2|omega of maps omega -> K is its
-certificate, as a categorical set's is the chain from its inclusion to a
-constant map: every witness is a chain of maps into K, so every "yes" is
-machine-checkable in K.  Pairing each h_j with sigma = pi1|omega gives the
-defining chain from the diagonal after the section sigma to the inclusion
-in K^2 (README, "Invariants"); the library never builds it.  Sound "no"
-rules run first (a vertex pair split across components of K, a full
-row/column slice when K itself is not strongly collapsible, and on the
-verdict-only path the homology rule below) and prune the search without
-exploring map space.
+a single contiguity class, and a chain pi1|omega = h_0 ~ ... ~ h_m =
+pi2|omega of maps omega -> K is its certificate, as a categorical set's is
+a chain from its inclusion to a constant map: every witness is a chain of
+maps into K, so every "yes" is machine-checkable in K.  Pairing each h_j
+with sigma = pi1|omega gives the defining chain from the diagonal after
+the section sigma to the inclusion in K^2 (README, "Invariants"); the
+library never builds it.  Sound "no" rules run first (a vertex pair split
+across components of K, a full row/column slice when K itself is not
+strongly collapsible, and the homology rule below) and prune the search
+without exploring map space.
 
 The checkers take a subcomplex or a facet mask and turn either into facet
 bitmasks in the ambient complex's vertex ids (for K^2, q = u*n + v), so one
@@ -75,13 +74,20 @@ cocycle of K (Complex.cocycles) rules the class out with a few bitmask
 operations (_differs_on_homology).  The class query runs only on the cores
 that rule leaves, the only place a Complex is built.  The search passes a
 memo that lives for one tc/scat call and maps each core's facet set to its
-verdict, so checks with one core share one verdict.  The homology rule
-decides verdicts only: witnesses are built only for the classes of the
-cover that is returned, for certificates, and for the membership and plan
-commands, and all by one route: the class query in maps
-lifts its answer on the cores (for a strongly collapsible subcomplex, an
-edge path or the constant it reduces to) back through the strong-collapse
-retraction chains.
+verdict, so checks with one core share one verdict.
+
+Witnesses are built only for the classes of the cover that is returned,
+for certificates, and for the membership and plan commands, by one of two
+routes.  A cone, a class whose facets share a vertex w, is certified
+directly (_cone_witness): every map f on it is contiguous to the constant
+at f(w), so the chain runs from the kind's start map through the constants
+at the images of w, along an edge path of K between them, to its end map,
+with no class query.  The cover search certifies a cone from its own apex
+even when its "yes" came from heredity.  Any other class goes to the class
+query in maps, which lifts its answer on the cores (for a strongly
+collapsible subcomplex, an edge path or the constant it reduces to) back
+through the strong-collapse retraction chains; when that query stops
+undecided, the homology rule on the class's facets may still prove "no".
 """
 
 from __future__ import annotations
@@ -96,6 +102,7 @@ from .complexes import (
     Complex,
     _complex_on,
     automorphisms,
+    edge_path,
     embedding_ids,
     ids_from_mask,
     is_subcomplex,
@@ -110,6 +117,7 @@ from .maps import (
     ContiguityWitness,
     SimplicialMap,
     Verdict,
+    _unchecked_map,
     check_budget,
     class_constant_witness,
     restrict_witness,
@@ -238,6 +246,37 @@ def _differs_on_homology(
     return False
 
 
+def _apex(facets: list[int]) -> int:
+    """The lowest vertex every facet holds, or -1 when the facets span no cone."""
+    common = -1
+    for m in facets:
+        common &= m
+    return (common & -common).bit_length() - 1
+
+
+def _cone_witness(
+    A: Admissibility, sub: Complex, emb: tuple[int, ...], apex: int
+) -> ContiguityWitness:
+    """The witness of a cone sub of A.ambient (vertex i of sub is emb[i]) through its apex.
+
+    Every facet of sub holds the apex w (an ambient id), so any map f on sub
+    is contiguous to the constant at f(w): f(F) | {f(w)} = f(F) for each
+    facet F.  So the chain runs from A's start map to the constant at fa,
+    where (fa, ga) = A.images(w), and, when A has an end map, on through the
+    constants along an edge path of K from fa to ga (the component rule has
+    put them in one component) to that end, whose value at w is ga.
+    Consecutive repeats are dropped; ContiguityWitness checks the chain.
+    """
+    start, end = A.endpoints(emb)
+    fa, ga = A.images(apex)
+    n = len(emb)
+    rows = [start, *((c,) * n for c in ([fa] if end is None else edge_path(A.base, fa, ga)))]
+    if end is not None:
+        rows.append(end)
+    steps = [rows[0]] + [b for a, b in zip(rows, rows[1:]) if a != b]
+    return ContiguityWitness(tuple(_unchecked_map(sub, A.base, r) for r in steps))
+
+
 def _core_verdict(A: Admissibility, facets: list[int], budget: int, memo: _Memo | None) -> Verdict:
     """The verdict on the greedy core of facets (A.ambient ids): homology "no", or class query.
 
@@ -255,10 +294,7 @@ def _core_verdict(A: Admissibility, facets: list[int], budget: int, memo: _Memo 
     verdict found for it by either route, so checks that reduce to one core
     share one verdict.
     """
-    common = -1
-    for m in facets:
-        common &= m
-    if common:
+    if _apex(facets) >= 0:
         return Verdict.YES
     core = _greedy_collapse(facets)[1]
     if len(core) == 1 and core[0].bit_count() == 1:
@@ -285,9 +321,12 @@ def _decide(
     i).  A's sound "no" rules run first (A.rules_out).  With want_witness
     False only the verdict is computed, on the greedy core (_core_verdict,
     where the homology rule may answer "no" and memo may carry the verdicts
-    of earlier checks); otherwise A's class query on sub decides, and a
-    "yes" carries its witness, a chain of maps sub -> K between the two
-    ends A.endpoints gives.
+    of earlier checks).  Otherwise a "yes" carries its witness, a chain of
+    maps sub -> K between the two ends A.endpoints gives: a cone (facets
+    sharing a vertex) is a "yes" whose witness runs through the constants
+    at its apex's images (_cone_witness), and any other sub goes to A's
+    class query, where an undecided answer still meets the homology rule
+    on sub's facets.
     """
     check_budget(budget)
     facets, emb = _ambient_facets(sub, A.ambient, A.not_sub)
@@ -297,9 +336,15 @@ def _decide(
         return _core_verdict(A, facets, budget, memo), None
     if emb is None:
         sub, emb = _complex_on(A.ambient, facets), ids_from_mask(union)
+    if (apex := _apex(facets)) >= 0:
+        return Verdict.YES, AdmissibleSet(A.kind, sub, _cone_witness(A, sub, emb, apex))
     result = A.query(sub, emb, budget)
     if result.verdict is Verdict.YES:
         return Verdict.YES, AdmissibleSet(A.kind, sub, result.witness)
+    if result.verdict is Verdict.UNKNOWN and _differs_on_homology(
+        facets, A.base.cocycles, A.images
+    ):
+        return Verdict.NO, None
     return result.verdict, None
 
 
@@ -319,8 +364,10 @@ def is_farber(
     placed facet {a} x F or F x {a} of the slice lies in a facet of omega)
     when K is not strongly collapsible.  Then the decision is projection
     contiguity: the two restricted projections lie in one contiguity class
-    (the class query, exact without search when omega strongly collapses to
-    a point).  Its witness, pi1|omega ~ pi2|omega in K, is the certificate.
+    (for a cone, through the constants at its apex's two coordinates;
+    otherwise the class query, exact without search when omega strongly
+    collapses to a point).  Its witness, pi1|omega ~ pi2|omega in K, is the
+    certificate.
     With want_witness=False only the verdict is computed, on the greedy
     core of omega, where the homology rule (see _core_verdict) may answer
     "no" before the class query, and memo may carry the verdicts of earlier
@@ -340,11 +387,13 @@ def is_categorical(
     """Decide whether the inclusion of sub into K is in a constant's class.
 
     sub is a subcomplex of K, or a facet mask of K (bit i is facet i).
-    After the component rule, the class query searches the inclusion's class
-    for a constant map; when sub strongly collapses to a point the reduced
-    inclusion is already constant, and the witness is the lifted retraction
-    chain.  With want_witness=False only the verdict is computed, on the
-    greedy core of sub, with the homology rule and memo as in is_farber.
+    After the component rule, a cone (facets sharing a vertex w) has the
+    witness inclusion ~ constant at w; otherwise the class query searches
+    the inclusion's class for a constant map, and when sub strongly
+    collapses to a point the reduced inclusion is already constant, and the
+    witness is the lifted retraction chain.  With want_witness=False only
+    the verdict is computed, on the greedy core of sub, with the homology
+    rule and memo as in is_farber.
     """
     return _decide(CategoricalAdmissibility(K, K), sub, budget, want_witness, memo)
 
@@ -924,9 +973,10 @@ def _admissible_cover(A: Admissibility, budget: int) -> InvariantResult:
     lives as long as this call; the search places facets in A.search_order().
     Only the classes of the returned cover are built as complexes and
     certified, from their masks too.  A class whose "yes" came from heredity
-    never met the checker, and under a small budget its own class query
-    could stop undecided, so it is certified by restricting the witness of
-    the checked "yes" class that holds it.
+    never met the checker.  A cone among them is certified from its own apex
+    like any cone; under a small budget the class query of any other could
+    stop undecided, so it is certified by restricting the witness of the
+    checked "yes" class that holds it.
     """
     memo: dict[frozenset[int], Verdict] = {}
 
@@ -934,6 +984,8 @@ def _admissible_cover(A: Admissibility, budget: int) -> InvariantResult:
         return A.decide(mask, budget, want_witness=False, memo=memo)[0]
 
     def certify(mask: int, within: int) -> AdmissibleSet:
+        if _apex([A.ambient.facets[i] for i in ids_from_mask(mask)]) >= 0:
+            within = mask  # a cone is certified from its own apex, with no class query
         verdict, adm = A.decide(within, budget)
         if verdict is not Verdict.YES or adm is None:
             raise InvalidInput("certification pass disagrees with the search verdict")

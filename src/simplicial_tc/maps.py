@@ -15,10 +15,12 @@ A class query whose domain strongly collapses to a point needs no search: it
 is exact and spends no budget (maps from a point are joined exactly when
 their images are joined by an edge path).
 
-Class-query witnesses, and so the witnesses of every admissible set, come
-from one route: a path found among the maps between the strong-collapse
-cores is lifted back through the retraction chains of domain and codomain
-(_ClassQuery.build_witness) and validated once.  Both chains, the cores and
+Class-query witnesses, and so the witnesses of every admissible set that
+is not a cone, come from one route: a path found among the maps between
+the strong-collapse cores is lifted back through the retraction chains of
+domain and codomain (_ClassQuery.build_witness) and validated once.  (A
+cone, whose facets share a vertex, needs no query: invariants chains its
+maps through the constants at the apex's images.)  Both chains, the cores and
 their vertex ids come from one record per complex (_retraction_chain), which
 collapse.core, is_strongly_collapsible and contraction_witness read too.
 When the codomain's core is one vertex, every map into it lies in one

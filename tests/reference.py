@@ -1,6 +1,6 @@
-"""Reference searches for tc and scat, kept as oracles for the library's cover search.
+"""Reference searches and witnesses for tc and scat, kept as oracles for the library.
 
-Three references live here.
+Four references live here.
 
 The enumerate-then-cover pipeline lists every inclusion-maximal admissible
 facet set with maximal_admissible_sets and solves a minimum set cover over
@@ -14,6 +14,11 @@ Its status, value and bounds are what the library's search must reproduce.
 The first two take admissibility(kind, K).decide on a facet mask, verdict
 only: the same call tc and scat make, so a disagreement points at the
 search, not at the checks.
+
+class_query is the witness route every "yes" took before cone classes were
+certified through their apex's constants: A.query on the class, the two
+maps joined by the class query's own lifted chain.  A cone's witness and
+this one must both verify, with the same verdict.
 
 unpruned_cover is the library's search as it was before it visited only
 lex-leaders under the symmetries of the square: the same placement order
@@ -40,9 +45,9 @@ from simplicial_tc import (
     tc,
 )
 from simplicial_tc import invariants
-from simplicial_tc.complexes import ids_from_mask
-from simplicial_tc.invariants import _Heredity, admissibility
-from simplicial_tc.maps import DEFAULT_BUDGET
+from simplicial_tc.complexes import Complex, _complex_on, ids_from_mask, union_mask
+from simplicial_tc.invariants import Admissibility, _Heredity, admissibility
+from simplicial_tc.maps import DEFAULT_BUDGET, ContiguityResult
 
 
 def checker(kind: str, K, budget: int = DEFAULT_BUDGET):
@@ -53,6 +58,15 @@ def checker(kind: str, K, budget: int = DEFAULT_BUDGET):
         return A.decide(mask, budget, want_witness=False)[0]
 
     return len(A.ambient.facets), check
+
+
+def class_query(
+    A: Admissibility, mask: int, budget: int = DEFAULT_BUDGET
+) -> tuple[Complex, ContiguityResult]:
+    """The class with facet mask `mask` of A.ambient, and A's class query on it."""
+    facets = [A.ambient.facets[i] for i in ids_from_mask(mask)]
+    sub = _complex_on(A.ambient, facets)
+    return sub, A.query(sub, ids_from_mask(union_mask(facets)), budget)
 
 
 def maximal_sets(kind: str, K) -> tuple[frozenset[int], ...]:

@@ -29,6 +29,7 @@ from simplicial_tc import (
     verify_certificate,
 )
 from simplicial_tc.certificates import FORMAT
+from simplicial_tc.invariants import admissibility
 from simplicial_tc.maps import DEFAULT_BUDGET, ContiguityWitness, _unchecked_map
 
 import corpusgen
@@ -209,22 +210,28 @@ class TestDeterminism:
     # coordinates of the old rows), categorical entries lost "section": null
     # and plans lost "pairs" and "section_point"; values, `checks`, bounds,
     # unknown counts and covers stayed.
+    # Re-recorded when a cone class (facets sharing a vertex w) began to be
+    # certified through the constants at the images of w, with no class query:
+    # only witness rows moved.  Steps per class: C3 tc 7/11/11 -> 7/4/4, scat
+    # 3/2 -> 2/2; C4 tc 15/19/10 -> 15/19/5, scat 4/2 (other constants); the
+    # boundary tc 13/21/22 -> 13/4/4, scat 4/3 -> 2/2; C5 scat 5/2 (other
+    # constants).  tc of C5 has no cone class, and its digest stayed.
     PINNED = {
         "C3": (
-            2, 27, "b0318e187610bb59efc2c9bf8801fc008b7ee185747c1843a53e9c70db9f32db",
-            1, 5, "c798992adf951ee86143e2bc24d15b1ae1be7978f093eb5372644573c63c1e89",
+            2, 27, "13b321655cbf8f89d4ddef4a89c4a299cb7c643ddfb5a16bff36e59ff724dfa8",
+            1, 5, "c00cf5b26e84b8c77cbf86dba3f22f91338cc3112c88235d695e8f8f4039664a",
         ),
         "C4": (
-            2, 200, "249624abecc0f38682346ded30464a1f7e8c98a359e8eba8cb851fef7d7b12be",
-            1, 7, "cca7d76ad3a852ef6eb631d6b8c64e7b21961685dd0d0e58551f74abe0602942",
+            2, 200, "053c30956b3046a24aee5b2736e690a3a97a3a593512654a76b7de3188cd7e53",
+            1, 7, "9f44c5326915a34f4219fbdbaaa1751bc2fbba2644edb54e93ce1736deca07bd",
         ),
         "boundary-tetrahedron": (
-            2, 78, "e34ad556c695e423c7e1565a353e909e80e19e338204abe4770f8a67ca5b266e",
-            1, 7, "a459efc556b1f296f80efceacd1e4fe6b5e1d48ca746cf2720b2f21205ffd265",
+            2, 78, "521c32c8c25b079849b25eb2113a624bff005c1d4b244f2ba099e6fab9c74717",
+            1, 7, "2b064d0466b065fda8bc6e1232a7d9ba81be541102ef6a9fd6539c57b13d2a4e",
         ),
         "C5": (
             1, 57, "a55c70b6a14da45ebb934b8b9c40c03506203e87e3b92921e0c6b84d315f1b2b",
-            1, 9, "1eea63c877e32eab691c73d06d6735a90a1c561fb67d2c1e090d06bf347d5815",
+            1, 9, "f0c44840702c968882e0d905758bf062e0825ce477818b8fdfbdf35be847a940",
         ),
     }
     FACETS = {
@@ -262,14 +269,19 @@ class TestDeterminism:
     # bound rises to 2 (401 checks, 176 undecided -> 297, 10).  The square of
     # the boundary of the 3-simplex has H^1 = 0, so the rule cannot fire
     # there; its entry, added then, keeps a budget-exhausted scat pin.
+    # Every entry but tc of C5 (no cone class) was re-recorded when cone
+    # classes began to be certified through their apex's constants: only
+    # witness rows moved.  Steps per class: C4 at 1 and 8 15/19/10 -> 15/19/5,
+    # C3-square 9/8/7 -> 2/2/2, torus 7/7/6 -> 7/7/2, tetrahedron-square
+    # 16/15/14 -> 2/2/2.
     BUDGET_PINNED = {
         ("tc", "C4", 1): (
             "budget-exhausted", 2, 2, 203, 25,
-            "8da793b23658b0024bfbfb5629273dfcc6c78ead0e961ca4f0f4148f2c00cad9",
+            "f184b3a7135c715c22be747e1ab891ca8ffe0347cc8e98645e10bfeb46e405c5",
         ),
         ("tc", "C4", 8): (
             "budget-exhausted", 2, 2, 200, 12,
-            "8b1483feff669404f5914e6bc1b47cb5f13073b0b33f3b075af7dcb352e8084f",
+            "4fc868b2f72a76b6769d1b4ca59579dd829ca4bbd675fc63203c8af271b87de1",
         ),
         ("tc", "C5", 32): (
             "exact", 1, 1, 57, 0,
@@ -277,15 +289,15 @@ class TestDeterminism:
         ),
         ("scat", "C3-square", 1): (
             "exact", 2, 2, 54, 0,
-            "cf0eb66fccd6434df9af891d2023807b132f8f73c569735489f23c94422e4659",
+            "a01832672dc7d3d774085449232e2201d4e4ed268c9b2f80759edd42c3eba4b2",
         ),
         ("scat", "torus", 1): (
             "budget-exhausted", 2, 2, 297, 10,
-            "5072edc960faf82f23e03892d8486350956c4dbc2015ba042003d443a4a4e168",
+            "f32e1c1ba1e4d9518d4c270b9a8f2776eaee5145f4ceeb9c91744f792201e9e4",
         ),
         ("scat", "tetrahedron-square", 1): (
             "budget-exhausted", 1, 2, 1804, 780,
-            "9738b30db33071fbe1900d3f3429c68b7f4a9c674fa6c0b11c0ce4bfc3b1da3f",
+            "3fdda0fdde72158123d2072149068a783761a95b5d08971b9d81d62475709c4c",
         ),
     }
 
@@ -308,9 +320,12 @@ class TestDeterminism:
     # lifted witnesses go through both retractions.  Re-recorded when heredity
     # began deciding classes without a checker call: the covers stayed, only
     # `checks` (torus 213 -> 108, RP2 123 -> 68) and so the bytes moved.
+    # Re-recorded when cone classes began to be certified through their
+    # apex's constant: only witness rows moved (steps per class: torus 7/6/6
+    # -> 2/6/6, RP2 6/5/4 -> 2/2/2).
     SCAT_PINNED = {
-        "torus": (2, 108, "e4c8641e6c36c4ac7fc51b3dab285a3d777d549f590775e54f31fbdd6f7086e1"),
-        "RP2": (2, 68, "ee3b83b09649a3077b7d7cb3000806100ebc55d26c2f4972e9175036cc84a75b"),
+        "torus": (2, 108, "631cae38da0f04581d2084ad615857bbdf27547c8b6696ef6f338e1ee6e7f3a7"),
+        "RP2": (2, 68, "16824117f299e427b28156e2309768bb42e14221cb02e77daf846c9440d94e2e"),
     }
     SURFACES = {"torus": corpusgen.TORUS7, "RP2": corpusgen.RP2_6}
 
@@ -342,7 +357,12 @@ class TestDeterminism:
 
     # sha256 of certificates of strongly collapsible complexes, whose class
     # queries have a one-vertex codomain core and so never walk the domain's
-    # retraction chain.  (name, certificate kind) -> digest.
+    # retraction chain.  (name, certificate kind) -> digest.  Every cone
+    # entry was re-recorded when cone classes began to be certified through
+    # their apex's constants (only witness rows moved): edge tc and scat keep
+    # 3 and 2 steps with other constants; triangle tc, is-farber and plan
+    # 5 -> 3, scat and is-categorical 3 -> 2; cone-C3 tc 7 -> 3, scat 4 -> 2.
+    # The point (one step either way) and abc-cd-def (no cone class) kept theirs.
     COLLAPSIBLE = {
         "point": [("a",)],
         "edge": [("a", "b")],
@@ -353,17 +373,17 @@ class TestDeterminism:
     COLLAPSIBLE_PINNED = {
         ("point", "tc"): "fa6d24c62d52fa80ded653e7e6825daf76af28fa61114b4316cae15c31b19423",
         ("point", "scat"): "41a9f964907091c15f4c3b185f76d70b892351076cc6760af7800576d72dfd37",
-        ("edge", "tc"): "b2f87b5eb48c2807fc8f97be905002f54b046fc392b84068e153fd8ce55f2482",
-        ("edge", "scat"): "3bcd7b599d266159dcd4d594cec4e13224f216f2be714498dd4b65381c31bca1",
-        ("triangle", "tc"): "47ab34a79f9c0e84337ccd953800877274b06ff27753f3c9d48cc8a0d23e7204",
-        ("triangle", "scat"): "9a0461ff1ed3538bcce75ad76daf4dd59361061fdfd7521c8018117e2ad60cdf",
+        ("edge", "tc"): "8ab1e0d06fd138ed3824379a7f512e86dd0ebf9ad6e99535ee44a5c92c5b0023",
+        ("edge", "scat"): "dfc891435e2d80bcd64692a6d76961cd0111af95a9694574386d1b9fd67d62d8",
+        ("triangle", "tc"): "f7b0b1bcad0ebb201e07c5b56b99be6615556b7b31026bb574ecc44c6dae5b92",
+        ("triangle", "scat"): "c77761c019b0041345a88f958accf82aa7c7bde5ebde731d30dc3bcf61559b5e",
         ("abc-cd-def", "tc"): "24880ffee4352950dc64530d7aaeb672d99bd7e4aed94e88c740a7742e273ed6",
         ("abc-cd-def", "scat"): "6b71ac9d9cecc5f306355475d5f643f6279bb802fffd287a4b03096d43f73d9f",
-        ("cone-C3", "tc"): "9006b31a7518181c05ccce86a14a8f0c24e8a54542aef74c0a9572d61708cbd7",
-        ("cone-C3", "scat"): "b0e97fe32c263d3060f326b82764e0e2f62188fc3b967d707babb7f7f4a46f26",
-        ("triangle", "is-farber"): "f7120cf06e255d12858f9422f45a458e8197af3c6c70e4d2bde9595e0a83e66d",
-        ("triangle", "is-categorical"): "5dfbba17ba5ad77d0f18efe72d34c3ec0899b4fd625530bd0a8a030be41362bd",
-        ("triangle", "plan"): "d6c57a38022b234c077dac1c327b5bb325a1133913defac9e95ec1b29af3de96",
+        ("cone-C3", "tc"): "1080a012da4ea84c442630f7da56c2d7318536bedbf10ef958d24b558cd26231",
+        ("cone-C3", "scat"): "60f76d83425f164afa9c0d1dc250bc3a4354778962a254e80b2d09aaecd9c765",
+        ("triangle", "is-farber"): "efdac3402fd053fa0d39b44eb7da955585fd7ef7dbc341c52c4deec13830ca36",
+        ("triangle", "is-categorical"): "1b1e6de78dbd57b42142fb1787642ae6ec7d6cd7a9e6f9de0fb653f0b369ecfa",
+        ("triangle", "plan"): "a25c48990c684472052f97f7be0be4c7c9dfcde855aa03faa8fdb675ba75e823",
     }
 
     @staticmethod
@@ -387,6 +407,23 @@ class TestDeterminism:
         assert verify_certificate(cert)[0]
         digest = self.digest(cert)
         assert digest == self.COLLAPSIBLE_PINNED[name, kind]
+
+
+class TestConeWitnessRows:
+    def test_hollow_triangle_farber_example_is_three_rows(self, boundary_triangle):
+        # omega = {a,b}^2 u {b,c}^2 is a cone at (b, b): pi1|omega, constant b, pi2|omega
+        K = boundary_triangle
+        P = categorical_square(K)
+        omega = admissibility("farber", K).from_labels(
+            [["a|a", "a|b", "b|a", "b|b"], ["b|b", "b|c", "c|b", "c|c"]]
+        )
+        cert = emit_membership("farber", K, omega, *is_farber(omega, P), DEFAULT_BUDGET)
+        assert verify_certificate(cert, recompute=True)[0]
+        pairs = [lab.split("|") for lab in cert["admissible"]["vertices"]]
+        assert cert["admissible"]["witness"] == [
+            [u for u, _ in pairs], ["b"] * len(pairs), [v for _, v in pairs]
+        ]
+        assert len(pairs) == 7
 
 
 def _join_rows(rows):
@@ -544,6 +581,29 @@ class TestMutationsRejected:
         ok, msgs = verify_certificate(cert)
         assert not ok
         assert msgs == ["witness does not end at a constant map"]
+
+    # A cone's witness passes through the constant at its apex's image; a vertex
+    # of the 4-cycle that is not adjacent to that image breaks the chain.
+    CONE_MEMBERSHIP = {
+        "farber": ("a|a a|b b|a b|b", "a", "c"),
+        "categorical": ("a b; b c", "b", "d"),
+    }
+
+    @pytest.mark.parametrize("kind", list(CONE_MEMBERSHIP))
+    def test_cone_constant_moved_off_the_apex(self, kind):
+        K = build_complex(corpusgen.CYCLE4)
+        rows, apex, far = self.CONE_MEMBERSHIP[kind]
+        A = admissibility(kind, K)
+        sub = A.from_labels([row.split() for row in rows.split(";")])
+        cert = emit_membership(kind, K, sub, *A.decide(sub, DEFAULT_BUDGET), DEFAULT_BUDGET)
+        assert verify_certificate(cert)[0]
+        witness = cert["admissible"]["witness"]
+        assert witness[1] == [apex] * len(witness[1])
+        assert not K.is_simplex(K.simplex_mask({apex, far}))
+        witness[1] = [far] * len(witness[1])
+        ok, msgs = verify_certificate(cert)
+        assert not ok
+        assert msgs == ["consecutive witness steps are not contiguous"]
 
     def test_witness_row_of_square_labels(self, boundary_triangle):
         """A row of pair labels such as a|b names vertices of K^2, not of K."""

@@ -172,7 +172,22 @@ class TestMembershipCommands:
         assert "error" in capsys.readouterr().err
 
     def test_unknown_verdict_exit_two(self, tmp_path, capsys):
-        # a minimal square complex forces a real search; budget 1 starves it
+        # the hollow triangle in the boundary of the 3-simplex is a cycle, not a
+        # cone, and H^1 of K is 0, so the homology rule cannot fire; budget 1
+        # starves the class query that finds its constant at the default budget
+        p = tmp_path / "tetrahedron.txt"
+        p.write_text("a b c\na b d\na c d\nb c d\n")
+        code = main(["is-categorical", str(p), "--sub", "a b; b c; a c", "--budget", "1"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "categorical: unknown" in out
+        assert main(["is-categorical", str(p), "--sub", "a b; b c; a c"]) == 0
+        assert "categorical: yes" in capsys.readouterr().out
+
+    def test_homology_rule_answers_no_when_the_budget_runs_out(self, tmp_path, capsys):
+        # three facets of the hollow triangle's square hold a cycle that the
+        # inclusion carries onto a generator of H^1; budget 1 starves the class
+        # query, and the homology rule on the class's facets gives a sound "no"
         import simplicial_tc as stc
 
         K = stc.parse_complex(BOUNDARY)
@@ -184,10 +199,11 @@ class TestMembershipCommands:
         p = tmp_path / "square.txt"
         p.write_text("\n".join(" ".join(f) for f in relabeled) + "\n")
         sub = ";".join(" ".join(f) for f in relabeled[:3])
-        code = main(["is-categorical", str(p), "--sub", sub, "--budget", "1"])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "categorical: unknown" in out
+        cert = tmp_path / "cert.json"
+        code = main(["is-categorical", str(p), "--sub", sub, "--budget", "1", "-o", str(cert)])
+        assert code == 0
+        assert "categorical: no" in capsys.readouterr().out
+        assert main(["verify", str(cert), "--recompute"]) == 0
 
 
 class TestPlanCommand:

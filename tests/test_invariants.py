@@ -1,10 +1,12 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplicial_tc import (
+    AdmissibleSet,
     InvalidInput,
     Status,
     Verdict,
@@ -12,6 +14,9 @@ from simplicial_tc import (
     categorical_square,
     class_constant_witness,
     diagonal,
+    edge_path,
+    embedding_ids,
+    emit_membership,
     identity_map,
     inclusion_map,
     is_categorical,
@@ -27,6 +32,7 @@ from simplicial_tc import (
     subcomplex,
     tc,
     validate_motion_plan,
+    verify_certificate,
     compose,
 )
 from simplicial_tc import invariants
@@ -1481,3 +1487,78 @@ class TestHomologyRule:
         res = (tc if kind == "tc" else scat)(build_complex(_NAMED[name]))
         assert res.status is Status.EXACT
         assert (len(calls), res.checks) == (bfs_calls, checks)
+
+
+class TestConeWitness:
+    """A class whose facets share a vertex w is certified through constants at the images of w.
+
+    Each map f on a cone is contiguous to the constant at f(w), so the
+    witness runs A's start map, the constant at fa, the constants along an
+    edge path to ga and A's end map, where (fa, ga) = A.images(w), with no
+    class query.  reference.class_query is the class-query route such a
+    class took before, kept as the oracle.
+    """
+
+    @staticmethod
+    def no_class_query():
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cone class ran a class query")
+
+        return mock.patch.multiple(
+            invariants, same_contiguity_class=refuse, class_constant_witness=refuse
+        )
+
+    @staticmethod
+    def certificate_ok(A, K, adm):
+        cert = emit_membership(A.kind, K, adm.omega, Verdict.YES, adm, DEFAULT_BUDGET)
+        return verify_certificate(cert, recompute=True) == (True, ["certificate OK"])
+
+    @staticmethod
+    def joins_endpoints(A, witness):
+        start, end = A.endpoints(embedding_ids(witness.first.domain, A.ambient))
+        last = witness.last
+        return witness.first.assignment == start and (
+            last.is_constant if end is None else last.assignment == end
+        )
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_tiny_cones_verify_and_agree_with_the_class_query(self, rng, farber):
+        K = corpusgen.random_complex(rng, max_vertices=5 if farber else 6, max_facets=4)
+        A = admissibility("farber" if farber else "categorical", K)
+        facets = A.ambient.facets
+        split = A.square.split_pairs if farber else 0  # split pairs fail the component rule
+        w = rng.choice([v for v in range(A.ambient.n_vertices) if not split >> v & 1])
+        star = [i for i, m in enumerate(facets) if m >> w & 1]
+        mask = sum(1 << i for i in rng.sample(star, rng.randint(1, len(star))))
+        with self.no_class_query():
+            verdict, adm = A.decide(mask, DEFAULT_BUDGET)
+        assert verdict is Verdict.YES
+        assert self.joins_endpoints(A, adm.witness)
+        fa, ga = A.images(invariants._apex([facets[i] for i in ids_from_mask(mask)]))
+        farthest = len(edge_path(K, fa, ga)) + 2 if farber else 2
+        assert len(adm.witness) <= farthest
+        assert self.certificate_ok(A, K, adm)
+        sub, oracle = reference.class_query(A, mask)
+        assert sub == adm.omega
+        assert oracle.verdict is Verdict.YES
+        assert self.joins_endpoints(A, oracle.witness)
+        assert self.certificate_ok(A, K, AdmissibleSet(A.kind, sub, oracle.witness))
+
+    # A 4-cycle through two triangles: tc certifies a cone class here whose
+    # "yes" came from heredity, inside a checked class that is no cone.
+    THICK_CYCLE = [("a", "c", "d"), ("a", "c", "e"), ("b", "d"), ("b", "e")]
+
+    @pytest.mark.parametrize("kind", ["farber", "categorical"])
+    def test_cover_cones_certified_from_their_own_apex(self, kind):
+        # a class whose "yes" came from heredity gets the cone witness too, not a restricted one
+        cones = 0
+        corpus = corpusgen.acceptance_corpus(corpusgen.ACCEPTANCE_SEED)[:20]
+        for K in [build_complex(self.THICK_CYCLE), *corpus]:
+            A = admissibility(kind, K)
+            for entry in (tc if kind == "farber" else scat)(K).cover or ():
+                if invariants._apex(entry.omega.facets) < 0:
+                    continue
+                cones += 1
+                with self.no_class_query():
+                    assert entry.witness == A.decide(entry.omega, DEFAULT_BUDGET)[1].witness
+        assert cones
