@@ -39,7 +39,9 @@ every smaller k, exhausted up to symmetry: a partition into k admissible
 classes has a least image, which is one too and is never cut.  It is the
 value when no verdict was undecided; otherwise a strict pass (only checker
 "yes" classes pass) runs from that k up for the upper bound and a cover of
-checked "yes" classes.  `checks` counts checker calls.
+checked "yes" classes.  A facet alone is a cone, which the kind's "no"
+rules alone decide; one they rule out makes the complex not coverable.
+`checks` counts the search's checker calls.
 maximal_admissible_sets and min_cover (enumerate every maximal admissible
 set, then set-cover them) remain as standalone tools: the first takes the
 same verdict-only facet-mask check and the same _Heredity and returns
@@ -643,33 +645,34 @@ def _cover_invariant(
     of facet i); it is asked for only once the search reaches k = 2.  check
     takes a facet mask (bit i is facet i); certify takes a class's mask and
     a mask the checker answered "yes" that contains it (the class itself
-    when it was checked), and certifies the class.  Checker verdicts are
-    memoised by facet mask for this one call, and `checks` counts checker
-    calls.  Only the k returned classes are certified.
+    when it was checked or holds one facet), and certifies the class.
+    Checker verdicts are memoised by facet mask for this one call, and
+    `checks` counts checker calls.  Only the k returned classes are
+    certified.
 
     The search visits only lex-leaders (_LexLeader): before a class is
     checked, a partial partition that a permutation from plan() maps to a
     smaller one in the search's own order is cut.  Any subset of the
     symmetries would do.
 
-    A facet whose singleton class is "no" lies in no admissible set, so the
-    complex is not coverable.  Otherwise one optimistic pass, where undecided
-    ("unknown") classes pass and heredity (_Heredity) decides a class inside
-    a checked "yes" or holding a checked "no" with no checker call, finds
-    the smallest k that succeeds.  Every smaller k was searched exhaustively
-    up to symmetry, the lower-bound proof: if the facets split into k truly
+    Every facet alone must be admissible (the caller rules out the rest
+    first), and a class of one facet is never checked.  One optimistic
+    pass, where undecided ("unknown") classes pass and heredity (_Heredity)
+    decides a class inside a checked "yes" or holding a checked "no" with no
+    checker call, finds the smallest k that succeeds.  Every smaller k was
+    searched exhaustively up to symmetry, the lower-bound proof: if the facets split into k truly
     admissible classes, the least image of that partition is such a split
     too and is never cut, neither as a leader nor by a "no" (sound, checked
     or by heredity).  With no verdict undecided, k gives the value, and since
     verdicts then agree on symmetric classes, the cover is the one the
     unpruned search returns.  Else the result is budget-exhausted, and a
     strict pass (only checker "yes" classes pass) runs from that k up for
-    the upper bound and cover (None if none).  Its verdicts need not agree on
-    symmetric classes, so its cut may skip a cover the unpruned search
-    finds; the result stays sound, as every class it keeps is a checked
-    "yes".  The all-singleton partition (the word 0, 1, ..., n - 1) is its
-    own image under every permutation, so when every facet alone is a "yes"
-    this pass ends with a cover.
+    the upper bound and cover.  Its verdicts need not agree on symmetric
+    classes, so its cut may skip a cover the unpruned search finds; the
+    result stays sound, as every class it keeps is a checked "yes" or a
+    single facet.  The all-singleton partition (the word 0, 1, ..., n - 1)
+    needs no check and is its own image under every permutation, so both
+    passes end with a cover by k = n_facets.
     """
     memo: dict[int, Verdict] = {}
     known = _Heredity()
@@ -739,35 +742,25 @@ def _cover_invariant(
             j = 0
         return classes
 
-    def result(status: Status, lower=None, upper=None, classes=None) -> InvariantResult:
-        cover = None
-        if classes is not None:
-            cover = tuple(
-                certify(m, m if memo.get(m) is Verdict.YES else known.container(m)) for m in classes
-            )
+    def result(status: Status, lower: int, upper: int, classes: list[int]) -> InvariantResult:
+        cover = tuple(  # a class of one facet was never checked, and vouches for itself
+            certify(m, m if m & (m - 1) == 0 or memo.get(m) is Verdict.YES else known.container(m))
+            for m in classes
+        )
         value = lower if status is Status.EXACT else None
         unknown_sets = tuple(frozenset(ids_from_mask(m)) for m in unknown)
         return InvariantResult(value, lower, upper, status, cover, (), unknown_sets, len(memo))
 
-    # These checks bypass heredity: no later mask lies inside a singleton or
-    # holds the full set, and "yes" singletons would only lengthen the
-    # antichain every later verdict scans.
-    if checked(full) is not Verdict.YES and any(  # a "yes" full set has "yes" singletons
-        checked(1 << i) is Verdict.NO for i in range(n_facets)
-    ):
-        return result(Status.NOT_COVERABLE)
-    # Every singleton passes optimistically, so k = n_facets succeeds; an
-    # optimistic k that fails also fails strictly.
+    # Both passes end by k = n_facets; an optimistic k that fails also fails strictly.
     lower_k = 1
     while (classes := partition(lower_k, optimistic)) is None:
         lower_k += 1
     if not unknown:  # every verdict met was decided, so every class is a "yes"
         return result(Status.EXACT, lower_k - 1, lower_k - 1, classes)
-    for k in range(lower_k, n_facets + 1):
-        classes = partition(k, strict)
-        if classes is not None:
-            return result(Status.BUDGET_EXHAUSTED, lower_k - 1, k - 1, classes)
-    return result(Status.BUDGET_EXHAUSTED, lower_k - 1)
+    k = lower_k
+    while (classes := partition(k, strict)) is None:
+        k += 1
+    return result(Status.BUDGET_EXHAUSTED, lower_k - 1, k - 1, classes)
 
 
 def _walk_ranks(facets: Sequence[int]) -> list[int]:
@@ -969,7 +962,8 @@ def admissibility(kind: str, K: Complex) -> Admissibility:
 def _admissible_cover(A: Admissibility, budget: int) -> InvariantResult:
     """The cover search over the facets of A.ambient with A's admissibility check.
 
-    Checks hand A their facet mask and share one class-query memo, which
+    A facet alone is a cone, admissible unless A.rules_out rules it out:
+    then the complex is not coverable, with no checker call.  Checks hand A their facet mask and share one class-query memo, which
     lives as long as this call; the search places facets in A.search_order().
     Only the classes of the returned cover are built as complexes and
     certified, from their masks too.  A class whose "yes" came from heredity
@@ -978,6 +972,8 @@ def _admissible_cover(A: Admissibility, budget: int) -> InvariantResult:
     stop undecided, so it is certified by restricting the witness of the
     checked "yes" class that holds it.
     """
+    if any(A.rules_out([f], f) for f in A.ambient.facets):  # a facet in no admissible set
+        return InvariantResult(None, None, None, Status.NOT_COVERABLE, None, (), (), 0)
     memo: dict[frozenset[int], Verdict] = {}
 
     def check(mask: int) -> Verdict:

@@ -66,6 +66,35 @@ class TestRoundTrip:
         ok, msgs = verify_certificate(emit_core(K, c, seq))
         assert ok, msgs
 
+    # The path a b / b c collapsed to b, and the edge a b collapsed to a: a core
+    # is unique only up to isomorphism, and core() ends at c and at b.
+    CORES_ELSEWHERE = [
+        ([["a", "b"], ["b", "c"]], [["b"]], [["c", "b"], ["a", "b"]]),
+        ([["a", "b"]], [["a"]], [["b", "a"]]),
+    ]
+
+    @staticmethod
+    def core_cert(facets, end, steps):
+        complex_, core_ = {"facets": facets}, {"facets": end}
+        return {"format": FORMAT, "kind": "core", "complex": complex_, "core": core_, "steps": steps}
+
+    @pytest.mark.parametrize("facets, end, steps", CORES_ELSEWHERE)
+    def test_core_certificate_with_another_core_recomputes(self, facets, end, steps):
+        cert = self.core_cert(facets, end, steps)
+        assert core(build_complex(facets))[0].facet_label_sets() != tuple(map(tuple, end))
+        assert verify_certificate(cert, recompute=True) == (True, ["certificate OK"])
+
+    def test_recompute_rejects_a_core_of_another_size(self, monkeypatch):
+        from simplicial_tc import certificates
+
+        facets, end, steps = self.CORES_ELSEWHERE[0]
+        cert = self.core_cert(facets, end, steps)
+        two = build_complex([["x"], ["y"]])
+        monkeypatch.setattr(certificates, "core", lambda K: (two, None))
+        ok, msgs = verify_certificate(cert, recompute=True)
+        assert not ok
+        assert msgs == ["recompute: core changed"]
+
     def test_membership_certificates_accepted(self, boundary_triangle):
         K = boundary_triangle
         P = categorical_square(K)
@@ -216,22 +245,27 @@ class TestDeterminism:
     # 3/2 -> 2/2; C4 tc 15/19/10 -> 15/19/5, scat 4/2 (other constants); the
     # boundary tc 13/21/22 -> 13/4/4, scat 4/3 -> 2/2; C5 scat 5/2 (other
     # constants).  tc of C5 has no cone class, and its digest stayed.
+    # Every entry was re-recorded when the search stopped checking each facet
+    # alone before it starts (the kind's "no" rules decide coverability):
+    # only `checks` and so the bytes moved.  tc C3 27 -> 18, C4 200 -> 184,
+    # the boundary 78 -> 62, C5 57 -> 32; scat C3 5 -> 2, C4 7 -> 3, the
+    # boundary 7 -> 3, C5 9 -> 4.
     PINNED = {
         "C3": (
-            2, 27, "13b321655cbf8f89d4ddef4a89c4a299cb7c643ddfb5a16bff36e59ff724dfa8",
-            1, 5, "c00cf5b26e84b8c77cbf86dba3f22f91338cc3112c88235d695e8f8f4039664a",
+            2, 18, "3ad8d9df7a183c3475dee49a6f690f414feb7bbb3fe66bc6fab0bacc1e6a6391",
+            1, 2, "c2ade527a20cfc1dc05f93790790dd2481060d20ec61f2b4183286fab3e04f07",
         ),
         "C4": (
-            2, 200, "053c30956b3046a24aee5b2736e690a3a97a3a593512654a76b7de3188cd7e53",
-            1, 7, "9f44c5326915a34f4219fbdbaaa1751bc2fbba2644edb54e93ce1736deca07bd",
+            2, 184, "dd74d93ce8d535c577413df362fd4dd0205227729691817a4340a12a9c53ecfe",
+            1, 3, "561c784e3b664519ec59a1c9f675817bb29ac04999724ac6700b6a72e3b336ac",
         ),
         "boundary-tetrahedron": (
-            2, 78, "521c32c8c25b079849b25eb2113a624bff005c1d4b244f2ba099e6fab9c74717",
-            1, 7, "2b064d0466b065fda8bc6e1232a7d9ba81be541102ef6a9fd6539c57b13d2a4e",
+            2, 62, "bbd2af76bbc808ba51662e19f7b53bfabc5448f2f0dc13c5d6c4276a341e2657",
+            1, 3, "d5fcddfce706630ad628f7dba0d5865c828eb01d4baaaf46e0b5626d02a78f07",
         ),
         "C5": (
-            1, 57, "a55c70b6a14da45ebb934b8b9c40c03506203e87e3b92921e0c6b84d315f1b2b",
-            1, 9, "f0c44840702c968882e0d905758bf062e0825ce477818b8fdfbdf35be847a940",
+            1, 32, "bb5cf5f0ae6a82ff25cbaa4d64455182522379f7b6bdbdf27c65314d623f56e0",
+            1, 4, "37a367b8ee39db62793452dbb32161fec7e3a64b6cbdf266bdc2d3607326f178",
         ),
     }
     FACETS = {
@@ -274,30 +308,35 @@ class TestDeterminism:
     # witness rows moved.  Steps per class: C4 at 1 and 8 15/19/10 -> 15/19/5,
     # C3-square 9/8/7 -> 2/2/2, torus 7/7/6 -> 7/7/2, tetrahedron-square
     # 16/15/14 -> 2/2/2.
+    # Every entry was re-recorded when the search stopped checking each facet
+    # alone before it starts: only `checks` and so the bytes moved (C4 at 1
+    # 203 -> 187, at 8 200 -> 184, C5 57 -> 32, C3-square 54 -> 45, torus
+    # 297 -> 283, tetrahedron-square 1804 -> 1788); bounds and unknown
+    # counts stayed.
     BUDGET_PINNED = {
         ("tc", "C4", 1): (
-            "budget-exhausted", 2, 2, 203, 25,
-            "f184b3a7135c715c22be747e1ab891ca8ffe0347cc8e98645e10bfeb46e405c5",
+            "budget-exhausted", 2, 2, 187, 25,
+            "b995cb315fbf8a4c800ae0e7b7838cdabda7c7ec05a6c68a68cb47944637197b",
         ),
         ("tc", "C4", 8): (
-            "budget-exhausted", 2, 2, 200, 12,
-            "4fc868b2f72a76b6769d1b4ca59579dd829ca4bbd675fc63203c8af271b87de1",
+            "budget-exhausted", 2, 2, 184, 12,
+            "ea7eaafa8b30fe7de2deb4a29daaeff546d82e54e023f9309b6e42a009c8c0be",
         ),
         ("tc", "C5", 32): (
-            "exact", 1, 1, 57, 0,
-            "f36051cf28848ff1c5216d73e531ab6081dc490d4d79122c64e6a2804bfa36ad",
+            "exact", 1, 1, 32, 0,
+            "772ac4c21038864b88a2b68c9e77e32624efa29a4fa72ce22b243674e228ca32",
         ),
         ("scat", "C3-square", 1): (
-            "exact", 2, 2, 54, 0,
-            "a01832672dc7d3d774085449232e2201d4e4ed268c9b2f80759edd42c3eba4b2",
+            "exact", 2, 2, 45, 0,
+            "00996951c977ff3c548b8e212da2397c7f1442c8f92c44151ba02f4066a7a2e5",
         ),
         ("scat", "torus", 1): (
-            "budget-exhausted", 2, 2, 297, 10,
-            "f32e1c1ba1e4d9518d4c270b9a8f2776eaee5145f4ceeb9c91744f792201e9e4",
+            "budget-exhausted", 2, 2, 283, 10,
+            "bf8d71c870486decce9ec6a765519767e9afc12738cb42fed5ee0c226e5b3053",
         ),
         ("scat", "tetrahedron-square", 1): (
-            "budget-exhausted", 1, 2, 1804, 780,
-            "3fdda0fdde72158123d2072149068a783761a95b5d08971b9d81d62475709c4c",
+            "budget-exhausted", 1, 2, 1788, 780,
+            "ab7df6a8a46e4365d493b3d8eed54480b118a6e6b56a4da92e05388f88042ae1",
         ),
     }
 
@@ -323,9 +362,11 @@ class TestDeterminism:
     # Re-recorded when cone classes began to be certified through their
     # apex's constant: only witness rows moved (steps per class: torus 7/6/6
     # -> 2/6/6, RP2 6/5/4 -> 2/2/2).
+    # Re-recorded when the search stopped checking each facet alone before it
+    # starts: only `checks` (torus 108 -> 94, RP2 68 -> 58) and the bytes moved.
     SCAT_PINNED = {
-        "torus": (2, 108, "631cae38da0f04581d2084ad615857bbdf27547c8b6696ef6f338e1ee6e7f3a7"),
-        "RP2": (2, 68, "16824117f299e427b28156e2309768bb42e14221cb02e77daf846c9440d94e2e"),
+        "torus": (2, 94, "4cde3cd9a21fe58165f3d5949e0925c63ae0a75ed4ec14b88a34e5be3773010e"),
+        "RP2": (2, 58, "2eafdebe0600152731a3b0edbd990e7633c9f37257c7a71a200bfc52ade36a17"),
     }
     SURFACES = {"torus": corpusgen.TORUS7, "RP2": corpusgen.RP2_6}
 
@@ -661,11 +702,16 @@ class TestMutationsRejected:
         ok, msgs = verify_certificate({**cert, "unknown_subsets": 0})
         assert not ok
         assert "no undecided subsets" in msgs[0]
-        # a full set can be undecided before a singleton is a "no"
+        # the kind's "no" rules decide coverability with no checker call
         K = build_complex([{"a"}, {"b"}])
         cert = emit_tc(K, tc(K), DEFAULT_BUDGET)
-        assert cert["status"] == "not-coverable"
-        assert verify_certificate({**cert, "unknown_subsets": 1})[0]
+        assert (cert["status"], cert["checks"], cert["unknown_subsets"]) == ("not-coverable", 0, 0)
+        ok, msgs = verify_certificate({**cert, "unknown_subsets": 1})
+        assert not ok
+        assert "more undecided subsets than checks" in msgs[0]
+        # earlier releases checked the full set before the singletons, and it
+        # could be undecided: such certificates still verify
+        assert verify_certificate({**cert, "checks": 3, "unknown_subsets": 1})[0]
 
     @staticmethod
     def _source_cert(source, K):

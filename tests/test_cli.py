@@ -217,6 +217,18 @@ class TestPlanCommand:
     def test_plan_unknown_vertex(self, boundary_file, capsys):
         assert main(["plan", boundary_file, "--from", "a", "--to", "z"]) == 1
 
+    def test_plan_without_a_cover_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "edges.txt"
+        p.write_text("a b\nc d\n")
+        assert main(["plan", str(p), "--from", "a", "--to", "c"]) == 1
+        assert "no Farber cover exists" in capsys.readouterr().err
+
+    def test_plan_under_an_exhausted_budget_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "c5.txt"
+        p.write_text("".join(f"{' '.join(f)}\n" for f in corpusgen.CYCLE5))
+        assert main(["plan", str(p), "--from", "a", "--to", "c", "--budget", "1"]) == 2
+        assert capsys.readouterr().out == "path: a b c\n"
+
 
 class TestVerifyCommand:
     def test_round_trip(self, boundary_file, tmp_path, capsys):

@@ -752,17 +752,23 @@ class TestPartitionSearch:
         sizes = [rng.randint(1, n) for _ in range(rng.randint(1, most))]
         return [frozenset(rng.sample(range(n), size)) for size in sizes]
 
+    @staticmethod
+    def covering(family, n):
+        """family with the singleton of each facet it leaves out: every facet alone passes.
+
+        _cover_invariant asks this of its check; tc and scat rule out the
+        rest before the search (TestCoverability).
+        """
+        return family + [frozenset({i}) for i in range(n) if not any(i in S for S in family)]
+
     def test_matches_min_cover_on_random_families(self):
         rng = random.Random(17)
         for _ in range(200):
             n = rng.randint(1, 7)
-            maximal = self.random_family(rng, n, 5)
+            maximal = self.covering(self.random_family(rng, n, 5), n)
             res = _cover_invariant(n, self.family_check(maximal), self.certify, _index_order(n))
             chosen = min_cover(n, maximal)
             assert res.maximal == () and res.unknown_sets == ()
-            if chosen is None:
-                assert res.status is Status.NOT_COVERABLE and res.cover is None
-                continue
             assert res.status is Status.EXACT
             assert res.value == res.lower_bound == res.upper_bound == len(chosen) - 1
             classes = list(res.cover)
@@ -801,14 +807,8 @@ class TestPartitionSearch:
 
         res = _cover_invariant(3000, check, self.certify, _index_order(3000))
         assert res.status is Status.EXACT and res.value == 1
-        assert res.checks == 6000  # full set, 3000 singletons, {0, 1}, then 2998 joins
+        assert res.checks == 3000  # full set, {0, 1}, then 2998 joins
         assert res.cover == (frozenset({0} | set(range(2, 3000))), frozenset({1}))
-
-    def test_singleton_no_is_not_coverable(self):
-        maximal = [frozenset({0, 1}), frozenset({1, 2})]  # facet 3 lies in no set
-        res = _cover_invariant(4, self.family_check(maximal), self.certify, _index_order(4))
-        assert res.status is Status.NOT_COVERABLE
-        assert res.value is None and res.lower_bound is None and res.cover is None
 
     def test_corpus_matches_the_enumerate_then_cover_pipeline(self):
         from simplicial_tc import emit_scat, emit_tc, verify_certificate
@@ -833,6 +833,64 @@ class TestPartitionSearch:
         a, b = tc(K), tc(K)
         assert a.checks == b.checks
         assert dumps(emit_tc(K, a, DEFAULT_BUDGET)) == dumps(emit_tc(K, b, DEFAULT_BUDGET))
+
+
+class TestCoverability:
+    """tc and scat decide coverability from the kind's "no" rules, and `checks` counts the search.
+
+    A facet alone is a simplex, so a cone: the checker answers it from those
+    rules alone, and _admissible_cover asks them once per facet before the
+    search, which never checks a one-facet class.
+    """
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checker call decided coverability")
+
+    @pytest.mark.parametrize(
+        "facets",
+        [[{"a", "b"}, {"c", "d"}], [{"a"}, {"b"}], [{"a", "b"}, {"b", "c"}, {"z"}]],
+        ids=["two-edges", "two-points", "path-and-point"],
+    )
+    def test_a_facet_ruled_out_alone_is_not_coverable_with_no_check(self, facets):
+        K = build_complex(facets)
+        with mock.patch.object(invariants, "is_farber", self.refuse):
+            res = tc(K, budget=1)
+        assert (res.status, res.checks, res.unknown_sets) == (Status.NOT_COVERABLE, 0, ())
+        assert res.value is res.lower_bound is res.upper_bound is res.cover is None
+        assert scat(K).status is Status.EXACT  # each facet alone is categorical
+
+    @pytest.mark.parametrize(
+        "name, budget",
+        [("C3", DEFAULT_BUDGET), ("C4", DEFAULT_BUDGET), ("C4", 1), ("C5", DEFAULT_BUDGET)]
+        + [("boundary-tetrahedron", DEFAULT_BUDGET), ("torus", 1)],
+    )
+    def test_no_check_on_a_single_facet(self, monkeypatch, name, budget):
+        K = build_complex(_NAMED[name])
+        checked = []
+        for checker in ("is_farber", "is_categorical"):
+            real = getattr(invariants, checker)
+
+            def wrapped(sub, *args, real=real, **kwargs):
+                if not kwargs.get("want_witness", True):  # a check; certification asks for a witness
+                    checked.append(sub)
+                return real(sub, *args, **kwargs)
+
+            monkeypatch.setattr(invariants, checker, wrapped)
+        for invariant in (tc, scat) if name != "torus" else (scat,):
+            checked.clear()
+            res = invariant(K, budget=budget)
+            assert res.status is not Status.NOT_COVERABLE
+            assert len(checked) == res.checks > 0
+            assert all(mask.bit_count() > 1 for mask in checked), (name, invariant)
+
+    def test_checks_count_the_search_alone(self):
+        """C4 and C16 need 184 and 292 checks; one per K^2 facet alone came on top before."""
+
+        def cycle(n):
+            return build_complex([(f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+
+        assert [tc(cycle(n)).checks for n in (4, 16)] == [184, 292]
 
 
 def _index_order(n):
@@ -887,8 +945,7 @@ class TestIndexOrderOracle:
         n = rng.randint(1, 7)
         yes_sets = TestPartitionSearch.random_family(rng, n, 4)
         maybe_sets = TestPartitionSearch.random_family(rng, n, 4)
-        if rng.random() < 0.7:  # mostly coverable
-            maybe_sets += [frozenset({i}) for i in range(n)]
+        maybe_sets += [frozenset({i}) for i in range(n)]  # every facet alone passes
         check = self.banded_check(yes_sets, maybe_sets)
         certify = TestPartitionSearch.certify
         expected = reference.index_order_cover(n, check)
@@ -905,12 +962,10 @@ class TestIndexOrderOracle:
         if res.status is expected.status:
             assert _bounds(res) == _bounds(expected)
         else:
-            assert Status.NOT_COVERABLE not in (res.status, expected.status)
             assert res.lower_bound == res.upper_bound
             assert (expected.lower_bound, expected.upper_bound) == (res.lower_bound,) * 2
-        if res.cover is not None:
-            assert sorted(i for S in res.cover for i in S) == list(range(n))
-            assert all(check(mask_from_ids(S)) is Verdict.YES for S in res.cover)
+        assert sorted(i for S in res.cover for i in S) == list(range(n))
+        assert all(check(mask_from_ids(S)) is Verdict.YES for S in res.cover)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=30)
@@ -958,7 +1013,6 @@ class TestIndexOrderOracle:
         family_check = TestPartitionSearch.family_check
         certify = TestPartitionSearch.certify
         _cover_invariant(3, family_check([frozenset({0, 1, 2})]), certify, order(3))
-        _cover_invariant(3, family_check([frozenset({0, 1})]), certify, order(3))  # facet 2 in none
         assert asked == []
         _cover_invariant(3, family_check([frozenset({0, 1}), frozenset({2})]), certify, order(3))
         assert asked == [3]
@@ -1020,6 +1074,44 @@ class TestIndexOrderOracle:
         assert _bounds(res) == _bounds(reference.index_order_invariant("farber", K, budget))
         ok, msgs = verify_certificate(emit_tc(K, res, budget))
         assert ok, msgs
+
+    def test_a_non_cone_class_in_a_checked_yes_gets_the_restricted_witness(self, monkeypatch):
+        """The container route of certification, on the square of the 4-cycle.
+
+        The four diagonal facets F x F form a Farber class with no common
+        vertex, and so do three of them: certify(three, four) restricts the
+        witness of the four to the three.
+        """
+        K = build_complex(corpusgen.CYCLE4)
+        captured, restricted = [], []
+        search, restrict_witness = invariants._cover_invariant, invariants.restrict_witness
+
+        def spy(n_facets, check, certify, order):
+            captured.append(certify)
+            return search(n_facets, check, certify, order)
+
+        def restricting(witness, sub):
+            restricted.append(sub)
+            return restrict_witness(witness, sub)
+
+        monkeypatch.setattr(invariants, "_cover_invariant", spy)
+        tc(K)
+        A = admissibility("farber", K)
+        r = len(K.facets)
+        diagonal = [i * r + i for i in range(r)]
+        four, three = mask_from_ids(diagonal), mask_from_ids(diagonal[:3])
+        for mask in (four, three):
+            assert invariants._apex([A.ambient.facets[i] for i in ids_from_mask(mask)]) < 0
+        monkeypatch.setattr(invariants, "restrict_witness", restricting)
+        adm = captured[0](three, four)
+        assert restricted == [adm.omega]
+        labels = A.ambient.facet_label_sets()
+        assert adm.omega.facet_label_sets() == tuple(labels[i] for i in diagonal[:3])
+        assert len(adm.witness) == 9
+        start, end = A.endpoints(embedding_ids(adm.omega, A.ambient))  # pi1|omega, pi2|omega
+        assert (adm.witness.first.assignment, adm.witness.last.assignment) == (start, end)
+        cert = emit_membership("farber", K, adm.omega, Verdict.YES, adm, DEFAULT_BUDGET)
+        assert verify_certificate(cert, recompute=True) == (True, ["certificate OK"])
 
 
 def _rgs_words(n, k):
@@ -1106,7 +1198,8 @@ class TestSymmetryPruning:
             return {frozenset(g[i] for i in S) for S in family for g in group}
 
         yes_sets = orbits(TestPartitionSearch.random_family(rng, n, 3))
-        maybe_sets = orbits(TestPartitionSearch.random_family(rng, n, 3) + [frozenset({0})])
+        singletons = [frozenset({i}) for i in range(n)]  # every facet alone passes
+        maybe_sets = orbits(TestPartitionSearch.random_family(rng, n, 3) + singletons)
         check = TestIndexOrderOracle.banded_check(yes_sets, maybe_sets)
         certify = TestPartitionSearch.certify
         order = rng.sample(range(n), n)
@@ -1469,10 +1562,13 @@ class TestHomologyRule:
         inclusion = inclusion_map(subcomplex(torus, meridian), torus)
         assert class_constant_witness(inclusion).verdict is Verdict.NO
 
-    # maps._bfs calls and checks of one call; without the rule the BFS ran 23, 11 and 25 times
-    ROUTES = [("scat", "torus", 1, 108), ("scat", "RP2", 0, 68), ("tc", "C4", 19, 200)]
+    # maps._bfs calls and checks of one call; without the rule the BFS ran 23, 11 and 25 times.
+    # The checks were 108, 68 and 200 while the search first checked each facet alone.
+    ROUTES = [("scat", "torus", 1, 94), ("scat", "RP2", 0, 58), ("tc", "C4", 19, 184)]
 
-    @pytest.mark.parametrize("kind, name, bfs_calls, checks", ROUTES)
+    @pytest.mark.parametrize(
+        "kind, name, bfs_calls, checks", ROUTES, ids=[f"{kind}-{name}" for kind, name, *_ in ROUTES]
+    )
     def test_bfs_calls_pinned(self, monkeypatch, kind, name, bfs_calls, checks):
         from simplicial_tc import maps
 
