@@ -7,19 +7,22 @@ types, nerves and collapses", 2012).  The core is the fixed point of greedy
 deletion; it is unique up to isomorphism whatever the deletion order, and
 collapsing to it preserves contiguity classes.
 
-One greedy loop (_greedy_collapse) runs on facet bitmasks: delete the
-lowest dominated vertex in favour of its lowest dominator and truncate the
-facets that held it.  Dominators come from one pass over the facets that
-ANDs each facet into the star intersection of every vertex it holds: for
-all vertices at the start, and after a deletion for the link of the deleted
-vertex only; `dominated_vertices` and `replay` use the same pass.  It takes
-bare masks, so the verdict-only checks of the cover search collapse a class
-in the ambient complex's vertex ids and build no `Complex` unless the core
-keeps several vertices (a class whose facets share a vertex is a cone and
-never reaches the loop).  On a complex the loop runs once, in
-maps._retraction_chain, whose record the class queries of `maps`, `core`,
-`is_strongly_collapsible` and `contraction_witness` read; only `core` builds
-the replayable `CollapseSequence`, which core certificates carry.
+One routine (_strong_collapse) runs on facet bitmasks and deletes in rounds.
+It keeps each vertex's star (a mask of facet indices) and star intersection
+(the AND of the facets in its star).  A round walks the dominated vertices
+in id order and takes v, with the lowest dominator u that the round has not
+taken, unless v is already a chosen dominator; so no vertex of a round is
+the dominator of another, and its steps replay one at a time.  Deleting the
+round truncates only the facets in its stars; a truncated facet inside
+another is dropped (the AND of its vertices' stars finds those), and star
+intersections are refreshed for the link alone.  The steps depend only on
+the relative order of the ids, so the verdict-only checks of the cover
+search collapse a class in the ambient complex's vertex ids and get the
+steps and core that the same class gets as a Complex.  On a complex it runs
+once, in maps._retraction_chain, whose record the class queries of `maps`,
+`core`, `is_strongly_collapsible` and `contraction_witness` read; only `core`
+builds the replayable `CollapseSequence`, which core certificates carry and
+`replay` checks one deletion at a time.
 """
 
 from __future__ import annotations
@@ -39,29 +42,26 @@ def dominated_vertices(K: Complex) -> list[tuple[int, int]]:
     return [(v, u) for v in range(K.n_vertices) for u in ids_from_mask(doms[v] & ~(1 << v))]
 
 
-def _drop_vertex(facets: list[int], v: int) -> tuple[list[int], int]:
-    """Facet antichain after deleting v, and the mask of v's link vertices.
+def _drop_vertex(facets: list[int], v: int) -> list[int]:
+    """Facet antichain after deleting v, for replay's one deletion at a time.
 
-    The link vertices are all that shared a facet with v.  Facets that held
-    v lose it and survive unless they now lie inside a facet that did not
-    hold v; two of them cannot nest, as the facets that held v were an
-    antichain.
+    Facets that held v lose it and survive unless they now lie inside a
+    facet that did not hold v; two of them cannot nest, as the facets that
+    held v were an antichain.
     """
     vbit = 1 << v
     untouched = [m for m in facets if not m & vbit]
     out = list(untouched)
-    link = 0
     for m in facets:
         if m & vbit:
             t = m ^ vbit
-            link |= t
             if t:
                 for k in untouched:
                     if t & ~k == 0:
                         break
                 else:
                     out.append(t)
-    return out, link
+    return out
 
 
 def _star_intersections(facets: Sequence[int], verts: int) -> dict[int, int]:
@@ -80,37 +80,94 @@ def _star_intersections(facets: Sequence[int], verts: int) -> dict[int, int]:
     return out
 
 
-def _greedy_collapse(facets: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], list[int]]:
-    """Delete the lowest-id dominated vertex (lowest dominator) until none remains.
+def _strong_collapse(facets: Sequence[int]) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Delete dominated vertices in rounds until none remains: (each round's steps, core facets).
 
     facets is a facet antichain whose vertex ids are the bits of its masks,
-    so it may live in any ambient numbering; deletions follow the relative
+    so it may live in any ambient numbering; the steps follow the relative
     order of the ids, so a complex and its image under an order-preserving
-    renumbering collapse step for step.  Returns the steps and the core's
-    facets.  doms[v] is the AND of the facets holding v, v itself included,
-    so v is dominated when it has a second bit.  One pass over the facets
-    fills it at the start; a deletion changes only the stars of the deleted
-    vertex's link, and one more pass refills just theirs.
+    renumbering collapse step for step.  doms[v] is the AND of the facets in
+    star[v], v itself included, so v is dominated when it has a second bit.
+    A round takes each dominated v in id order, unless v is the dominator of
+    a vertex it took, with the lowest dominator u it has not taken; each
+    step is (v, u).  Every facet holding v holds u, which the round keeps,
+    so its steps replay one at a time, and sending each v to its u is one
+    map contiguous to the identity.  Deleting the round leaves the maximal
+    truncations of the facets it touched: a truncation t is dropped when a
+    facet other than its own holds t (the AND of the stars of t's vertices)
+    and either comes first or is not truncated to t itself.  The entries of
+    deleted vertices go stale; no later round reads them.
     """
-    facets = list(facets)
-    doms = _star_intersections(facets, -1)
+    facets = list(facets)  # facet index -> mask, 0 once dropped
+    union = 0
+    for m in facets:
+        union |= m
+    star = [0] * union.bit_length()  # vertex -> mask of the indices of the facets holding it
+    doms = [-1] * union.bit_length()
+    bit = 1
+    for m in facets:
+        for w in ids_from_mask(m):
+            star[w] |= bit
+            doms[w] &= m
+        bit <<= 1
     dominated = 0  # the vertices whose doms entry has a bit besides their own
-    for v, d in doms.items():
+    for w in ids_from_mask(union):
+        d = doms[w]
         if d & (d - 1):
-            dominated |= 1 << v
-    steps: list[tuple[int, int]] = []
+            dominated |= 1 << w
+    rounds: list[list[tuple[int, int]]] = []
     while dominated:
-        vbit = dominated & -dominated
-        v = vbit.bit_length() - 1
-        d = doms.pop(v) ^ vbit
-        steps.append((v, (d & -d).bit_length() - 1))
-        facets, link = _drop_vertex(facets, v)
-        dominated ^= vbit
-        fresh = _star_intersections(facets, link)
-        doms.update(fresh)
-        for w, d in fresh.items():
-            dominated = dominated | 1 << w if d & (d - 1) else dominated & ~(1 << w)
-    return tuple(steps), facets
+        batch = chosen = 0
+        steps = []
+        for v in ids_from_mask(dominated):
+            vbit = 1 << v
+            if chosen & vbit:
+                continue
+            d = doms[v] & ~batch & ~vbit
+            if d:
+                u = d & -d
+                steps.append((v, u.bit_length() - 1))
+                batch |= vbit
+                chosen |= u
+        rounds.append(steps)
+        touched = 0
+        for v, _ in steps:
+            touched |= star[v]
+        keep = ~batch
+        link = 0
+        dropped = []
+        for i in ids_from_mask(touched):
+            t = facets[i] & keep
+            link |= t
+            holders = -1
+            for w in ids_from_mask(t):
+                holders &= star[w]
+            holders ^= 1 << i
+            if holders & ((1 << i) - 1):
+                dropped.append((i, t))
+                continue
+            for j in ids_from_mask(holders):
+                if facets[j] & keep != t:
+                    dropped.append((i, t))
+                    break
+        for i in ids_from_mask(touched):
+            facets[i] &= keep
+        for i, t in dropped:
+            facets[i] = 0
+            gone = ~(1 << i)
+            for w in ids_from_mask(t):
+                star[w] &= gone
+        dominated &= keep
+        for w in ids_from_mask(link):
+            d = -1
+            for j in ids_from_mask(star[w]):
+                d &= facets[j]
+            doms[w] = d
+            if d & (d - 1):
+                dominated |= 1 << w
+            else:
+                dominated &= ~(1 << w)
+    return rounds, [m for m in facets if m]
 
 
 @dataclass(frozen=True)
@@ -145,14 +202,14 @@ def replay(seq: CollapseSequence) -> Complex:
             raise InvalidInput(
                 f"step deletes {K.labels[v]!r} but it is not dominated by {K.labels[u]!r}"
             )
-        facets = _drop_vertex(facets, v)[0]
+        facets = _drop_vertex(facets, v)
         alive &= ~(1 << v)
     return _complex_on(K, facets) if seq.steps else K
 
 
 @lru_cache(maxsize=8192)
 def core(K: Complex) -> tuple[Complex, CollapseSequence]:
-    """The greedy core of K and its collapse sequence (replayed on construction)."""
+    """The strong-collapse core of K and its collapse sequence (replayed on construction)."""
     r = _retraction_chain(K)
     return r.core, CollapseSequence(K, r.core, r.steps)
 
@@ -190,10 +247,11 @@ def add_cone_facet(K: Complex, base_mask: int, new_label: str) -> Complex:
 def contraction_witness(K: Complex) -> ContiguityWitness | None:
     """Witness 1_K ~ constant when K is strongly collapsible, else None.
 
-    Each collapse step (delete v, dominated by u) induces the retraction
-    sending v to u and fixing everything else; the retraction is contiguous
-    to the identity, and composing the chain (maps._retraction_chain)
-    contracts the identity to the constant map at the core vertex.
+    Each round of the collapse (delete each v, dominated by its u) induces
+    the retraction sending each v to its u and fixing everything else; the
+    retraction is contiguous to the identity, and composing the chain
+    (maps._retraction_chain) contracts the identity to the constant map at
+    the core vertex.
     """
     r = _retraction_chain(K)
     if r.core.n_vertices != 1:

@@ -67,16 +67,19 @@ with a mask of the pairs that split components; the slice rule
 placed copies {a} x F or F x {b} of K's facets each lie in one of the
 facets, skipping the slices with a vertex outside their union.  For a
 verdict only, a class whose facets share a vertex is a cone and so a "yes"
-at once; otherwise a greedy strong collapse of the masks answers "yes" when
-one vertex survives, and else the core it leaves (collapses preserve
-contiguity classes; Barmak & Minian 2012) meets a third sound "no" rule,
-the homology rule: contiguous maps induce one map on H^1(-; F2), so a cycle
-of the core whose images under the two maps pair differently with a
-cocycle of K (Complex.cocycles) rules the class out with a few bitmask
-operations (_differs_on_homology).  The class query runs only on the cores
-that rule leaves, the only place a Complex is built.  The search passes a
-memo that lives for one tc/scat call and maps each core's facet set to its
-verdict, so checks with one core share one verdict.
+at once; otherwise a strong collapse of the masks in rounds
+(collapse._strong_collapse) answers "yes" when one vertex survives, and
+else the core it leaves (collapses preserve contiguity classes; Barmak &
+Minian 2012) meets a third sound "no" rule, the homology rule: contiguous
+maps induce one map on H^1(-; F2), so a cycle of the core whose images
+under the two maps pair differently with a cocycle of K (Complex.cocycles)
+rules the class out with a few bitmask operations (_differs_on_homology).
+The cores that rule leaves go to the verdict-only class query on masks
+(maps._class_verdict), which builds no Complex, map or witness; it runs
+the search that the class query of the class as a Complex would run, so a
+"yes" it gives certifies.  The search passes a memo that lives for one
+tc/scat call and maps each core's facet set to its verdict, so checks with
+one core share one verdict.
 
 Witnesses are built only for the classes of the cover that is returned,
 for certificates, and for the membership and plan commands, by one of two
@@ -99,7 +102,7 @@ from enum import Enum
 from typing import Callable, ClassVar, Sequence
 
 # contraction_witness and witness_between_constants are unused here; e2ebench/tracing.py patches them.
-from .collapse import _greedy_collapse, contraction_witness, is_strongly_collapsible
+from .collapse import _strong_collapse, contraction_witness, is_strongly_collapsible
 from .complexes import (
     Complex,
     _complex_on,
@@ -119,6 +122,7 @@ from .maps import (
     ContiguityWitness,
     SimplicialMap,
     Verdict,
+    _class_verdict,
     _unchecked_map,
     check_budget,
     class_constant_witness,
@@ -280,25 +284,26 @@ def _cone_witness(
 
 
 def _core_verdict(A: Admissibility, facets: list[int], budget: int, memo: _Memo | None) -> Verdict:
-    """The verdict on the greedy core of facets (A.ambient ids): homology "no", or class query.
+    """The verdict on the collapsed core of facets (A.ambient ids): homology "no", or class query.
 
     Facets with a common vertex span a cone, which strongly collapses to its
     apex, so that is a "yes" before any collapse runs.  Otherwise the core is
     a strong deformation retract, so restricting the maps to it keeps their
-    contiguity class, and the class query would reduce the subcomplex to
-    this same core anyway.  A one-vertex core is a "yes".  Any other core
-    first meets the homology rule: A.images(v) gives the two maps' images
-    in K of each ambient vertex v, and a cycle of the core on which they
-    differ against a cocycle of K (K.cocycles, built at the first core that
-    gets here) is a sound "no" (_differs_on_homology).  Otherwise the core
-    is built as a Complex and handed to A.query with the ambient id of each
-    of its vertices.  memo, when given, maps a core's facet set to the
-    verdict found for it by either route, so checks that reduce to one core
-    share one verdict.
+    contiguity class.  A one-vertex core is a "yes".  Any other core first
+    meets the homology rule: A.images(v) gives the two maps' images in K of
+    each ambient vertex v, and a cycle of the core on which they differ
+    against a cocycle of K (K.cocycles, built at the first core that gets
+    here) is a sound "no" (_differs_on_homology).  Otherwise the core's
+    masks and the two ends A.endpoints gives on its vertices go to the
+    verdict-only class query (maps._class_verdict), which builds no Complex:
+    the class query of the class as a Complex collapses it to this same
+    core, in the same vertex order, so both searches are one search.  memo,
+    when given, maps a core's facet set to the verdict found for it by
+    either route, so checks that reduce to one core share one verdict.
     """
     if _apex(facets) >= 0:
         return Verdict.YES
-    core = _greedy_collapse(facets)[1]
+    core = _strong_collapse(facets)[1]
     if len(core) == 1 and core[0].bit_count() == 1:
         return Verdict.YES
     key = frozenset(core)
@@ -307,8 +312,8 @@ def _core_verdict(A: Admissibility, facets: list[int], budget: int, memo: _Memo 
         if _differs_on_homology(core, A.base.cocycles, A.images):
             verdict = Verdict.NO
         else:
-            dom = _complex_on(A.ambient, core)
-            verdict = A.query(dom, ids_from_mask(union_mask(core)), budget).verdict
+            start, end = A.endpoints(ids_from_mask(union_mask(core)))
+            verdict = _class_verdict(core, start, end, A.base, budget).verdict
         if memo is not None:
             memo[key] = verdict
     return verdict
@@ -321,9 +326,9 @@ def _decide(
 
     sub is a subcomplex of A.ambient, or a facet mask of it (bit i is facet
     i).  A's sound "no" rules run first (A.rules_out).  With want_witness
-    False only the verdict is computed, on the greedy core (_core_verdict,
-    where the homology rule may answer "no" and memo may carry the verdicts
-    of earlier checks).  Otherwise a "yes" carries its witness, a chain of
+    False only the verdict is computed, on the strong-collapse core
+    (_core_verdict, where the homology rule may answer "no" and memo may
+    carry the verdicts of earlier checks).  Otherwise a "yes" carries its witness, a chain of
     maps sub -> K between the two ends A.endpoints gives: a cone (facets
     sharing a vertex) is a "yes" whose witness runs through the constants
     at its apex's images (_cone_witness), and any other sub goes to A's
@@ -370,10 +375,11 @@ def is_farber(
     otherwise the class query, exact without search when omega strongly
     collapses to a point).  Its witness, pi1|omega ~ pi2|omega in K, is the
     certificate.
-    With want_witness=False only the verdict is computed, on the greedy
-    core of omega, where the homology rule (see _core_verdict) may answer
-    "no" before the class query, and memo may carry the verdicts of earlier
-    checks; search layers use this and re-certify the sets they keep.
+    With want_witness=False only the verdict is computed, on the
+    strong-collapse core of omega, where the homology rule (see
+    _core_verdict) may answer "no" before the class query, and memo may
+    carry the verdicts of earlier checks; search layers use this and
+    re-certify the sets they keep.
     """
     return _decide(FarberAdmissibility(P.product, P.base, P), omega, budget, want_witness, memo)
 
@@ -394,8 +400,8 @@ def is_categorical(
     the inclusion's class for a constant map, and when sub strongly
     collapses to a point the reduced inclusion is already constant, and the
     witness is the lifted retraction chain.  With want_witness=False only
-    the verdict is computed, on the greedy core of sub, with the homology
-    rule and memo as in is_farber.
+    the verdict is computed, on the strong-collapse core of sub, with the
+    homology rule and memo as in is_farber.
     """
     return _decide(CategoricalAdmissibility(K, K), sub, budget, want_witness, memo)
 

@@ -15,14 +15,26 @@ A class query whose domain strongly collapses to a point needs no search: it
 is exact and spends no budget (maps from a point are joined exactly when
 their images are joined by an edge path).
 
+Every class query is decided by one body (_class_search) on the maps
+between the strong-collapse cores (_CoreSpace).  The cover search's
+verdict-only checks hand it a core as facet masks (_class_verdict), and
+build no Complex, map or witness; same_contiguity_class and
+class_constant_witness reduce their maps to the cores, run the same body,
+and lift a "yes" into a witness.  A class and its core give one search, as
+the core is collapsed in rounds that follow only the relative order of the
+vertex ids.
+
 Class-query witnesses, and so the witnesses of every admissible set that
 is not a cone, come from one route: a path found among the maps between
 the strong-collapse cores is lifted back through the retraction chains of
 domain and codomain (_ClassQuery.build_witness) and validated once.  (A
 cone, whose facets share a vertex, needs no query: invariants chains its
-maps through the constants at the apex's images.)  Both chains, the cores and
-their vertex ids come from one record per complex (_retraction_chain), which
-collapse.core, is_strongly_collapsible and contraction_witness read too.
+maps through the constants at the apex's images.)  A chain holds one
+retraction per round of the collapse, each contiguous to the identity, so
+it is as long as the rounds, not the deletions.  Both chains, the cores
+and their vertex ids come from one record per complex (_retraction_chain),
+which collapse.core, is_strongly_collapsible and contraction_witness read
+too.
 When the codomain's core is one vertex, every map into it lies in one
 class, so the domain is not reduced at all: its chain, composed with the
 constant retraction, would add only constant steps, which the witness drops
@@ -48,7 +60,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from ._kernels import pure
 from .complexes import (
@@ -326,39 +338,43 @@ def _path_from_parents(parents: dict[bytes, bytes | None], hit: bytes) -> list[b
 
 @dataclass(frozen=True)
 class Reduction:
-    """K's greedy strong-collapse reduction (see _retraction_chain)."""
+    """K's strong-collapse reduction (see _retraction_chain)."""
 
     core: Complex
-    steps: tuple[tuple[int, int], ...]  # (deleted v, dominator u), ids of K
-    chain: tuple[tuple[int, ...], ...]  # identity -> full retraction, self-maps of K
+    steps: tuple[tuple[int, int], ...]  # (deleted v, dominator u), ids of K, one deletion at a time
+    chain: tuple[tuple[int, ...], ...]  # identity -> full retraction, one self-map of K per round
     core_ids: tuple[int, ...]  # id in K of each core vertex
     retraction: tuple[int, ...]  # chain[-1] in core ids
 
 
 @lru_cache(maxsize=64)
 def _retraction_chain(K: Complex) -> Reduction:
-    """The one record of K's strong-collapse reduction, from one greedy collapse.
+    """The one record of K's strong-collapse reduction, from one collapse in rounds.
 
-    chain[i + 1] is chain[i] followed by the retraction of step i (the
-    deleted vertex to its dominator), so consecutive maps are contiguous.
-    The function keeps the name of the chain it once returned, and its
-    cache, because the benchmark (e2ebench/sweep.py) clears it by name.
-    A record is reused while its complex is worked on (the class queries of
-    one tc or scat call keep asking for K's), so a few recent ones suffice;
-    a larger cache gains no hits on the benchmark workloads.
+    chain[i + 1] is chain[i] followed by the retraction of round i, which
+    sends each deleted vertex to its dominator; no dominator of a round is
+    deleted in it, so that map is contiguous to the identity and consecutive
+    maps of the chain are contiguous.  The function keeps the name of the
+    chain it once returned, and its cache, because the benchmark
+    (e2ebench/sweep.py) clears it by name.  A record is reused while its
+    complex is worked on (the class queries of one tc or scat call keep
+    asking for K's), so a few recent ones suffice; a larger cache gains no
+    hits on the benchmark workloads.
     """
-    from .collapse import _greedy_collapse
+    from .collapse import _strong_collapse
 
-    steps, facets = _greedy_collapse(K.facets)
-    c = _complex_on(K, facets) if steps else K
+    rounds, facets = _strong_collapse(K.facets)
+    c = _complex_on(K, facets) if rounds else K
     rho = list(range(K.n_vertices))
     chain = [tuple(rho)]
-    for v, u in steps:
-        rho = [u if x == v else x for x in rho]
+    for steps in rounds:
+        to = dict(steps)
+        rho = [to.get(x, x) for x in rho]
         chain.append(tuple(rho))
     union = union_mask(facets)
     # core ids keep the order of K's ids, so a survivor's core id counts the survivors below it
     retraction = tuple((union & ((1 << x) - 1)).bit_count() for x in rho)
+    steps = tuple(step for steps in rounds for step in steps)
     return Reduction(c, steps, tuple(chain), ids_from_mask(union), retraction)
 
 
@@ -380,23 +396,45 @@ def _class_query(domain: Complex, codomain: Complex) -> "_ClassQuery":
     return _ClassQuery(domain, codomain)
 
 
-class _ClassQuery:
-    """Core-reduced search space for contiguity-class queries L -> K."""
+class _CoreSpace:
+    """The maps from a domain core into a codomain's core: the graph every class query walks.
 
-    def __init__(self, domain: Complex, codomain: Complex):
-        self.domain = domain
-        self.codomain = codomain
-        self.cod = _retraction_chain(codomain)
-        # Into a point every map lies in one class, so the domain is not reduced:
-        # its retraction chain would add only constant steps to a witness.
-        point = self.cod.core.n_vertices == 1
-        self.dom = _unreduced(domain) if point else _retraction_chain(domain)
-        _check_codomain(self.cod.core)
+    facets are the domain core's facet masks, in any vertex ids; its
+    vertices are numbered densely in increasing id, as _complex_on numbers
+    them, so a core given in the ids of an ambient complex and the same core
+    built as a Complex give one graph.  cod is the codomain's reduction.
+    """
+
+    def __init__(self, facets: Sequence[int], cod: Reduction):
+        _check_codomain(cod.core)
+        self.facets = facets
+        self.cod = cod
 
     @cached_property
     def ctx(self) -> pure.Context:
         """The kernel context, built by the first search that leaves its start."""
-        return _context(self.dom.core, self.cod.core)
+        ids = ids_from_mask(union_mask(self.facets))
+        dense = {v: i for i, v in enumerate(ids)}
+        facet_vertices = [[dense[v] for v in ids_from_mask(m)] for m in self.facets]
+        vertex_facets: list[list[int]] = [[] for _ in ids]
+        for j, verts in enumerate(facet_vertices):
+            for v in verts:
+                vertex_facets[v].append(j)
+        return pure.Context(facet_vertices, vertex_facets, self.cod.core.facets)
+
+
+class _ClassQuery(_CoreSpace):
+    """Core-reduced search space for contiguity-class queries L -> K, with witness lifting."""
+
+    def __init__(self, domain: Complex, codomain: Complex):
+        self.domain = domain
+        self.codomain = codomain
+        cod = _retraction_chain(codomain)
+        # Into a point every map lies in one class, so the domain is not reduced:
+        # its retraction chain would add only constant steps to a witness.
+        point = cod.core.n_vertices == 1
+        self.dom = _unreduced(domain) if point else _retraction_chain(domain)
+        super().__init__(self.dom.core.facets, cod)
 
     def reduce(self, assignment: tuple[int, ...]) -> bytes:
         return bytes(self.cod.retraction[assignment[e]] for e in self.dom.core_ids)
@@ -426,18 +464,88 @@ class _ClassQuery:
         )
 
 
+def _class_search(
+    space: _CoreSpace, start: bytes, goal: bytes | None, budget: int
+) -> tuple[Verdict, list[bytes] | None, int]:
+    """The one decision body of class queries, on core-space maps: (verdict, path, explored).
+
+    goal is the core-space map to reach, or None for any constant map; path
+    runs from start to the map reached, for a "yes".  A start that is its
+    own goal needs no search, as every query into a point is.  To a goal
+    from a one-vertex domain core the answer is exact and spends no budget:
+    maps from a point are its images, two of them are contiguous when they
+    span an edge, so the class is an edge-path component of the codomain's
+    core.  Otherwise "no" is certified by exhausting the connected component
+    of start, or of goal when start's side blows the budget first; "unknown"
+    means the searches from both sides ran out of budget.  A constant map
+    is searched for from start alone.
+    """
+    if goal is None:
+        n = len(start)
+
+        def is_const(a: bytes) -> bool:
+            return a.count(a[0]) == n
+
+        if is_const(start):
+            return Verdict.YES, [start], 1
+        hit, parents, complete = _bfs(space.ctx, start, is_const, budget)
+        if hit is not None:
+            return Verdict.YES, _path_from_parents(parents, hit), len(parents)
+        return Verdict.NO if complete else Verdict.UNKNOWN, None, len(parents)
+    if start == goal:
+        return Verdict.YES, [start], 1
+    if len(start) == 1:
+        path = edge_path(space.cod.core, start[0], goal[0])
+        if path is None:
+            return Verdict.NO, None, 1
+        return Verdict.YES, [bytes((c,)) for c in path], len(path)
+    explored = 0
+    for a, b, order in ((start, goal, 1), (goal, start, -1)):
+        hit, parents, complete = _bfs(space.ctx, a, b.__eq__, budget)
+        explored += len(parents)
+        if hit is not None:
+            return Verdict.YES, _path_from_parents(parents, hit)[::order], explored
+        if complete:
+            return Verdict.NO, None, explored
+    return Verdict.UNKNOWN, None, explored
+
+
+def _class_verdict(
+    facets: Sequence[int],
+    start: Sequence[int],
+    end: Sequence[int] | None,
+    codomain: Complex,
+    budget: int = DEFAULT_BUDGET,
+) -> ContiguityResult:
+    """Verdict-only class query on a domain core given by facet masks; no witness.
+
+    facets is a strong-collapse core (no dominated vertex) in any vertex
+    ids; start and end give the two maps' images in codomain of its
+    vertices in increasing id, end None for "a constant map".  The answer
+    and `explored` are those of same_contiguity_class (or
+    class_constant_witness) on any complex that collapses to this core in
+    the same vertex order, as both run _class_search on the same reduced
+    maps; no Complex, map or witness is built here.
+    """
+    check_budget(budget)
+    cod = _retraction_chain(codomain)
+    r = cod.retraction
+    fa = bytes([r[c] for c in start])
+    ga = None if end is None else bytes([r[c] for c in end])
+    verdict, _, explored = _class_search(_CoreSpace(facets, cod), fa, ga, budget)
+    return ContiguityResult(verdict, None, explored)
+
+
 def same_contiguity_class(
     f: SimplicialMap, g: SimplicialMap, budget: int = DEFAULT_BUDGET
 ) -> ContiguityResult:
     """Decide whether f and g lie in one contiguity class.
 
-    Yes comes with a validated witness.  When the domain's core is one
-    vertex the answer is exact and spends no budget: maps from a point are
-    its images, two of them are contiguous when they span an edge, so the
-    class is an edge-path component of the codomain's core.  Otherwise no is
-    certified by exhausting the connected component of (the reduction of) f,
-    or of g when f's side blows the budget first; unknown means the searches
-    from both sides ran out of budget.
+    Yes comes with a validated witness.  The decision is _class_search on
+    the reductions of f and g to the cores of domain and codomain: exact
+    and free of budget when the domain's core is one vertex, otherwise no
+    is an exhausted connected component and unknown means the searches
+    from both maps ran out of budget.
     """
     check_budget(budget)
     _require_parallel(f, g)
@@ -445,47 +553,23 @@ def same_contiguity_class(
         return ContiguityResult(Verdict.YES, ContiguityWitness((f,)), 1)
     rq = _class_query(f.domain, f.codomain)
     fa, ga = rq.reduce(f.assignment), rq.reduce(g.assignment)
-    if fa == ga:  # a search would stop at its start, as every query into a point does
-        return ContiguityResult(Verdict.YES, rq.build_witness(f.assignment, [fa], g.assignment), 1)
-    if rq.dom.core.n_vertices == 1:
-        path = edge_path(rq.cod.core, fa[0], ga[0])
-        if path is None:
-            return ContiguityResult(Verdict.NO, None, 1)
-        w = rq.build_witness(f.assignment, [bytes((c,)) for c in path], g.assignment)
-        return ContiguityResult(Verdict.YES, w, len(path))
-    explored = 0
-    for start, goal, order in ((fa, ga, 1), (ga, fa, -1)):
-        hit, parents, complete = _bfs(rq.ctx, start, goal.__eq__, budget)
-        explored += len(parents)
-        if hit is not None:
-            path = _path_from_parents(parents, hit)[::order]
-            w = rq.build_witness(f.assignment, path, g.assignment)
-            return ContiguityResult(Verdict.YES, w, explored)
-        if complete:
-            return ContiguityResult(Verdict.NO, None, explored)
-    return ContiguityResult(Verdict.UNKNOWN, None, explored)
+    verdict, path, explored = _class_search(rq, fa, ga, budget)
+    if path is None:
+        return ContiguityResult(verdict, None, explored)
+    return ContiguityResult(verdict, rq.build_witness(f.assignment, path, g.assignment), explored)
 
 
 def class_constant_witness(f: SimplicialMap, budget: int = DEFAULT_BUDGET) -> ContiguityResult:
     """Search the contiguity class of f for any constant map."""
     check_budget(budget)
     rq = _class_query(f.domain, f.codomain)
-    n = rq.dom.core.n_vertices
-    fa = rq.reduce(f.assignment)
-
-    def is_const(a: bytes) -> bool:
-        return a.count(a[0]) == n
-
-    if is_const(fa):  # a search would stop at its start, as every query into a point does
-        hit, parents, complete = fa, {fa: None}, True
-    else:
-        hit, parents, complete = _bfs(rq.ctx, fa, is_const, budget)
-    if hit is not None:
-        w = rq.build_witness(f.assignment, _path_from_parents(parents, hit), None)
-        if not w.last.is_constant:
-            raise InvalidInput("internal: lifted witness does not end at a constant")
-        return ContiguityResult(Verdict.YES, w, len(parents))
-    return ContiguityResult(Verdict.NO if complete else Verdict.UNKNOWN, None, len(parents))
+    verdict, path, explored = _class_search(rq, rq.reduce(f.assignment), None, budget)
+    if path is None:
+        return ContiguityResult(verdict, None, explored)
+    w = rq.build_witness(f.assignment, path, None)
+    if not w.last.is_constant:
+        raise InvalidInput("internal: lifted witness does not end at a constant")
+    return ContiguityResult(verdict, w, explored)
 
 
 def contiguity_component(

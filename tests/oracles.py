@@ -94,16 +94,46 @@ def oracle_component_masks(K: Complex) -> tuple[int, ...]:
 
 
 def complexes_isomorphic(A: Complex, B: Complex) -> bool:
-    if A.n_vertices != B.n_vertices or len(A.facets) != len(B.facets):
+    """Whether some vertex bijection maps A's facet sets onto B's.
+
+    Brute force over bijections, built one vertex at a time and cut as soon
+    as a vertex's facet sizes or its edges to the vertices placed before it
+    do not match.
+    """
+    n = A.n_vertices
+    if n != B.n_vertices or len(A.facets) != len(B.facets):
         return False
     fa = set(facet_sets(A))
     fb = set(facet_sets(B))
-    if sorted(len(f) for f in fa) != sorted(len(f) for f in fb):
+
+    def sizes(facets, v):
+        return sorted(len(f) for f in facets if v in f)
+
+    def edges(facets):
+        return {frozenset(e) for f in facets for e in itertools.combinations(f, 2)}
+
+    size_a, size_b = [sizes(fa, v) for v in range(n)], [sizes(fb, v) for v in range(n)]
+    if sorted(size_a) != sorted(size_b):
         return False
-    for perm in itertools.permutations(range(A.n_vertices)):
-        if {frozenset(perm[v] for v in f) for f in fa} == fb:
-            return True
-    return False
+    edge_a, edge_b = edges(fa), edges(fb)
+    perm: list[int] = []
+
+    def extend() -> bool:
+        v = len(perm)
+        if v == n:
+            return {frozenset(perm[x] for x in f) for f in fa} == fb
+        for w in range(n):
+            if w in perm or size_b[w] != size_a[v]:
+                continue
+            if any((frozenset((x, v)) in edge_a) != (frozenset((perm[x], w)) in edge_b) for x in range(v)):
+                continue
+            perm.append(w)
+            if extend():
+                return True
+            perm.pop()
+        return False
+
+    return extend()
 
 
 def oracle_automorphisms(K: Complex) -> set[tuple[int, ...]]:
@@ -116,10 +146,12 @@ def oracle_automorphisms(K: Complex) -> set[tuple[int, ...]]:
     }
 
 
-# -- the object-level strong-collapse loop -------------------------------------
+# -- the object-level strong-collapse loops ------------------------------------
 #
-# The reference for the library's bitmask collapse loop: list every dominated
-# pair, delete the lowest pair's vertex, rebuild the whole complex, repeat.
+# References for the library's bitmask collapse: list every dominated pair,
+# delete, rebuild the whole complex, repeat.  oracle_core deletes the lowest
+# pair's vertex, one at a time; oracle_round_core deletes by the library's
+# round rule.
 
 
 def oracle_dominated_vertices(K: Complex) -> list[tuple[int, int]]:
@@ -156,6 +188,35 @@ def oracle_core(K: Complex) -> tuple[tuple[tuple[int, int], ...], Complex]:
         v, u = min(doms)
         steps.append((K.id(current.labels[v]), K.id(current.labels[u])))
         current = delete_vertex(current, v)
+
+
+def oracle_round_core(K: Complex) -> tuple[tuple[tuple[tuple[int, int], ...], ...], Complex]:
+    """Deletion in rounds; each round's steps in ids of K, and the final complex.
+
+    A round lists the dominated pairs once, then walks their vertices in
+    id order: v is taken, with the lowest of its dominators the round has
+    not taken, unless v is a dominator chosen earlier in the round or has
+    no dominator left.  Then every vertex taken is deleted, one at a time.
+    delete_vertex keeps the relative order of the ids, so "id order" is the
+    order in K throughout.
+    """
+    current = K
+    rounds = []
+    while True:
+        doms = oracle_dominated_vertices(current)
+        if not doms:
+            return tuple(rounds), current
+        steps: list[tuple[int, int]] = []
+        for v in sorted({v for v, _ in doms}):
+            if v in (u for _, u in steps):
+                continue
+            left = [u for w, u in doms if w == v and u not in (t for t, _ in steps)]
+            if left:
+                steps.append((v, min(left)))
+        labels = current.labels
+        rounds.append(tuple((K.id(labels[v]), K.id(labels[u])) for v, u in steps))
+        for v, _ in steps:
+            current = delete_vertex(current, current.id(labels[v]))
 
 
 # -- the slice rule as a scan over placed facets -----------------------------------

@@ -1,6 +1,6 @@
-"""Reference searches and witnesses for tc and scat, kept as oracles for the library.
+"""Reference searches, witnesses and collapses for tc and scat, kept as oracles for the library.
 
-Four references live here.
+Five references live here.
 
 The enumerate-then-cover pipeline lists every inclusion-maximal admissible
 facet set with maximal_admissible_sets and solves a minimum set cover over
@@ -27,6 +27,12 @@ the strict pass.  It is the oracle for both passes.  At the default budget
 the library's cover (classes, witnesses and all) must be the one it
 returns; under a small budget the strict pass may end at another cover,
 and the tests compare the bounds.
+
+lowest_first_collapse is the library's bitmask strong collapse as it was
+before it deleted in rounds: one deletion at a time, the lowest dominated
+vertex in favour of its lowest dominator.  Its cores are isomorphic to the
+library's, and with it in place of the library's collapse tc and scat must
+give the same values, bounds and `checks`.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from simplicial_tc import (
     tc,
 )
 from simplicial_tc import invariants
+from simplicial_tc.collapse import _star_intersections
 from simplicial_tc.complexes import Complex, _complex_on, ids_from_mask, union_mask
 from simplicial_tc.invariants import Admissibility, _Heredity, admissibility
 from simplicial_tc.maps import DEFAULT_BUDGET, ContiguityResult
@@ -278,3 +285,41 @@ def unpruned_cover(
         if classes is not None:
             return result(Status.BUDGET_EXHAUSTED, lower_k - 1, k - 1, classes)
     return result(Status.BUDGET_EXHAUSTED, lower_k - 1)
+
+
+def lowest_first_collapse(facets: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    """Delete the lowest-id dominated vertex (lowest dominator) until none remains.
+
+    facets is a facet antichain in any vertex ids.  Returns the steps and
+    the core's facets.  doms[v] is the AND of the facets holding v, v itself
+    included, so v is dominated when it has a second bit; a deletion changes
+    only the stars of the deleted vertex's link, and one more pass over the
+    facets refills just theirs.
+    """
+    facets = list(facets)
+    doms = _star_intersections(facets, -1)
+    dominated = 0
+    for v, d in doms.items():
+        if d & (d - 1):
+            dominated |= 1 << v
+    steps: list[tuple[int, int]] = []
+    while dominated:
+        vbit = dominated & -dominated
+        v = vbit.bit_length() - 1
+        d = doms.pop(v) ^ vbit
+        steps.append((v, (d & -d).bit_length() - 1))
+        untouched = [m for m in facets if not m & vbit]
+        out, link = list(untouched), 0
+        for m in facets:
+            if m & vbit:
+                t = m ^ vbit
+                link |= t
+                if t and not any(t & ~k == 0 for k in untouched):
+                    out.append(t)
+        facets = out
+        dominated ^= vbit
+        fresh = _star_intersections(facets, link)
+        doms.update(fresh)
+        for w, d in fresh.items():
+            dominated = dominated | 1 << w if d & (d - 1) else dominated & ~(1 << w)
+    return tuple(steps), facets

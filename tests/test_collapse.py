@@ -15,9 +15,9 @@ from simplicial_tc import (
     is_strongly_collapsible,
     replay,
 )
-from simplicial_tc.collapse import _greedy_collapse
-from simplicial_tc.complexes import embedding_ids, ids_from_mask
-from simplicial_tc.maps import _retraction_chain
+from simplicial_tc.collapse import _strong_collapse
+from simplicial_tc.complexes import embedding_ids, ids_from_mask, mask_from_ids
+from simplicial_tc.maps import _contiguous, _retraction_chain
 
 import corpusgen
 import oracles
@@ -117,20 +117,24 @@ class TestCore:
 
 
 class TestBitmaskCoreMatchesReference:
-    """core() against the object-level loop kept in oracles.oracle_core."""
+    """core() and the mask collapse against the object-level round rule kept in
+    oracles.oracle_round_core, and their cores against the one-at-a-time
+    cores of oracles.oracle_core, which they must match up to isomorphism."""
 
     @staticmethod
     def assert_same_core(K):
-        steps, expected = oracles.oracle_core(K)
+        rounds, expected = oracles.oracle_round_core(K)
         c, seq = core(K)
-        assert seq.steps == steps
+        assert seq.steps == tuple(step for steps in rounds for step in steps)
         assert c == expected
         assert replay(seq) == expected
+        assert oracles.complexes_isomorphic(c, oracles.oracle_core(K)[1])
+        assert _strong_collapse(K.facets)[0] == [list(steps) for steps in rounds]
         # the mask loop follows relative id order: spreading the ids apart
-        # (as in an ambient numbering) deletes the same vertices
+        # (as in an ambient numbering) deletes the same vertices in the same rounds
         spread = [sum(1 << (2 * v + 1) for v in ids_from_mask(m)) for m in K.facets]
-        spread_steps, _ = _greedy_collapse(spread)
-        assert list(spread_steps) == [(2 * v + 1, 2 * u + 1) for v, u in steps]
+        spread_rounds, _ = _strong_collapse(spread)
+        assert spread_rounds == [[(2 * v + 1, 2 * u + 1) for v, u in steps] for steps in rounds]
 
     def test_acceptance_corpus(self):
         for K in corpusgen.acceptance_corpus(corpusgen.ACCEPTANCE_SEED):
@@ -142,12 +146,15 @@ class TestBitmaskCoreMatchesReference:
     def test_seeded_subcomplexes_of_the_square(self, facets):
         square = categorical_square(build_complex(facets)).product
         subs = corpusgen.random_facet_subcomplexes(square, 500, seed=11)
-        collapsed = 0
+        collapsed = batched = 0
         for omega in subs:
             self.assert_same_core(omega)
             collapsed += core(omega)[0].n_vertices == 1
-        # both outcomes occur, so neither branch of the loop goes untested
+            batched += any(len(steps) > 1 for steps in _strong_collapse(omega.facets)[0])
+        # both outcomes occur, so neither branch of the loop goes untested,
+        # and rounds delete several vertices at once
         assert 0 < collapsed < len(subs)
+        assert batched
 
     @pytest.mark.parametrize(
         "facets",
@@ -161,15 +168,40 @@ class TestBitmaskCoreMatchesReference:
         masks = corpusgen.random_facet_masks(len(square.facets), 300, seed=13)
         for mask in masks:
             chosen = [f for i, f in enumerate(square.facets) if mask >> i & 1]
-            steps, core_facets = _greedy_collapse(chosen)
+            rounds, core_facets = _strong_collapse(chosen)
             omega = corpusgen.facet_subcomplex(square, mask)
             emb = embedding_ids(omega, square)
-            expected_steps, expected = oracles.oracle_core(omega)
-            assert list(steps) == [(emb[v], emb[u]) for v, u in expected_steps]
+            expected_rounds, expected = oracles.oracle_round_core(omega)
+            assert rounds == [[(emb[v], emb[u]) for v, u in steps] for steps in expected_rounds]
             expected_emb = embedding_ids(expected, square)
             assert sorted(core_facets) == sorted(
                 sum(1 << expected_emb[v] for v in ids) for ids in expected.facet_vertex_ids
             )
+
+
+class TestCollapseProperties:
+    """Properties of the collapse in rounds on random complexes."""
+
+    @given(small_complexes)
+    def test_steps_replay_one_at_a_time(self, K):
+        c, seq = core(K)
+        assert CollapseSequence(K, c, seq.steps).end == c
+
+    @given(small_complexes)
+    def test_the_end_has_no_dominated_vertex(self, K):
+        assert dominated_vertices(core(K)[0]) == []
+
+    @given(small_complexes)
+    def test_the_chain_is_contiguous_and_ends_at_the_retraction(self, K):
+        r = _retraction_chain(K)
+        assert len(r.chain) == len(_strong_collapse(K.facets)[0]) + 1
+        for a, b in zip(r.chain, r.chain[1:]):
+            assert _contiguous(K, K, a, b)
+        # the last map is the retraction onto the core: into the core, fixing it
+        assert r.chain[-1] == tuple(r.core_ids[x] for x in r.retraction)
+        assert all(r.chain[-1][v] == v for v in r.core_ids)
+        for verts in K.facet_vertex_ids:
+            assert r.core.is_simplex(mask_from_ids(r.retraction[v] for v in verts))
 
 
 class TestReductionRecord:
