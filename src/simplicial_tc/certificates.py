@@ -203,7 +203,9 @@ def _is_count(x: Any) -> bool:
 def _check_cover(cert: dict[str, Any], A: Admissibility) -> None:
     """Status, value, bounds, counts and cover size must agree, and the cover must cover.
 
-    A not-coverable result counts undecided subsets only in certificates
+    An exact or budget-exhausted result carries a cover, whose size gives
+    its upper bound: both passes of the search end with one.  A
+    not-coverable result counts undecided subsets only in certificates
     written before the "no" rules alone decided coverability (0 checks now).
     """
     status = cert["status"]
@@ -237,11 +239,9 @@ def _check_cover(cert: dict[str, Any], A: Admissibility) -> None:
         _need(value is None, "budget-exhausted result carries a value")
         _need(unknown >= 1, "budget-exhausted result has no undecided subsets")
         _need(lower is not None, "budget-exhausted result needs a lower bound")
-        if cover is None:
-            _need(upper is None, "upper bound without a cover")
-        else:
-            _need(upper == len(cover) - 1, "upper bound inconsistent with cover size")
-            _need(lower <= upper, "lower bound exceeds upper bound")
+        _need(cover is not None, "budget-exhausted result must carry a cover")
+        _need(upper == len(cover) - 1, "upper bound inconsistent with cover size")
+        _need(lower <= upper, "lower bound exceeds upper bound")
     if cover is None:
         return
     entries = [_rebuild_admissible(e, A) for e in cover]

@@ -16,9 +16,9 @@ the dominator of another, and its steps replay one at a time.  Deleting the
 round truncates only the facets in its stars; a truncated facet inside
 another is dropped (the AND of its vertices' stars finds those), and star
 intersections are refreshed for the link alone.  The steps depend only on
-the relative order of the ids, so the verdict-only checks of the cover
-search collapse a class in the ambient complex's vertex ids and get the
-steps and core that the same class gets as a Complex.  On a complex it runs
+the relative order of the ids, so the checks of invariants, for a
+verdict or a witness, collapse a class in the ambient complex's vertex ids
+and get the steps and core that the same class gets as a Complex.  On a complex it runs
 once, in maps._retraction_chain, whose record the class queries of `maps`,
 `core`, `is_strongly_collapsible` and `contraction_witness` read; only `core`
 builds the replayable `CollapseSequence`, which core certificates carry and

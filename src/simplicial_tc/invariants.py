@@ -60,39 +60,38 @@ strongly collapsible, and the homology rule below) and prune the search
 without exploring map space.
 
 The checkers take a subcomplex or a facet mask and turn either into facet
-bitmasks in the ambient complex's vertex ids (for K^2, q = u*n + v), so one
-code path decides both.  The component rule is one AND of the facets' union
-with a mask of the pairs that split components; the slice rule
-(ProductComplex.has_full_slice) looks for a row or column of K^2 whose
-placed copies {a} x F or F x {b} of K's facets each lie in one of the
-facets, skipping the slices with a vertex outside their union.  For a
-verdict only, a class whose facets share a vertex is a cone and so a "yes"
-at once; otherwise a strong collapse of the masks in rounds
+bitmasks in the ambient complex's vertex ids (for K^2, q = u*n + v), and
+decide both by one sequence (_decide), for a verdict or for a witness.  The
+component rule is one AND of the facets' union with a mask of the pairs
+that split components; the slice rule (ProductComplex.has_full_slice) looks
+for a row or column of K^2 whose placed copies {a} x F or F x {b} of K's
+facets each lie in one of the facets, skipping the slices with a vertex
+outside their union.  A class whose facets share a vertex is a cone and so
+a "yes" at once.  Otherwise one strong collapse of the masks in rounds
 (collapse._strong_collapse) answers "yes" when one vertex survives, and
 else the core it leaves (collapses preserve contiguity classes; Barmak &
 Minian 2012) meets a third sound "no" rule, the homology rule: contiguous
 maps induce one map on H^1(-; F2), so a cycle of the core whose images
 under the two maps pair differently with a cocycle of K (Complex.cocycles)
 rules the class out with a few bitmask operations (_differs_on_homology).
-The cores that rule leaves go to the verdict-only class query on masks
-(maps._class_verdict), which builds no Complex, map or witness; it runs
-the search that the class query of the class as a Complex would run, so a
-"yes" it gives certifies.  The search passes a memo that lives for one
+The cores that rule leaves go to the class query on masks
+(maps._class_decision).  The search passes a memo that lives for one
 tc/scat call and maps each core's facet set to its verdict, so checks with
 one core share one verdict.
 
 Witnesses are built only for the classes of the cover that is returned,
-for certificates, and for the membership and plan commands, by one of two
-routes.  A cone, a class whose facets share a vertex w, is certified
-directly (_cone_witness): every map f on it is contiguous to the constant
-at f(w), so the chain runs from the kind's start map through the constants
-at the images of w, along an edge path of K between them, to its end map,
-with no class query.  The cover search certifies a cone from its own apex
-even when its "yes" came from heredity.  Any other class goes to the class
-query in maps, which lifts its answer on the cores (for a strongly
-collapsible subcomplex, an edge path or the constant it reduces to) back
-through the strong-collapse retraction chains; when that query stops
-undecided, the homology rule on the class's facets may still prove "no".
+for certificates, and for the membership and plan commands, by the same
+sequence on the same masks.  A cone, a class whose facets share a vertex
+w, is certified directly (_cone_rows): every map f on it is contiguous to
+the constant at f(w), so the chain runs from the kind's start map through
+the constants at the images of w, along an edge path of K between them,
+to its end map, with no class query.  The cover search certifies a cone
+from its own apex even when its "yes" came from heredity.  For any other
+class the class query lifts its answer on the cores (for a strongly
+collapsible class, an edge path or the constant it reduces to) back
+through the class's reduction (maps._reduction) and K's into witness rows;
+the homology rule has already run, and never fires on a "yes".  Only then
+is the class built as a Complex.
 """
 
 from __future__ import annotations
@@ -101,7 +100,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Sequence
 
-# contraction_witness and witness_between_constants are unused here; e2ebench/tracing.py patches them.
+# contraction_witness, witness_between_constants, same_contiguity_class and class_constant_witness
+# are unused here; e2ebench/tracing.py patches them.
 from .collapse import _strong_collapse, contraction_witness, is_strongly_collapsible
 from .complexes import (
     Complex,
@@ -118,11 +118,12 @@ from .complexes import (
 from .errors import InvalidInput
 from .maps import (
     DEFAULT_BUDGET,
-    ContiguityResult,
     ContiguityWitness,
-    SimplicialMap,
     Verdict,
-    _class_verdict,
+    _class_decision,
+    _CoreSpace,
+    _reduction,
+    _retraction_chain,
     _unchecked_map,
     check_budget,
     class_constant_witness,
@@ -260,63 +261,39 @@ def _apex(facets: list[int]) -> int:
     return (common & -common).bit_length() - 1
 
 
-def _cone_witness(
-    A: Admissibility, sub: Complex, emb: tuple[int, ...], apex: int
-) -> ContiguityWitness:
-    """The witness of a cone sub of A.ambient (vertex i of sub is emb[i]) through its apex.
+def _cone_rows(
+    A: Admissibility, start: tuple[int, ...], end: tuple[int, ...] | None, apex: int
+) -> list[tuple[int, ...]]:
+    """The witness rows of a cone from start to end (A.endpoints on its vertices) through its apex.
 
-    Every facet of sub holds the apex w (an ambient id), so any map f on sub
+    Every facet holds the apex w (an ambient id), so any map f on the class
     is contiguous to the constant at f(w): f(F) | {f(w)} = f(F) for each
-    facet F.  So the chain runs from A's start map to the constant at fa,
-    where (fa, ga) = A.images(w), and, when A has an end map, on through the
+    facet F.  So the chain runs from start to the constant at fa, where
+    (fa, ga) = A.images(w), and, when A has an end map, on through the
     constants along an edge path of K from fa to ga (the component rule has
-    put them in one component) to that end, whose value at w is ga.
-    Consecutive repeats are dropped; ContiguityWitness checks the chain.
+    put them in one component) to end, whose value at w is ga.  Consecutive
+    repeats are dropped.
     """
-    start, end = A.endpoints(emb)
     fa, ga = A.images(apex)
-    n = len(emb)
+    n = len(start)
     rows = [start, *((c,) * n for c in ([fa] if end is None else edge_path(A.base, fa, ga)))]
     if end is not None:
         rows.append(end)
-    steps = [rows[0]] + [b for a, b in zip(rows, rows[1:]) if a != b]
-    return ContiguityWitness(tuple(_unchecked_map(sub, A.base, r) for r in steps))
+    return [rows[0]] + [b for a, b in zip(rows, rows[1:]) if a != b]
 
 
-def _core_verdict(A: Admissibility, facets: list[int], budget: int, memo: _Memo | None) -> Verdict:
-    """The verdict on the collapsed core of facets (A.ambient ids): homology "no", or class query.
+def _admissible(
+    A: Admissibility, sub: Complex | int, facets: list[int], rows: list[tuple[int, ...]]
+) -> AdmissibleSet:
+    """The certified set of a "yes", with rows (maps on sub's vertices) as its witness.
 
-    Facets with a common vertex span a cone, which strongly collapses to its
-    apex, so that is a "yes" before any collapse runs.  Otherwise the core is
-    a strong deformation retract, so restricting the maps to it keeps their
-    contiguity class.  A one-vertex core is a "yes".  Any other core first
-    meets the homology rule: A.images(v) gives the two maps' images in K of
-    each ambient vertex v, and a cycle of the core on which they differ
-    against a cocycle of K (K.cocycles, built at the first core that gets
-    here) is a sound "no" (_differs_on_homology).  Otherwise the core's
-    masks and the two ends A.endpoints gives on its vertices go to the
-    verdict-only class query (maps._class_verdict), which builds no Complex:
-    the class query of the class as a Complex collapses it to this same
-    core, in the same vertex order, so both searches are one search.  memo,
-    when given, maps a core's facet set to the verdict found for it by
-    either route, so checks that reduce to one core share one verdict.
+    Only here does a facet mask become its class as a Complex.
     """
-    if _apex(facets) >= 0:
-        return Verdict.YES
-    core = _strong_collapse(facets)[1]
-    if len(core) == 1 and core[0].bit_count() == 1:
-        return Verdict.YES
-    key = frozenset(core)
-    verdict = memo.get(key) if memo is not None else None
-    if verdict is None:
-        if _differs_on_homology(core, A.base.cocycles, A.images):
-            verdict = Verdict.NO
-        else:
-            start, end = A.endpoints(ids_from_mask(union_mask(core)))
-            verdict = _class_verdict(core, start, end, A.base, budget).verdict
-        if memo is not None:
-            memo[key] = verdict
-    return verdict
+    if not isinstance(sub, Complex):
+        sub = _complex_on(A.ambient, facets)
+    return AdmissibleSet(
+        A.kind, sub, ContiguityWitness(tuple(_unchecked_map(sub, A.base, r) for r in rows))
+    )
 
 
 def _decide(
@@ -324,35 +301,57 @@ def _decide(
 ) -> tuple[Verdict, AdmissibleSet | None]:
     """Whether sub is admissible of A's kind: the one body of is_farber and is_categorical.
 
-    sub is a subcomplex of A.ambient, or a facet mask of it (bit i is facet
-    i).  A's sound "no" rules run first (A.rules_out).  With want_witness
-    False only the verdict is computed, on the strong-collapse core
-    (_core_verdict, where the homology rule may answer "no" and memo may
-    carry the verdicts of earlier checks).  Otherwise a "yes" carries its witness, a chain of
-    maps sub -> K between the two ends A.endpoints gives: a cone (facets
-    sharing a vertex) is a "yes" whose witness runs through the constants
-    at its apex's images (_cone_witness), and any other sub goes to A's
-    class query, where an undecided answer still meets the homology rule
-    on sub's facets.
+    sub is a subcomplex of A.ambient or a facet mask of it (bit i is facet
+    i); both modes run one sequence on its facet masks in ambient ids.  A's
+    sound "no" rules (A.rules_out) come first.  Facets with a common vertex
+    span a cone, a "yes" (witness: _cone_rows).  Otherwise one strong
+    collapse in rounds leaves a core, a strong deformation retract, so
+    restricting the maps to it keeps their contiguity class; a one-vertex
+    core is a "yes".  memo, used for a verdict only, maps a core's facet set
+    to its verdict, so checks with one core share one verdict.  Then the
+    homology rule: a cycle of the core on which the two maps (A.images)
+    differ against a cocycle of K is a sound "no" (_differs_on_homology).
+    Last, the class query on the core decides (maps._class_decision).  For
+    a witness it gets the ends A.endpoints gives on all of sub's vertices
+    and sub's reduction (maps._reduction), and lifts its path into rows; a
+    one-vertex core gets its rows there too.  A sound rule never fires on a
+    "yes", so both modes give one verdict.  Only a "yes" with a witness
+    builds a mask's class as a Complex (_admissible).
     """
     check_budget(budget)
     facets, emb = _ambient_facets(sub, A.ambient, A.not_sub)
     if A.rules_out(facets, union := union_mask(facets)):
         return Verdict.NO, None
-    if not want_witness:
-        return _core_verdict(A, facets, budget, memo), None
-    if emb is None:
-        sub, emb = _complex_on(A.ambient, facets), ids_from_mask(union)
+    if want_witness:
+        memo = None
+        ids = ids_from_mask(union) if emb is None else emb
+        start, end = A.endpoints(ids)
     if (apex := _apex(facets)) >= 0:
-        return Verdict.YES, AdmissibleSet(A.kind, sub, _cone_witness(A, sub, emb, apex))
-    result = A.query(sub, emb, budget)
-    if result.verdict is Verdict.YES:
-        return Verdict.YES, AdmissibleSet(A.kind, sub, result.witness)
-    if result.verdict is Verdict.UNKNOWN and _differs_on_homology(
-        facets, A.base.cocycles, A.images
-    ):
-        return Verdict.NO, None
-    return result.verdict, None
+        if not want_witness:
+            return Verdict.YES, None
+        return Verdict.YES, _admissible(A, sub, facets, _cone_rows(A, start, end, apex))
+    rounds, core = _strong_collapse(facets)
+    if not want_witness and len(core) == 1 and core[0].bit_count() == 1:
+        return Verdict.YES, None
+    key = frozenset(core)
+    if memo is not None and (verdict := memo.get(key)) is not None:
+        return verdict, None
+    rows = None
+    if _differs_on_homology(core, A.base.cocycles, A.images):
+        verdict = Verdict.NO
+    else:
+        space = _CoreSpace(core, _retraction_chain(A.base))
+        if want_witness:
+            dom = _reduction(ids, rounds, core)
+            verdict, rows, _ = _class_decision(space, start, end, budget, dom)
+        else:
+            on_core = A.endpoints(ids_from_mask(union_mask(core)))
+            verdict = _class_decision(space, *on_core, budget)[0]
+    if memo is not None:
+        memo[key] = verdict
+    if rows is None:
+        return verdict, None
+    return verdict, _admissible(A, sub, facets, rows)
 
 
 def is_farber(
@@ -375,11 +374,9 @@ def is_farber(
     otherwise the class query, exact without search when omega strongly
     collapses to a point).  Its witness, pi1|omega ~ pi2|omega in K, is the
     certificate.
-    With want_witness=False only the verdict is computed, on the
-    strong-collapse core of omega, where the homology rule (see
-    _core_verdict) may answer "no" before the class query, and memo may
-    carry the verdicts of earlier checks; search layers use this and
-    re-certify the sets they keep.
+    With want_witness=False only the verdict is computed, by the same
+    sequence (_decide), and memo may carry the verdicts of earlier checks;
+    search layers use this and re-certify the sets they keep.
     """
     return _decide(FarberAdmissibility(P.product, P.base, P), omega, budget, want_witness, memo)
 
@@ -400,8 +397,8 @@ def is_categorical(
     the inclusion's class for a constant map, and when sub strongly
     collapses to a point the reduced inclusion is already constant, and the
     witness is the lifted retraction chain.  With want_witness=False only
-    the verdict is computed, on the strong-collapse core of sub, with the
-    homology rule and memo as in is_farber.
+    the verdict is computed, by the same sequence, with memo as in
+    is_farber.
     """
     return _decide(CategoricalAdmissibility(K, K), sub, budget, want_witness, memo)
 
@@ -806,8 +803,8 @@ class Admissibility:
                      the homology rule compares;
       endpoints      the two ends (start, end) a witness must join on given
                      ambient vertices, end None for "a constant map", which
-                     the verifier checks (named start_name, end_name);
-      query          the class query joining f and g, for a verdict and witness;
+                     the class query joins and the verifier checks (named
+                     start_name, end_name);
       search_order   the order the cover search places the ambient facets in
                      (index order unless the kind sorts them);
       symmetries     facet permutations that keep admissibility (none unless
@@ -868,11 +865,6 @@ class FarberAdmissibility(Admissibility):
     def endpoints(self, ids: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         start, end = zip(*map(self.images, ids))
         return start, end
-
-    def query(self, dom: Complex, ids: tuple[int, ...], budget: int) -> ContiguityResult:
-        """Whether the projections restricted to dom, whose vertex w is ids[w], are in one class."""
-        first, last = (SimplicialMap(dom, self.base, f) for f in self.endpoints(ids))
-        return same_contiguity_class(first, last, budget)
 
     def search_order(self) -> list[int]:
         """The order the cover search places the facets of K^2 in, as facet indices.
@@ -949,10 +941,6 @@ class CategoricalAdmissibility(Admissibility):
 
     def endpoints(self, ids: tuple[int, ...]) -> tuple[tuple[int, ...], None]:
         return ids, None
-
-    def query(self, dom: Complex, ids: tuple[int, ...], budget: int) -> ContiguityResult:
-        """Whether the inclusion of dom, whose vertex w is ids[w], lies in a constant's class."""
-        return class_constant_witness(SimplicialMap(dom, self.base, ids), budget)
 
 
 def admissibility(kind: str, K: Complex) -> Admissibility:

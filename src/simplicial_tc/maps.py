@@ -15,32 +15,33 @@ A class query whose domain strongly collapses to a point needs no search: it
 is exact and spends no budget (maps from a point are joined exactly when
 their images are joined by an edge path).
 
-Every class query is decided by one body (_class_search) on the maps
-between the strong-collapse cores (_CoreSpace).  The cover search's
-verdict-only checks hand it a core as facet masks (_class_verdict), and
-build no Complex, map or witness; same_contiguity_class and
-class_constant_witness reduce their maps to the cores, run the same body,
-and lift a "yes" into a witness.  A class and its core give one search, as
-the core is collapsed in rounds that follow only the relative order of the
-vertex ids.
+Every class query is one call of _class_decision, which runs the search
+(_class_search) on the maps between the strong-collapse cores (_CoreSpace)
+and, when a witness is wanted, lifts the path it finds into witness rows
+(_lift).  invariants asks it on a class's facet masks, in the ids of the
+ambient complex, and for a verdict builds no Complex, map or witness;
+same_contiguity_class and class_constant_witness are thin wrappers that ask
+it on their domain's facets and turn the rows into a ContiguityWitness.
+A class given as masks and the same class as a Complex give one search and
+one witness, as the collapse in rounds follows only the relative order of
+the vertex ids.
 
-Class-query witnesses, and so the witnesses of every admissible set that
-is not a cone, come from one route: a path found among the maps between
-the strong-collapse cores is lifted back through the retraction chains of
-domain and codomain (_ClassQuery.build_witness) and validated once.  (A
-cone, whose facets share a vertex, needs no query: invariants chains its
-maps through the constants at the apex's images.)  A chain holds one
-retraction per round of the collapse, each contiguous to the identity, so
-it is as long as the rounds, not the deletions.  Both chains, the cores
-and their vertex ids come from one record per complex (_retraction_chain),
-which collapse.core, is_strongly_collapsible and contraction_witness read
-too.
-When the codomain's core is one vertex, every map into it lies in one
-class, so the domain is not reduced at all: its chain, composed with the
-constant retraction, would add only constant steps, which the witness drops
-as repeats anyway.  Such a query, like any whose two maps reduce to one
-core-space map, ends where a search would start, so the kernel context is
-built only when a search has to take a step.
+A path among the maps between the cores is lifted back through the
+retraction chains of domain and codomain and validated once.  (A cone,
+whose facets share a vertex, needs no query: invariants chains its maps
+through the constants at the apex's images.)  A chain holds one retraction
+per round of the collapse, each contiguous to the identity, so it is as
+long as the rounds, not the deletions.  One function (_reduction) turns a
+collapse into a Reduction: its steps, chain, core vertices and retraction,
+on the positions of the domain's vertices.  A complex's reduction is one
+cached record (_retraction_chain), which collapse.core,
+is_strongly_collapsible and contraction_witness read too.  When the
+codomain's core is one vertex, every map into it lies in one class, and
+the domain's chain, composed with the constant retraction, adds only
+constant steps, which the witness drops as repeats.  Such a query, like
+any whose two maps reduce to one core-space map, ends where a search would
+start, so the kernel context is built only when a search has to take a
+step.
 
 A witness is checked once, by the ContiguityWitness constructor, in one
 pass: one domain and codomain for all steps, each step's length and value
@@ -338,71 +339,70 @@ def _path_from_parents(parents: dict[bytes, bytes | None], hit: bytes) -> list[b
 
 @dataclass(frozen=True)
 class Reduction:
-    """K's strong-collapse reduction (see _retraction_chain)."""
+    """A strong-collapse reduction (see _reduction), in the positions of its vertices."""
 
-    core: Complex
-    steps: tuple[tuple[int, int], ...]  # (deleted v, dominator u), ids of K, one deletion at a time
-    chain: tuple[tuple[int, ...], ...]  # identity -> full retraction, one self-map of K per round
-    core_ids: tuple[int, ...]  # id in K of each core vertex
-    retraction: tuple[int, ...]  # chain[-1] in core ids
+    steps: tuple[tuple[int, int], ...]  # (deleted v, dominator u), one deletion at a time
+    chain: tuple[tuple[int, ...], ...]  # identity -> full retraction, one self-map per round
+    core_ids: tuple[int, ...]  # position of each core vertex
+    retraction: tuple[int, ...]  # chain[-1] in core positions
+    core: Complex | None = None  # the core, for the reduction of a Complex (_retraction_chain)
+
+
+def _reduction(
+    ids: Sequence[int],
+    rounds: Sequence[Sequence[tuple[int, int]]],
+    core: Sequence[int],
+    core_complex: Complex | None = None,
+) -> Reduction:
+    """The reduction that rounds, core = collapse._strong_collapse(facets) gives, on positions.
+
+    ids[i] is the vertex of facets at position i (for a Complex, i itself),
+    so a class given in the ids of an ambient complex and the same class
+    built as a Complex get one reduction.  Core vertices are counted in
+    increasing id, as _CoreSpace numbers them.  chain[i + 1] is chain[i]
+    followed by the retraction of round i, which sends each deleted vertex
+    to its dominator; no dominator of a round is deleted in it, so that map
+    is contiguous to the identity and consecutive maps of the chain are
+    contiguous.
+    """
+    position = {v: i for i, v in enumerate(ids)}
+    rho = list(range(len(ids)))
+    chain = [tuple(rho)]
+    for steps in rounds:
+        to = {position[v]: position[u] for v, u in steps}
+        rho = [to.get(x, x) for x in rho]
+        chain.append(tuple(rho))
+    core_ids = tuple(position[v] for v in ids_from_mask(union_mask(core)))
+    core_index = {x: i for i, x in enumerate(core_ids)}
+    retraction = tuple(core_index[x] for x in rho)
+    steps = tuple((position[v], position[u]) for steps in rounds for v, u in steps)
+    return Reduction(steps, tuple(chain), core_ids, retraction, core_complex)
 
 
 @lru_cache(maxsize=64)
 def _retraction_chain(K: Complex) -> Reduction:
-    """The one record of K's strong-collapse reduction, from one collapse in rounds.
+    """The one record of K's strong-collapse reduction, from one collapse in rounds, with its core.
 
-    chain[i + 1] is chain[i] followed by the retraction of round i, which
-    sends each deleted vertex to its dominator; no dominator of a round is
-    deleted in it, so that map is contiguous to the identity and consecutive
-    maps of the chain are contiguous.  The function keeps the name of the
-    chain it once returned, and its cache, because the benchmark
-    (e2ebench/sweep.py) clears it by name.  A record is reused while its
-    complex is worked on (the class queries of one tc or scat call keep
-    asking for K's), so a few recent ones suffice; a larger cache gains no
-    hits on the benchmark workloads.
+    The function keeps the name of the chain it once returned, and its
+    cache, because the benchmark (e2ebench/sweep.py) clears it by name.  A
+    record is reused while its complex is worked on (the class queries of
+    one tc or scat call keep asking for K's), so a few recent ones suffice;
+    a larger cache gains no hits on the benchmark workloads.
     """
     from .collapse import _strong_collapse
 
     rounds, facets = _strong_collapse(K.facets)
-    c = _complex_on(K, facets) if rounds else K
-    rho = list(range(K.n_vertices))
-    chain = [tuple(rho)]
-    for steps in rounds:
-        to = dict(steps)
-        rho = [to.get(x, x) for x in rho]
-        chain.append(tuple(rho))
-    union = union_mask(facets)
-    # core ids keep the order of K's ids, so a survivor's core id counts the survivors below it
-    retraction = tuple((union & ((1 << x) - 1)).bit_count() for x in rho)
-    steps = tuple(step for steps in rounds for step in steps)
-    return Reduction(c, steps, tuple(chain), ids_from_mask(union), retraction)
-
-
-def _unreduced(K: Complex) -> Reduction:
-    """K as its own core: no steps, and the identity as chain and retraction."""
-    ids = tuple(range(K.n_vertices))
-    return Reduction(K, (), (ids,), ids, ids)
-
-
-@lru_cache(maxsize=32)
-def _class_query(domain: Complex, codomain: Complex) -> "_ClassQuery":
-    """The query space for maps domain -> codomain.
-
-    Repeats rarely reach this cache (the per-call verdict memo in invariants
-    takes them first; under 0.1% hits on each benchmark workload), so it keeps
-    only a few spaces, and with them their complexes, alive.  It stays an lru
-    cache because the benchmark (e2ebench/sweep.py) clears it by name.
-    """
-    return _ClassQuery(domain, codomain)
+    return _reduction(range(K.n_vertices), rounds, facets, _complex_on(K, facets) if rounds else K)
 
 
 class _CoreSpace:
-    """The maps from a domain core into a codomain's core: the graph every class query walks.
+    """The maps from a domain's core into a codomain's core: the graph every class query walks.
 
     facets are the domain core's facet masks, in any vertex ids; its
     vertices are numbered densely in increasing id, as _complex_on numbers
     them, so a core given in the ids of an ambient complex and the same core
-    built as a Complex give one graph.  cod is the codomain's reduction.
+    built as a Complex give one graph.  cod is the codomain's reduction
+    (_retraction_chain).
     """
 
     def __init__(self, facets: Sequence[int], cod: Reduction):
@@ -423,51 +423,23 @@ class _CoreSpace:
         return pure.Context(facet_vertices, vertex_facets, self.cod.core.facets)
 
 
-class _ClassQuery(_CoreSpace):
-    """Core-reduced search space for contiguity-class queries L -> K, with witness lifting."""
+@lru_cache(maxsize=32)
+def _class_query(domain: Complex, codomain: Complex) -> tuple[Reduction, _CoreSpace]:
+    """The domain's reduction and the query space of the public class queries on maps domain -> codomain.
 
-    def __init__(self, domain: Complex, codomain: Complex):
-        self.domain = domain
-        self.codomain = codomain
-        cod = _retraction_chain(codomain)
-        # Into a point every map lies in one class, so the domain is not reduced:
-        # its retraction chain would add only constant steps to a witness.
-        point = cod.core.n_vertices == 1
-        self.dom = _unreduced(domain) if point else _retraction_chain(domain)
-        super().__init__(self.dom.core.facets, cod)
-
-    def reduce(self, assignment: tuple[int, ...]) -> bytes:
-        return bytes(self.cod.retraction[assignment[e]] for e in self.dom.core_ids)
-
-    def lift(self, reduced: bytes) -> tuple[int, ...]:
-        """The map i∘h∘r : domain -> codomain for a core-space assignment h."""
-        return tuple(self.cod.core_ids[reduced[r]] for r in self.dom.retraction)
-
-    def bridge(self, assignment: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Chain f ~ ... ~ i∘(reduce f)∘r inside maps domain -> codomain."""
-        chain = [tuple(rho[a] for a in assignment) for rho in self.cod.chain]
-        retracted = chain[-1]
-        chain.extend(tuple(retracted[x] for x in c) for c in self.dom.chain[1:])
-        return chain
-
-    def build_witness(self, front: tuple[int, ...], path: list[bytes], back: tuple[int, ...] | None) -> ContiguityWitness:
-        assigns = self.bridge(front)
-        assigns.extend(self.lift(a) for a in path)
-        if back is not None:
-            assigns.extend(reversed(self.bridge(back)))
-        deduped = [assigns[0]]
-        for a in assigns[1:]:
-            if a != deduped[-1]:
-                deduped.append(a)
-        return ContiguityWitness(
-            tuple(_unchecked_map(self.domain, self.codomain, a) for a in deduped)
-        )
+    Repeats rarely reach this cache (the library asks its class queries on
+    facet masks, with a per-call verdict memo in invariants), so it keeps
+    only a few spaces, and with them their complexes, alive.  It stays an lru
+    cache because the benchmark (e2ebench/sweep.py) clears it by name.
+    """
+    dom = _retraction_chain(domain)
+    return dom, _CoreSpace(dom.core.facets, _retraction_chain(codomain))
 
 
 def _class_search(
     space: _CoreSpace, start: bytes, goal: bytes | None, budget: int
 ) -> tuple[Verdict, list[bytes] | None, int]:
-    """The one decision body of class queries, on core-space maps: (verdict, path, explored).
+    """The search of class queries, on core-space maps: (verdict, path, explored).
 
     goal is the core-space map to reach, or None for any constant map; path
     runs from start to the map reached, for a "yes".  A start that is its
@@ -510,30 +482,64 @@ def _class_search(
     return Verdict.UNKNOWN, None, explored
 
 
-def _class_verdict(
-    facets: Sequence[int],
+def _lift(
+    dom: Reduction, cod: Reduction, front: Sequence[int], path: list[bytes], back: Sequence[int] | None
+) -> list[tuple[int, ...]]:
+    """The rows of a chain front ~ ... ~ back (a constant map when back is None) through path.
+
+    Each end f is joined to i∘(reduced f)∘r by the codomain's chain and then
+    the domain's, and each core-space map h on the path becomes i∘h∘r.
+    Consecutive repeats are dropped.
+    """
+
+    def bridge(assignment: Sequence[int]) -> list[tuple[int, ...]]:
+        chain = [tuple(rho[a] for a in assignment) for rho in cod.chain]
+        retracted = chain[-1]
+        chain.extend(tuple(retracted[x] for x in c) for c in dom.chain[1:])
+        return chain
+
+    rows = bridge(front)
+    rows.extend(tuple(cod.core_ids[h[r]] for r in dom.retraction) for h in path)
+    if back is not None:
+        rows.extend(reversed(bridge(back)))
+    return [rows[0]] + [b for a, b in zip(rows, rows[1:]) if a != b]
+
+
+def _class_decision(
+    space: _CoreSpace,
     start: Sequence[int],
     end: Sequence[int] | None,
-    codomain: Complex,
-    budget: int = DEFAULT_BUDGET,
-) -> ContiguityResult:
-    """Verdict-only class query on a domain core given by facet masks; no witness.
+    budget: int,
+    dom: Reduction | None = None,
+) -> tuple[Verdict, list[tuple[int, ...]] | None, int]:
+    """The one class query: whether start and end lie in one class, (verdict, rows, explored).
 
-    facets is a strong-collapse core (no dominated vertex) in any vertex
-    ids; start and end give the two maps' images in codomain of its
-    vertices in increasing id, end None for "a constant map".  The answer
-    and `explored` are those of same_contiguity_class (or
-    class_constant_witness) on any complex that collapses to this core in
-    the same vertex order, as both run _class_search on the same reduced
-    maps; no Complex, map or witness is built here.
+    start and end are maps into the codomain of space, end None for "a
+    constant map".  Without dom they give the images of the domain core's
+    vertices, in increasing id, and the answer is a verdict alone.  With
+    dom, the domain's reduction, they give the images of all its vertices,
+    by position, and a "yes" comes with the rows of a witness, lifted from
+    the path through both retraction chains (_lift).  Either way the search
+    is _class_search on the reduced maps.
     """
-    check_budget(budget)
-    cod = _retraction_chain(codomain)
-    r = cod.retraction
-    fa = bytes([r[c] for c in start])
-    ga = None if end is None else bytes([r[c] for c in end])
-    verdict, _, explored = _class_search(_CoreSpace(facets, cod), fa, ga, budget)
-    return ContiguityResult(verdict, None, explored)
+    r = space.cod.retraction
+    keep = range(len(start)) if dom is None else dom.core_ids
+    fa = bytes([r[start[e]] for e in keep])
+    ga = None if end is None else bytes([r[end[e]] for e in keep])
+    verdict, path, explored = _class_search(space, fa, ga, budget)
+    if dom is None or path is None:
+        return verdict, None, explored
+    return verdict, _lift(dom, space.cod, start, path, end), explored
+
+
+def _answer(f: SimplicialMap, end: Sequence[int] | None, budget: int) -> ContiguityResult:
+    """_class_decision on the maps f.domain -> f.codomain, with its rows as a witness."""
+    dom, space = _class_query(f.domain, f.codomain)
+    verdict, rows, explored = _class_decision(space, f.assignment, end, budget, dom)
+    if rows is None:
+        return ContiguityResult(verdict, None, explored)
+    steps = tuple(_unchecked_map(f.domain, f.codomain, a) for a in rows)
+    return ContiguityResult(verdict, ContiguityWitness(steps), explored)
 
 
 def same_contiguity_class(
@@ -541,35 +547,26 @@ def same_contiguity_class(
 ) -> ContiguityResult:
     """Decide whether f and g lie in one contiguity class.
 
-    Yes comes with a validated witness.  The decision is _class_search on
-    the reductions of f and g to the cores of domain and codomain: exact
-    and free of budget when the domain's core is one vertex, otherwise no
-    is an exhausted connected component and unknown means the searches
-    from both maps ran out of budget.
+    Yes comes with a validated witness.  The decision is the class query
+    (_class_decision) on the reductions of f and g to the cores of domain
+    and codomain: exact and free of budget when the domain's core is one
+    vertex, otherwise no is an exhausted connected component and unknown
+    means the searches from both maps ran out of budget.
     """
     check_budget(budget)
     _require_parallel(f, g)
     if f.assignment == g.assignment:
         return ContiguityResult(Verdict.YES, ContiguityWitness((f,)), 1)
-    rq = _class_query(f.domain, f.codomain)
-    fa, ga = rq.reduce(f.assignment), rq.reduce(g.assignment)
-    verdict, path, explored = _class_search(rq, fa, ga, budget)
-    if path is None:
-        return ContiguityResult(verdict, None, explored)
-    return ContiguityResult(verdict, rq.build_witness(f.assignment, path, g.assignment), explored)
+    return _answer(f, g.assignment, budget)
 
 
 def class_constant_witness(f: SimplicialMap, budget: int = DEFAULT_BUDGET) -> ContiguityResult:
     """Search the contiguity class of f for any constant map."""
     check_budget(budget)
-    rq = _class_query(f.domain, f.codomain)
-    verdict, path, explored = _class_search(rq, rq.reduce(f.assignment), None, budget)
-    if path is None:
-        return ContiguityResult(verdict, None, explored)
-    w = rq.build_witness(f.assignment, path, None)
-    if not w.last.is_constant:
+    result = _answer(f, None, budget)
+    if result.witness is not None and not result.witness.last.is_constant:
         raise InvalidInput("internal: lifted witness does not end at a constant")
-    return ContiguityResult(verdict, w, explored)
+    return result
 
 
 def contiguity_component(

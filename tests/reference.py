@@ -15,10 +15,13 @@ The first two take admissibility(kind, K).decide on a facet mask, verdict
 only: the same call tc and scat make, so a disagreement points at the
 search, not at the checks.
 
-class_query is the witness route every "yes" took before cone classes were
-certified through their apex's constants: A.query on the class, the two
-maps joined by the class query's own lifted chain.  A cone's witness and
-this one must both verify, with the same verdict.
+class_query is the witness route every "yes" took before the checker
+certified its classes on facet masks: the class built as a Complex, the
+two maps A.endpoints gives on it built as checked SimplicialMaps, and the
+public same_contiguity_class (Farber) or class_constant_witness
+(categorical), which collapse the Complex again and lift their own chain.
+A cone's witness and this one must both verify, with the same verdict, and
+the checker's witness on any other class must be this one.
 
 unpruned_cover is the library's search as it was before it visited only
 lex-leaders under the symmetries of the square: the same placement order
@@ -54,7 +57,13 @@ from simplicial_tc import invariants
 from simplicial_tc.collapse import _star_intersections
 from simplicial_tc.complexes import Complex, _complex_on, ids_from_mask, union_mask
 from simplicial_tc.invariants import Admissibility, _Heredity, admissibility
-from simplicial_tc.maps import DEFAULT_BUDGET, ContiguityResult
+from simplicial_tc.maps import (
+    DEFAULT_BUDGET,
+    ContiguityResult,
+    SimplicialMap,
+    class_constant_witness,
+    same_contiguity_class,
+)
 
 
 def checker(kind: str, K, budget: int = DEFAULT_BUDGET):
@@ -70,10 +79,16 @@ def checker(kind: str, K, budget: int = DEFAULT_BUDGET):
 def class_query(
     A: Admissibility, mask: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[Complex, ContiguityResult]:
-    """The class with facet mask `mask` of A.ambient, and A's class query on it."""
+    """The class with facet mask `mask` of A.ambient, and the public class query on it."""
     facets = [A.ambient.facets[i] for i in ids_from_mask(mask)]
     sub = _complex_on(A.ambient, facets)
-    return sub, A.query(sub, ids_from_mask(union_mask(facets)), budget)
+    start, end = (
+        None if row is None else SimplicialMap(sub, A.base, row)
+        for row in A.endpoints(ids_from_mask(union_mask(facets)))
+    )
+    if end is None:
+        return sub, class_constant_witness(start, budget)
+    return sub, same_contiguity_class(start, end, budget)
 
 
 def maximal_sets(kind: str, K) -> tuple[frozenset[int], ...]:

@@ -173,11 +173,10 @@ class TestRoundTrip:
         ok, msgs = verify_certificate(forged, recompute=True)
         assert not ok
         assert "lower bound changed" in msgs[0]
-        dropped = {**cert, "upper": None, "cover": None}  # no cover found, no upper bound
-        assert verify_certificate(dropped)[0]
-        ok, msgs = verify_certificate(dropped, recompute=True)
+        dropped = {**cert, "upper": None, "cover": None}  # no search ends without a cover
+        ok, msgs = verify_certificate(dropped)
         assert not ok
-        assert "upper bound changed" in msgs[0]
+        assert "must carry a cover" in msgs[0]
 
     def test_recompute_checks_the_torus_bounds_at_budget_one(self):
         # the homology rule decides the torus's "no" classes, so its lower bound
@@ -831,6 +830,7 @@ class TestStatusBoundsConsistency:
         assert self.rejected(cert, lower=1, upper=1, **partial)
         assert self.rejected(cert, lower=1, upper=3, **partial)
         assert self.rejected(cert, lower=1, upper=2, cover=None, **partial)
+        assert self.rejected(cert, lower=1, upper=None, cover=None, **partial)
 
     def test_non_integer_bounds(self, boundary_triangle):
         cert = tc_cert(boundary_triangle)  # three cover classes

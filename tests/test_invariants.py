@@ -37,7 +37,7 @@ from simplicial_tc import (
 )
 from simplicial_tc import collapse, invariants, maps
 from simplicial_tc.collapse import _strong_collapse, core
-from simplicial_tc.complexes import ids_from_mask, mask_from_ids, union_mask
+from simplicial_tc.complexes import Complex, ids_from_mask, mask_from_ids, union_mask
 from simplicial_tc.invariants import _cover_invariant, admissibility
 from simplicial_tc.maps import DEFAULT_BUDGET
 
@@ -601,7 +601,7 @@ class TestVerdictOnlyPath:
         # the split classes are refused before any class query
         monkeypatch.setattr(invariants, "same_contiguity_class", None)
         monkeypatch.setattr(invariants, "class_constant_witness", None)
-        monkeypatch.setattr(invariants, "_class_verdict", None)
+        monkeypatch.setattr(invariants, "_class_decision", None)
         de_x_ab = farber.ambient.simplex_mask(["d|a", "d|b", "e|a", "e|b"])
         single = 1 << farber.ambient.facets.index(de_x_ab)
         assert farber.decide(single, DEFAULT_BUDGET, want_witness=False)[0] is Verdict.NO
@@ -619,20 +619,20 @@ class TestVerdictOnlyPath:
             self.assert_mask_form_agrees(A, [row_of_a(A)])
         # C3 is not strongly collapsible: the full row is refused with no class query
         monkeypatch.setattr(invariants, "same_contiguity_class", None)
-        monkeypatch.setattr(invariants, "_class_verdict", None)
+        monkeypatch.setattr(invariants, "_class_decision", None)
         assert cycle.decide(row_of_a(cycle), DEFAULT_BUDGET, want_witness=False)[0] is Verdict.NO
         # a path is: the rule is skipped, and the row (a cone) is Farber
         assert path.decide(row_of_a(path), DEFAULT_BUDGET, want_witness=False)[0] is Verdict.YES
 
     def test_class_queries_are_memoised_by_core_within_one_call(self, monkeypatch):
         calls = []
-        real = invariants._class_verdict
+        real = invariants._class_decision
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(invariants, "_class_verdict", counted)
+        monkeypatch.setattr(invariants, "_class_decision", counted)
         K = build_complex(corpusgen.CYCLE4)
         P = categorical_square(K)
         # facets 3, 4 and facets 0, 3, 4 of C4^2 collapse to one two-facet core
@@ -1622,7 +1622,7 @@ class TestConeWitness:
             invariants,
             same_contiguity_class=refuse,
             class_constant_witness=refuse,
-            _class_verdict=refuse,
+            _class_decision=refuse,
         )
 
     @staticmethod
@@ -1682,8 +1682,8 @@ class TestConeWitness:
 
 
 class TestVerdictOnlyClassQuery:
-    """maps._class_verdict on a class's core, as _core_verdict asks it, against the
-    witness-building class query on the class as a Complex (reference.class_query).
+    """maps._class_decision on a class's core, as a verdict-only check asks it, against
+    the witness-building class query on the class as a Complex (reference.class_query).
 
     Both collapse the class to one core in one vertex order and run one search
     body, so verdict and `explored` must agree at every budget.
@@ -1700,18 +1700,108 @@ class TestVerdictOnlyClassQuery:
     def test_mask_verdicts_equal_the_class_query(self, name):
         kind, facets = self.CASES[name]
         A = admissibility(kind, build_complex(facets))
+        cod = maps._retraction_chain(A.base)
         seen = set()
         for mask in corpusgen.random_facet_masks(len(A.ambient.facets), 40, seed=23):
             core_facets = _strong_collapse([A.ambient.facets[i] for i in ids_from_mask(mask)])[1]
             start, end = A.endpoints(ids_from_mask(union_mask(core_facets)))
+            on_core = maps._CoreSpace(core_facets, cod)
             for budget in (DEFAULT_BUDGET, 1, 4, 16):
-                got = maps._class_verdict(core_facets, start, end, A.base, budget)
+                verdict, rows, explored = maps._class_decision(on_core, start, end, budget)
                 _, expected = reference.class_query(A, mask, budget)
-                assert (got.verdict, got.explored) == (expected.verdict, expected.explored)
-                seen.add((budget == DEFAULT_BUDGET, got.verdict, got.explored > 1))
+                assert rows is None
+                assert (verdict, explored) == (expected.verdict, expected.explored)
+                seen.add((budget == DEFAULT_BUDGET, verdict, explored > 1))
         # searches that ran, and small budgets that ran out, both occur
         assert (True, Verdict.YES, True) in seen or (True, Verdict.NO, True) in seen
         assert (False, Verdict.UNKNOWN, True) in seen
+
+
+def _cycle(n):
+    labels = corpusgen.LABELS
+    return [(labels[i], labels[(i + 1) % n]) for i in range(n)]
+
+
+class TestOneDecisionBody:
+    """A certifying check runs the verdict's own sequence on the class's facet masks.
+
+    On classes that are no cones and that no "no" rule refuses, A.decide must
+    give the verdict and the witness rows of the old route (reference.class_query,
+    where an undecided search still met the homology rule on the class), and
+    the verdict of the verdict-only check.
+    """
+
+    CASES = {
+        "C5-square": ("farber", _cycle(5)),
+        "C6-square": ("farber", _cycle(6)),
+        "tetrahedron-square": ("farber", corpusgen.BOUNDARY_TETRAHEDRON),
+        "torus": ("categorical", corpusgen.TORUS7),
+        "RP2": ("categorical", corpusgen.RP2_6),
+    }
+
+    @staticmethod
+    def classes(A, count=40, draws=20000):
+        """Seeded classes of 3 to 10 facets that are no cones and that no "no" rule refuses."""
+        rng = random.Random(29)
+        n = len(A.ambient.facets)
+        out = []
+        for _ in range(draws):
+            mask = sum(1 << i for i in rng.sample(range(n), rng.randint(3, min(10, n))))
+            facet_masks = [A.ambient.facets[i] for i in ids_from_mask(mask)]
+            if invariants._apex(facet_masks) < 0 and not A.rules_out(facet_masks, union_mask(facet_masks)):
+                out.append(mask)
+                if len(out) == count:
+                    break
+        return out
+
+    @pytest.mark.parametrize("budget", [1, 4, DEFAULT_BUDGET], ids=["1", "4", "default"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_witnesses_and_verdicts_match_the_complex_route(self, name, budget):
+        kind, facets = self.CASES[name]
+        A = admissibility(kind, build_complex(facets))
+        classes = self.classes(A)
+        assert len(classes) >= 10
+        seen = set()
+        for mask in classes:
+            facet_masks = [A.ambient.facets[i] for i in ids_from_mask(mask)]
+            verdict, adm = A.decide(mask, budget)
+            sub, oracle = reference.class_query(A, mask, budget)
+            expected = oracle.verdict
+            if expected is Verdict.UNKNOWN and invariants._differs_on_homology(
+                facet_masks, A.base.cocycles, A.images
+            ):
+                expected = Verdict.NO
+            assert verdict is expected
+            assert A.decide(mask, budget, want_witness=False)[0] is verdict
+            if verdict is Verdict.YES:
+                assert adm.omega == sub
+                assert adm.witness.steps == oracle.witness.steps
+            else:
+                assert adm is None
+            seen.add(verdict)
+        assert Verdict.YES in seen or budget != DEFAULT_BUDGET
+
+    def test_a_complex_numbered_otherwise_gets_rows_in_its_own_order(self):
+        A = admissibility("farber", build_complex(corpusgen.CYCLE4))
+        mask = next(
+            m for m in corpusgen.random_facet_masks(len(A.ambient.facets), 60, seed=29)
+            if A.decide(m, DEFAULT_BUDGET, want_witness=False)[0] is Verdict.YES
+            and invariants._apex([A.ambient.facets[i] for i in ids_from_mask(m)]) < 0
+        )
+        sub = corpusgen.facet_subcomplex(A.ambient, mask)
+        order = list(reversed(range(sub.n_vertices)))  # new id of each vertex of sub
+        labels = [""] * sub.n_vertices
+        for v, w in enumerate(order):
+            labels[w] = sub.labels[v]
+        facets = tuple(mask_from_ids(order[v] for v in ids_from_mask(m)) for m in sub.facets)
+        reversed_sub = Complex(tuple(labels), facets)
+        verdict, adm = A.decide(reversed_sub, DEFAULT_BUDGET)
+        assert verdict is Verdict.YES and adm.omega is reversed_sub
+        assert TestConeWitness.joins_endpoints(A, adm.witness)
+        expected = A.decide(mask, DEFAULT_BUDGET)[1].witness.steps
+        assert [s.assignment for s in adm.witness.steps] == [
+            tuple(s.assignment[v] for v in reversed(range(sub.n_vertices))) for s in expected
+        ]
 
 
 class TestLowestFirstOracle:
